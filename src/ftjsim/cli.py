@@ -280,6 +280,15 @@ def cmd_bench(config: SimConfig, out: Path) -> None:
     print(f"wrote {out / 'bench.csv'}")
 
 
+def _count(minimum: int):
+    """argparse type for an integer count of at least ``minimum``."""
+    def count(raw: str) -> int:
+        if int(raw) < minimum:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {minimum}, got {raw!r}")
+        return int(raw)
+    return count
+
+
 def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     # Registered on the main parser and again on every subparser (with
     # suppressed defaults) so the flags work on either side of the subcommand.
@@ -311,10 +320,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_fit = add_command("fit", "extract parameters from sweep/trace CSVs")
     p_fit.add_argument("files", nargs="+", help="sweep or trace CSV files")
     p_xbar = add_command("xbar", "program/read/disturb a crossbar")
-    p_xbar.add_argument("--writes", type=int, default=1000, help="random write count")
+    p_xbar.add_argument("--writes", type=_count(0), default=1000, help="random write count")
     p_infer = add_command("infer", "analog inference accuracy report")
     p_infer.add_argument("--dataset", help="dataset CSV (bundled blobs when omitted)")
-    p_infer.add_argument("--seeds", type=int, default=10, help="Monte-Carlo replicas")
+    p_infer.add_argument("--seeds", type=_count(1), default=10, help="Monte-Carlo replicas")
     p_infer.add_argument("--hidden", default="24",
                          help="comma-separated hidden layer widths ('' for linear)")
     p_infer.add_argument("--mode", default="open_loop",

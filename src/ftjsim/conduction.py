@@ -1,4 +1,4 @@
-"""Forward conduction model of a single junction and inverse parameter fitters.
+"""Conduction model of a single junction, its inverse and slope, and parameter fitters.
 
 The junction conducts Ohmically at low bias and with a field-enhanced
 (Poole-Frenkel type) exponential above ``v_pf_min``.  Temperature enters
@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import FitError
+from .errors import ConvergenceError, FitError
 
 K_B_EV = 8.617333262e-5  # Boltzmann constant, eV/K
 
@@ -94,9 +94,6 @@ class SweepRecord:
     def __len__(self) -> int:
         return self.voltage.size
 
-    def temperatures(self) -> np.ndarray:
-        return np.unique(self.temperature)
-
     def restrict(self, v_min: float, v_max: float) -> "SweepRecord":
         """Keep samples with v_min <= |V| <= v_max."""
         mask = (np.abs(self.voltage) >= v_min) & (np.abs(self.voltage) <= v_max)
@@ -159,6 +156,15 @@ def activation_factor(t: float, p: ConductionParams) -> float:
     return math.exp(-p.e_a * (1.0 / (K_B_EV * t) - 1.0 / (K_B_EV * p.t_ref)))
 
 
+def _base_conductance(g_state, t: float, p: ConductionParams) -> np.ndarray:
+    """g_state * a(t), with every state conductance checked finite and > 0."""
+    g_arr = np.asarray(g_state, dtype=float)
+    _check_finite(g_state=g_arr)
+    if np.any(g_arr <= 0):
+        raise ValueError("g_state must be > 0")
+    return g_arr * activation_factor(t, p)
+
+
 def current(v, g_state, t: float, p: ConductionParams):
     """Junction current in amperes at bias v for state conductance g_state.
 
@@ -167,17 +173,69 @@ def current(v, g_state, t: float, p: ConductionParams):
     array-valued v and g_state.
     """
     v_arr = np.asarray(v, dtype=float)
-    g_arr = np.asarray(g_state, dtype=float)
-    _check_finite(v=v_arr, g_state=g_arr)
-    if np.any(g_arr <= 0):
-        raise ValueError("g_state must be > 0")
-    i = g_arr * activation_factor(t, p) * v_arr * shape_factor(np.abs(v_arr), t, p)
+    _check_finite(v=v_arr)
+    i = _base_conductance(g_state, t, p) * v_arr * shape_factor(np.abs(v_arr), t, p)
     return float(i) if np.ndim(i) == 0 else i
 
 
-def current_density_lrs(v, t: float, p: ConductionParams):
-    """LRS current density (A/um^2) of the reference-area device."""
-    return current(v, p.g_lrs_ref, t, p) / p.area_ref
+# Cap on the window iteration; bisection alone reaches float64 resolution in
+# 53 + log2(sqrt(v_clamp / v_pf_min)) halvings, well below it.
+_WINDOW_MAX_ITERS = 100
+
+
+def voltage_at_current(i, g_state, t: float, p: ConductionParams):
+    """Bias at which the junction carries current i: the inverse of ``current``.
+
+    Odd in i; broadcasts over i and g_state.  Closed form in the Ohmic and
+    frozen-exponent regimes.  In the window it solves the increasing, concave
+    f(u) = 2 ln u + c (u - sqrt(v_pf_min)) - ln(|i| / (g_state a)) = 0 for
+    u = sqrt(V), c = beta/kT, by bracketed Newton from the root of the chord
+    of f, which overshoots once at most, until a step is within 4 ulp of u.
+    """
+    i_arr = np.asarray(i, dtype=float)
+    _check_finite(i=i_arr, t=t)
+    i_abs, base = np.broadcast_arrays(np.abs(i_arr), _base_conductance(g_state, t, p))
+    c = p.beta / (K_B_EV * t)
+    u0, u_hi = math.sqrt(p.v_pf_min), math.sqrt(p.v_clamp)
+    h_clamp = math.exp(c * (u_hi - u0))
+    frozen = i_abs >= base * (p.v_clamp * h_clamp)
+    v = np.where(frozen, i_abs / (base * h_clamp), i_abs / base)
+    window = ~frozen & (i_abs > base * p.v_pf_min)
+    ln_target = np.log(i_abs[window] / base[window])
+    chord = (2.0 * math.log(u_hi / u0) + c * (u_hi - u0)) / (u_hi - u0)
+    u = u0 + (ln_target - 2.0 * math.log(u0)) / chord
+    lo, hi, idx = np.full_like(u, u0), np.full_like(u, u_hi), np.arange(u.size)
+    for _ in range(_WINDOW_MAX_ITERS):
+        if not idx.size:
+            break
+        uu, lo_a, hi_a = u[idx], lo[idx], hi[idx]
+        f = 2.0 * np.log(uu) + c * (uu - u0) - ln_target[idx]
+        np.copyto(hi_a, uu, where=f > 0)
+        np.copyto(lo_a, uu, where=f <= 0)
+        nxt = uu - f / (2.0 / uu + c)
+        u[idx] = np.where((lo_a <= nxt) & (nxt <= hi_a), nxt, 0.5 * (lo_a + hi_a))
+        lo[idx], hi[idx] = lo_a, hi_a
+        idx = idx[np.abs(u[idx] - uu) > 4 * np.finfo(float).eps * uu]
+    if idx.size:
+        raise ConvergenceError(f"junction inverse: {idx.size} entries unconverged "
+                               f"after {_WINDOW_MAX_ITERS} iterations")
+    v[window] = u * u
+    v = np.copysign(v, i_arr)
+    return float(v) if v.ndim == 0 else v
+
+
+def differential_conductance(v, g_state, t: float, p: ConductionParams):
+    """Slope dI/dV of ``current`` at bias v, in siemens; even in v and > 0.
+
+    g_state a(t) h(|v|), times 1 + c sqrt(|v|) / 2 (c = beta/kT) strictly
+    between v_pf_min and v_clamp; at either edge the outer regime's value.
+    """
+    v_abs = np.abs(np.asarray(v, dtype=float))
+    base = _base_conductance(g_state, t, p)
+    window = (v_abs > p.v_pf_min) & (v_abs < p.v_clamp)
+    gain = np.where(window, 1.0 + 0.5 * p.beta / (K_B_EV * t) * np.sqrt(v_abs), 1.0)
+    s = base * shape_factor(v_abs, t, p) * gain
+    return float(s) if np.ndim(s) == 0 else s
 
 
 def nonlinearity_ratio(v: float, t: float, p: ConductionParams) -> float:
@@ -193,28 +251,6 @@ def nonlinearity_ratio(v: float, t: float, p: ConductionParams) -> float:
 # Synthetic sweep generators (closed-loop counterparts of the fitters below)
 
 
-def synthetic_ohmic_sweep(
-    voltages: Sequence[float],
-    temperatures: Sequence[float],
-    e_a: float,
-    ln_prefactor: float = 0.0,
-    noise: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> SweepRecord:
-    """Textbook Ohmic data J = exp(ln_prefactor) * V * exp(-e_a/kT).
-
-    ``noise`` is the relative std of multiplicative Gaussian noise on J.
-    """
-    vv, tt = np.meshgrid(np.asarray(voltages, float), np.asarray(temperatures, float))
-    vv, tt = vv.ravel(), tt.ravel()
-    j = np.exp(ln_prefactor) * vv * np.exp(-e_a / (K_B_EV * tt))
-    if noise > 0:
-        if rng is None:
-            raise ValueError("rng required when noise > 0")
-        j = j * (1.0 + noise * rng.standard_normal(j.size))
-    return SweepRecord(vv, j, tt)
-
-
 def synthetic_pf_sweep(
     voltages: Sequence[float],
     temperatures: Sequence[float],
@@ -224,7 +260,11 @@ def synthetic_pf_sweep(
     noise: float = 0.0,
     rng: np.random.Generator | None = None,
 ) -> SweepRecord:
-    """Textbook field-enhanced data J = exp(ln_prefactor) * V * exp((beta*sqrt(V) - phi_b)/kT)."""
+    """Textbook field-enhanced data J = exp(ln_prefactor) * V * exp((beta*sqrt(V) - phi_b)/kT).
+
+    ``beta = 0`` with ``phi_b = e_a`` gives Ohmic data J ~ V exp(-e_a/kT).
+    ``noise`` is the relative std of multiplicative Gaussian noise on J.
+    """
     vv, tt = np.meshgrid(np.asarray(voltages, float), np.asarray(temperatures, float))
     vv, tt = vv.ravel(), tt.ravel()
     j = np.exp(ln_prefactor) * vv * np.exp((beta * np.sqrt(vv) - phi_b) / (K_B_EV * tt))

@@ -7,3 +7,7 @@ class ConfigError(ValueError):
 
 class FitError(RuntimeError):
     """A regression cannot be performed on the data provided."""
+
+
+class ConvergenceError(ArithmeticError):
+    """An iterative solver hit its iteration cap before converging."""

@@ -12,7 +12,6 @@ from ftjsim.conduction import (
     fit_ohmic,
     fit_poole_frenkel,
     nonlinearity_ratio,
-    synthetic_ohmic_sweep,
     synthetic_pf_sweep,
 )
 from ftjsim.crossbar import Crossbar, read_vmm, sneak_ratio, write_cell
@@ -109,10 +108,11 @@ def test_06_fitters_recover_barriers():
         worst_noisy = max(worst_noisy, abs(noisy.phi_b / phi_b - 1))
     worst_oh_clean, worst_oh_noisy = 0.0, 0.0
     for e_a in (0.10, 0.15, 0.20):
-        clean = fit_ohmic(synthetic_ohmic_sweep(oh_v, temps, e_a=e_a))
+        clean = fit_ohmic(synthetic_pf_sweep(oh_v, temps, phi_b=e_a, beta=0.0))
         worst_oh_clean = max(worst_oh_clean, abs(clean.e_a / e_a - 1))
         rng = np.random.default_rng(2026)
-        noisy = fit_ohmic(synthetic_ohmic_sweep(oh_v, temps, e_a=e_a, noise=0.01, rng=rng))
+        noisy = fit_ohmic(
+            synthetic_pf_sweep(oh_v, temps, phi_b=e_a, beta=0.0, noise=0.01, rng=rng))
         worst_oh_noisy = max(worst_oh_noisy, abs(noisy.e_a / e_a - 1))
     ok = (worst_clean < 0.02 and worst_noisy < 0.05
           and worst_oh_clean < 0.02 and worst_oh_noisy < 0.05)

@@ -17,14 +17,15 @@ from ftjsim.conduction import (
     SweepRecord,
     activation_factor,
     current,
+    differential_conductance,
     fit_ohmic,
     fit_poole_frenkel,
     nonlinearity_ratio,
     shape_factor,
-    synthetic_ohmic_sweep,
     synthetic_pf_sweep,
+    voltage_at_current,
 )
-from ftjsim.errors import FitError
+from ftjsim.errors import ConvergenceError, FitError
 
 P = ConductionParams()
 
@@ -119,6 +120,79 @@ class TestCurrent:
         assert activation_factor(P.t_ref, P) == 1.0
 
 
+# Biases in each regime of the default model, edges included.
+REGIME_V = {
+    "ohmic": [0.001, 0.05, 0.1, P.v_pf_min],
+    "field_enhanced": [np.nextafter(P.v_pf_min, 1.0), 0.3, 0.5, 0.8, np.nextafter(P.v_clamp, 0.0)],
+    "frozen": [P.v_clamp, 1.5, 4.0, 6.0],
+}
+
+
+class TestVoltageAtCurrent:
+    @pytest.mark.parametrize("regime", sorted(REGIME_V))
+    @pytest.mark.parametrize("t", [P.t_ref, 350.0])
+    def test_round_trip(self, regime, t):
+        v = np.array(REGIME_V[regime])
+        for g in (P.g_hrs_ref, P.g_lrs_ref, 3.3e-7):
+            i = current(v, g, t, P)
+            back = voltage_at_current(i, g, t, P)
+            np.testing.assert_allclose(current(back, g, t, P), i, rtol=1e-13, atol=0)
+            np.testing.assert_allclose(back, v, rtol=1e-13, atol=0)
+
+    def test_zero_current_is_zero_bias(self):
+        assert voltage_at_current(0.0, 1e-8, 300.0, P) == 0.0
+        np.testing.assert_array_equal(voltage_at_current(np.zeros(3), 1e-8, 350.0, P), 0.0)
+
+    def test_odd_and_broadcast(self):
+        g = np.array([[1e-9], [1e-8]])
+        i = current(np.array([0.05, 0.5, 2.0]), g, 320.0, P)
+        v = voltage_at_current(i, g, 320.0, P)
+        assert v.shape == (2, 3)
+        np.testing.assert_array_equal(voltage_at_current(-i, g, 320.0, P), -v)
+
+    def test_linear_without_field_lowering(self):
+        # beta = 0 makes the law linear in all three regimes.
+        p0 = ConductionParams(beta=0.0)
+        for i in (1e-10, 5e-9, 3e-8):
+            assert voltage_at_current(i, 1e-8, p0.t_ref, p0) == pytest.approx(i / 1e-8, rel=1e-15)
+
+    def test_rejects_bad_inputs(self):
+        with pytest.raises(ValueError):
+            voltage_at_current(1e-9, 0.0, 300.0, P)
+        with pytest.raises(ValueError):
+            voltage_at_current(math.nan, 1e-8, 300.0, P)
+        with pytest.raises(ValueError):
+            voltage_at_current(1e-9, 1e-8, 0.0, P)
+
+    def test_reports_window_non_convergence(self, monkeypatch):
+        monkeypatch.setattr("ftjsim.conduction._WINDOW_MAX_ITERS", 1)
+        with pytest.raises(ConvergenceError, match="unconverged"):
+            voltage_at_current(current(0.5, 1e-8, 300.0, P), 1e-8, 300.0, P)
+
+
+class TestDifferentialConductance:
+    @pytest.mark.parametrize("v", [
+        0.05, P.v_pf_min - 1e-3, P.v_pf_min + 1e-3, 0.5,
+        P.v_clamp - 1e-3, P.v_clamp + 1e-3, 3.0,
+    ])
+    @pytest.mark.parametrize("t", [P.t_ref, 350.0])
+    def test_matches_central_difference(self, v, t):
+        h = 1e-6  # well inside the 1e-3 offsets from the regime edges
+        fd = (current(v + h, 2e-9, t, P) - current(v - h, 2e-9, t, P)) / (2 * h)
+        assert differential_conductance(v, 2e-9, t, P) == pytest.approx(fd, rel=1e-7)
+        assert differential_conductance(-v, 2e-9, t, P) == differential_conductance(v, 2e-9, t, P)
+
+    def test_outer_regimes_are_chord_slopes(self):
+        # Below onset and above the clamp I is linear in v, so dI/dV = I/V.
+        for v in (0.1, P.v_pf_min, P.v_clamp, 2.0):
+            assert differential_conductance(v, 1e-8, 330.0, P) == pytest.approx(
+                current(v, 1e-8, 330.0, P) / v, rel=1e-14)
+
+    def test_rejects_nonpositive_state(self):
+        with pytest.raises(ValueError):
+            differential_conductance(0.5, -1e-9, 300.0, P)
+
+
 class TestNonlinearity:
     def test_self_selection_value(self):
         # oracle: 2*exp(0.4*(sqrt(0.5)-sqrt(0.25))/(k*300)) = 49.2863...
@@ -147,7 +221,7 @@ TEMPS4 = [300.0, 320.0, 340.0, 360.0]
 
 class TestFitOhmic:
     def test_noise_free_recovery(self):
-        data = synthetic_ohmic_sweep(OHMIC_V, TEMPS4, e_a=0.15, ln_prefactor=-18.0)
+        data = synthetic_pf_sweep(OHMIC_V, TEMPS4, phi_b=0.15, beta=0.0, ln_prefactor=-18.0)
         fit = fit_ohmic(data)
         assert fit.e_a == pytest.approx(0.15, rel=1e-9)
         assert fit.ln_prefactor == pytest.approx(-18.0, rel=1e-9)
@@ -155,19 +229,19 @@ class TestFitOhmic:
         assert not fit.warnings
 
     def test_zero_activation_gives_zero_slope(self):
-        data = synthetic_ohmic_sweep(OHMIC_V, TEMPS4, e_a=0.0)
+        data = synthetic_pf_sweep(OHMIC_V, TEMPS4, phi_b=0.0, beta=0.0)
         assert abs(fit_ohmic(data).e_a) < 1e-12
 
     def test_one_percent_noise_within_five_percent(self):
         rng = np.random.default_rng(42)
         errs = []
         for _ in range(20):
-            data = synthetic_ohmic_sweep(OHMIC_V, TEMPS4, e_a=0.15, noise=0.01, rng=rng)
+            data = synthetic_pf_sweep(OHMIC_V, TEMPS4, phi_b=0.15, beta=0.0, noise=0.01, rng=rng)
             errs.append(abs(fit_ohmic(data).e_a / 0.15 - 1))
         assert max(errs) < 0.05
 
     def test_requires_two_temperatures(self):
-        data = synthetic_ohmic_sweep(OHMIC_V, [300.0], e_a=0.15)
+        data = synthetic_pf_sweep(OHMIC_V, [300.0], phi_b=0.15, beta=0.0)
         with pytest.raises(FitError):
             fit_ohmic(data)
 
@@ -230,7 +304,7 @@ class TestSweepRecord:
         np.testing.assert_array_equal(back.temperature, data.temperature)
 
     def test_restrict_window(self):
-        data = synthetic_ohmic_sweep(np.linspace(0.02, 0.3, 15), [300.0, 320.0], e_a=0.1)
+        data = synthetic_pf_sweep(np.linspace(0.02, 0.3, 15), [300.0, 320.0], phi_b=0.1, beta=0.0)
         low = data.restrict(0.0, 0.1)
         assert np.all(np.abs(low.voltage) <= 0.1)
         assert len(low) > 0

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from ftjsim.cli import main
-from ftjsim.conduction import K_B_EV, synthetic_ohmic_sweep, synthetic_pf_sweep
+from ftjsim.conduction import K_B_EV, synthetic_pf_sweep
 from ftjsim.config import SimConfig, apply_master_seed, config_from_dict, default_config_text, load_config
 from ftjsim.errors import ConfigError
 
@@ -77,6 +77,16 @@ class TestCliContracts:
         assert run_cli("--seed", -5, "--out", tmp_path, "iv") == 2
         assert "seed" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", [("xbar", "--writes", "-5"), ("infer", "--seeds", "0")])
+    def test_out_of_range_count_exits_2(self, tmp_path, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run_cli("--out", tmp_path, *command)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"argument {command[1]}: expected an integer" in err
+        assert "Traceback" not in err
+        assert not any(tmp_path.iterdir())
+
     def test_bad_config_value_exits_2(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"conduction": {"on_off": -1}}))
@@ -85,7 +95,7 @@ class TestCliContracts:
 
     def test_fit_failure_exits_3(self, tmp_path, capsys):
         sweep = tmp_path / "one_temp.csv"
-        synthetic_ohmic_sweep(np.linspace(0.01, 0.1, 5), [300.0], e_a=0.15).to_csv(sweep)
+        synthetic_pf_sweep(np.linspace(0.01, 0.1, 5), [300.0], phi_b=0.15, beta=0.0).to_csv(sweep)
         assert run_cli("--out", tmp_path, "fit", sweep) == 3
         assert capsys.readouterr().err.startswith("ftjsim: fit-error:")
 
@@ -127,8 +137,8 @@ class TestCliContracts:
     def test_fit_sweep_files(self, tmp_path):
         temps = [300.0, 320.0, 340.0, 360.0]
         low = tmp_path / "low.csv"
-        synthetic_ohmic_sweep(np.linspace(0.01, 0.1, 10), temps, e_a=0.15,
-                              ln_prefactor=-18.0).to_csv(low)
+        synthetic_pf_sweep(np.linspace(0.01, 0.1, 10), temps, phi_b=0.15, beta=0.0,
+                           ln_prefactor=-18.0).to_csv(low)
         high = tmp_path / "high.csv"
         synthetic_pf_sweep(np.linspace(0.2, 0.3, 9), temps, phi_b=0.15, beta=0.4,
                            ln_prefactor=-15.0).to_csv(high)

@@ -3,6 +3,8 @@
 import numpy as np
 import pytest
 
+from ftjsim import crossbar
+from ftjsim.cli import main
 from ftjsim.conduction import ConductionParams, current, nonlinearity_ratio
 from ftjsim.crossbar import (
     BiasScheme,
@@ -14,7 +16,7 @@ from ftjsim.crossbar import (
     write_cell,
 )
 from ftjsim.device import DeviceParams, Direction, PulseSpec, UpdateScheme, update_curve
-from ftjsim.errors import ConfigError
+from ftjsim.errors import ConfigError, ConvergenceError
 from ftjsim.variability import VariabilityParams
 
 PARAMS = DeviceParams()
@@ -339,6 +341,41 @@ class TestSneakRatio:
         r, c = shape[0] // 2, shape[1] // 2
         ratio = sneak_ratio(xbar, r, c, 0.5)
         assert ratio == pytest.approx(sneak_oracle(xbar, r, c, 0.5, 300.0), rel=1e-12)
+
+
+    def test_frozen_exponent_regime_oracle(self):
+        # 4 V over three junctions leaves more than v_clamp on at least one.
+        assert 4.0 / 3 > PARAMS.conduction.v_clamp
+        xbar = make_xbar(4, 4, vp=NOISY)
+        xbar.w[:] = np.random.default_rng(11).uniform(0, 1, xbar.w.shape)
+        ratio = sneak_ratio(xbar, 1, 2, 4.0)
+        assert ratio == pytest.approx(sneak_oracle(xbar, 1, 2, 4.0, 300.0), rel=1e-12)
+
+    def test_solver_reports_iterations_and_residual(self):
+        xbar = make_xbar(8, 8, vp=NOISY)
+        xbar.w[:] = np.random.default_rng(12).uniform(0, 1, xbar.w.shape)
+        paths = xbar.conductances()[:3]  # eight paths, one per column
+        for v in (0.05, 0.5, 4.0):
+            _, iterations, residual = crossbar._solve_series_paths(
+                paths, v, 300.0, PARAMS.conduction)
+            assert 1 <= iterations <= 20
+            assert residual <= 1e-14
+
+    def test_unconverged_paths_raise(self, monkeypatch):
+        monkeypatch.setattr(crossbar, "_SNEAK_MAX_ITERS", 1)
+        xbar = make_xbar(4, 4, vp=NOISY)
+        xbar.w[:] = np.random.default_rng(10).uniform(0, 1, xbar.w.shape)
+        expected = r"9 of 9 paths unconverged after 1 iterations, worst relative residual"
+        with pytest.raises(ConvergenceError, match=expected):
+            sneak_ratio(xbar, 2, 2, 2.0)
+
+    def test_default_cli_value_is_pinned(self, tmp_path):
+        # Golden value of xbar_disturb.csv at the default config (master seed
+        # 12345), recorded from the scalar per-path solver.
+        assert main(["--out", str(tmp_path), "xbar"]) == 0
+        rows = dict(line.split(",") for line in
+                    (tmp_path / "xbar_disturb.csv").read_text().strip().splitlines()[1:])
+        assert float(rows["sneak_ratio_at_0.5V"]) == pytest.approx(1.255466446670e+02, rel=1e-12)
 
 
 # --- pattern-level invariant ------------------------------------------------------
