@@ -34,6 +34,7 @@ from .device import (
     dc_write,
     fit_update_curve,
     hysteresis_loop,
+    pulse_response,
     read_resistance,
     run_sequence,
     scale_area,
@@ -42,6 +43,6 @@ from .device import (
 )
 from .errors import ConfigError, FitError
 from .inference import AnalogNetwork, MLPSpec, WeightMapping, evaluate, map_weights, program_network
-from .variability import VariabilityParams, apply_retention, perturb_step, sample_population
+from .variability import VariabilityParams, apply_retention, sample_population
 
 __version__ = "0.1.0"

@@ -70,17 +70,17 @@ def cmd_iv(config: SimConfig, out: Path, temps: list[float]) -> None:
     print(f"wrote {out / 'iv_sweep.csv'} ({len(rows)} rows)")
 
 
-def cmd_pulse(config: SimConfig, out: Path, n_pot: int, n_dep: int) -> None:
+def cmd_pulse(config: SimConfig, out: Path, n_pot: int | None, n_dep: int | None) -> None:
     """Potentiation/depression staircase under the configured scheme."""
     params = config.device
-    n_pot = n_pot if n_pot >= 0 else params.n_levels
-    n_dep = n_dep if n_dep >= 0 else params.n_levels
-    noise = None
-    if config.variability.sigma_c2c > 0:
-        rng = np.random.default_rng(config.variability.seed)
-        noise = var.step_sampler(config.variability, rng)
-    trace, _ = dev.run_sequence(dev.DeviceState.fresh(params), config.scheme,
-                                n_pot, n_dep, params, noise=noise)
+    n_pot = params.n_levels if n_pot is None else n_pot
+    n_dep = params.n_levels if n_dep is None else n_dep
+    if not (0 <= n_pot <= params.n_levels and 0 <= n_dep <= params.n_levels):
+        raise ConfigError(f"--pot and --dep must lie in [0, n_levels = {params.n_levels}], "
+                          f"got {n_pot} and {n_dep}")
+    trace, _ = dev.run_sequence(dev.DeviceState.fresh(params), config.scheme, n_pot, n_dep,
+                                params, config.variability.sigma_c2c,
+                                np.random.default_rng(config.variability.seed))
     dev.write_trace_csv(out / "pulse_trace.csv", trace)
     print(f"wrote {out / 'pulse_trace.csv'} ({len(trace)} rows)")
 
@@ -315,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     add_command("iv", "endpoint I(V) grid across temperatures")
     p_pulse = add_command("pulse", "potentiation/depression staircase trace")
-    p_pulse.add_argument("--pot", type=int, default=-1, help="potentiation pulse count")
-    p_pulse.add_argument("--dep", type=int, default=-1, help="depression pulse count")
+    p_pulse.add_argument("--pot", type=int, help="potentiation pulse count (default n_levels)")
+    p_pulse.add_argument("--dep", type=int, help="depression pulse count (default n_levels)")
     p_fit = add_command("fit", "extract parameters from sweep/trace CSVs")
     p_fit.add_argument("files", nargs="+", help="sweep or trace CSV files")
     p_xbar = add_command("xbar", "program/read/disturb a crossbar")

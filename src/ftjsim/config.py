@@ -15,7 +15,7 @@ from importlib import resources
 from pathlib import Path
 
 from .conduction import ConductionParams
-from .crossbar import BiasKind, BiasScheme
+from .crossbar import BiasScheme
 from .device import DeviceParams, UpdateScheme
 from .errors import ConfigError
 from .variability import VariabilityParams, derive_seed
@@ -60,8 +60,6 @@ class SimConfig:
     def to_dict(self) -> dict:
         dev = dataclasses.asdict(self.device)
         conduction = dev.pop("conduction")
-        bias = dataclasses.asdict(self.crossbar.bias)
-        bias["kind"] = self.crossbar.bias.kind.value
         return {
             "schema_version": self.schema_version,
             "seed": self.seed,
@@ -70,7 +68,8 @@ class SimConfig:
             "conduction": conduction,
             "device": dev,
             "variability": dataclasses.asdict(self.variability),
-            "crossbar": {"rows": self.crossbar.rows, "cols": self.crossbar.cols, "bias": bias},
+            "crossbar": {"rows": self.crossbar.rows, "cols": self.crossbar.cols,
+                         "bias": dataclasses.asdict(self.crossbar.bias)},
         }
 
     def to_json(self) -> str:
@@ -105,13 +104,7 @@ def config_from_dict(raw: dict) -> SimConfig:
     variability = _build(VariabilityParams, raw.get("variability", {}), "variability")
 
     xbar_raw = dict(raw.get("crossbar", {}))
-    bias_raw = dict(xbar_raw.pop("bias", {}))
-    if "kind" in bias_raw:
-        try:
-            bias_raw["kind"] = BiasKind(bias_raw["kind"])
-        except ValueError as exc:
-            raise ConfigError(f"crossbar.bias: {exc}") from exc
-    bias = _build(BiasScheme, bias_raw, "crossbar.bias")
+    bias = _build(BiasScheme, xbar_raw.pop("bias", {}), "crossbar.bias")
     crossbar = _build(CrossbarConfig, xbar_raw, "crossbar", bias=bias)
 
     try:

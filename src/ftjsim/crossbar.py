@@ -1,17 +1,18 @@
 """Crossbar array composition: half-biased writes, analog reads, sneak metrics.
 
 Cell state is held as dense arrays (one entry per junction) so reads and
-programming vectorize; the single-cell device operations remain the reference
-semantics.  Wires are ideal (no line resistance) and unselected lines are
-grounded during reads.  The sneak metric solves all three-junction paths in
-one vectorised Newton iteration, to a bias residual of 1e-14 relative.
+programming vectorize.  Every state update, from a half-select write to a
+programming loop, applies the one pulse kernel ``device.pulse_response`` to
+the cells a pulse reaches.  Wires are ideal (no line resistance) and
+unselected lines are grounded during reads.  The sneak metric solves all
+three-junction paths in one vectorised Newton iteration, to a bias residual
+of 1e-14 relative.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -24,30 +25,27 @@ from .device import (
     Direction,
     PulseSpec,
     UpdateScheme,
-    apply_pulse,
-    step_weight,
+    pulse_response,
     update_curve,
 )
 from .errors import ConfigError, ConvergenceError
-from .variability import VariabilityParams, sample_endpoint_arrays, truncated_normal
+from .variability import VariabilityParams, sample_endpoint_arrays
 
 SNAPSHOT_CSV_HEADER = ("row", "col", "w", "g_S")
-
-
-class BiasKind(Enum):
-    V_HALF = "vhalf"
 
 
 @dataclass(frozen=True)
 class BiasScheme:
     """Write rails (+V/2 on the selected row, -V/2 on the selected column) and read bias."""
 
-    kind: BiasKind = BiasKind.V_HALF
+    kind: str = "vhalf"  # the only scheme: half the write amplitude on each selected line
     v_write_pot: float = -1.6
     v_write_dep: float = 2.4
     v_read: float = 0.2
 
     def __post_init__(self) -> None:
+        if self.kind != "vhalf":
+            raise ConfigError(f"unsupported bias scheme {self.kind!r}; only 'vhalf' exists")
         if self.v_read <= 0 or self.v_read > V_READ_SWEEP_MAX:
             raise ConfigError(f"v_read must lie in (0, {V_READ_SWEEP_MAX}] V, got {self.v_read}")
 
@@ -179,67 +177,48 @@ def write_cell(xbar: Crossbar, r: int, c: int, pulse: PulseSpec) -> DisturbRepor
     """Program one cell under the half-bias scheme; report half-select fallout.
 
     The selected cell sees the full amplitude; every other cell on its row or
-    column sees half of it, passed through the same pulse response.  The array
-    is updated in place.
+    column sees half of it.  Both go through the same noiseless pulse
+    response, and the array is updated in place.
     """
     if not (0 <= r < xbar.rows and 0 <= c < xbar.cols):
         raise IndexError(f"cell ({r}, {c}) out of bounds for {xbar.rows}x{xbar.cols}")
-    if xbar.bias.kind is not BiasKind.V_HALF:
-        raise ConfigError(f"unsupported bias scheme {xbar.bias.kind}")
-    xbar.w[r, c] = apply_pulse(xbar.state_at(r, c), pulse, xbar.params).w
-
-    half = pulse.amplitude / 2
-    n_half = xbar.rows + xbar.cols - 2
-    if abs(half) < xbar.params.v_pulse_threshold:
-        # Exact no-op: unselected state arrays are not touched at all.
-        return DisturbReport(half_selected=n_half, disturbed=0)
-
-    direction = Direction.POTENTIATE if half < 0 else Direction.DEPRESS
-    nu = xbar.params.nu_for(pulse.scheme, direction)
+    p, row, col = xbar.params, xbar.w[r, :], xbar.w[:, c]
+    selected = pulse_response(row[c], pulse.amplitude, pulse.scheme, p)
+    new_row = pulse_response(row, pulse.amplitude / 2, pulse.scheme, p)
     disturbed = 0
-    row_sel = np.ones(xbar.cols, dtype=bool)
-    row_sel[c] = False
-    col_sel = np.ones(xbar.rows, dtype=bool)
-    col_sel[r] = False
-    for sl in ((r, row_sel), (col_sel, c)):
-        before = xbar.w[sl]
-        after = step_weight(before, nu, direction, xbar.params.n_levels)
-        disturbed += int(np.count_nonzero(after != before))
-        xbar.w[sl] = after
-    return DisturbReport(half_selected=n_half, disturbed=disturbed)
-
-
-def _potentiation_levels(xbar: Crossbar) -> np.ndarray:
-    n = xbar.params.n_levels
-    nu = xbar.params.nu_for(xbar.scheme, Direction.POTENTIATE)
-    return update_curve(np.arange(n + 1) / n, nu, Direction.POTENTIATE)
+    if new_row is not row:  # below the threshold the kernel returns the view itself
+        new_col = pulse_response(col, pulse.amplitude / 2, pulse.scheme, p)
+        # The selected cell lies on both lines but is not half-selected.
+        disturbed = int(np.count_nonzero(new_row != row) + np.count_nonzero(new_col != col)
+                        - 2 * (new_row[c] != row[c]))
+        row[:], col[:] = new_row, new_col
+    row[c] = selected
+    return DisturbReport(half_selected=xbar.rows + xbar.cols - 2, disturbed=disturbed)
 
 
 def program_open_loop(
     xbar: Crossbar, target: np.ndarray, rng: np.random.Generator | None = None
 ) -> Crossbar:
-    """Pulse every cell (from the HRS) to the level nearest its target.
+    """Pulse every cell from the HRS toward the staircase level nearest its target.
 
-    Noiseless programming lands exactly on the staircase; with cycle-to-cycle
-    noise enabled each step's increment is jittered and clamped.
+    A cell whose nearest noiseless level is k receives k potentiating pulses
+    at ``v_set_full``, each through the pulse kernel with the array's
+    cycle-to-cycle noise drawn from ``rng`` (default: the array's own stream).
     """
     t_norm, _ = xbar._normalized_targets(target)
-    levels = _potentiation_levels(xbar)
+    p, n = xbar.params, xbar.params.n_levels
+    nu = p.nu_for(xbar.scheme, Direction.POTENTIATE)
+    levels = update_curve(np.arange(n + 1) / n, nu, Direction.POTENTIATE)
     idx = np.searchsorted(levels, t_norm)
     idx = np.clip(idx, 1, len(levels) - 1)
     pick_lower = (t_norm - levels[idx - 1]) <= (levels[idx] - t_norm)
     k = np.where(pick_lower, idx - 1, idx)
 
-    if xbar.vp.sigma_c2c == 0:
-        xbar.w[:] = levels[k]
-        return xbar
     rng = rng if rng is not None else xbar._c2c_rng
     w = np.zeros_like(xbar.w)
     for s in range(1, int(k.max()) + 1):
         mask = k >= s
-        dw = levels[s] - levels[s - 1]
-        eps = truncated_normal(rng, xbar.vp.sigma_c2c, size=int(mask.sum()))
-        w[mask] = np.clip(w[mask] + dw * (1.0 + eps), 0.0, 1.0)
+        w[mask] = pulse_response(w[mask], p.v_set_full, xbar.scheme, p, xbar.vp.sigma_c2c, rng)
     xbar.w[:] = w
     return xbar
 
@@ -253,8 +232,8 @@ def program_write_verify(
 ) -> WriteVerifyReport:
     """Closed-loop programming: pulse toward the target, re-read, repeat.
 
-    Each unconverged cell takes one staircase step toward its target per
-    iteration and is re-read at the bias read voltage; it stops when the
+    Each unconverged cell takes one full-amplitude pulse toward its target
+    per iteration and is re-read at the bias read voltage; it stops when the
     measured conductance is within ``tol`` relative or its iteration budget is
     exhausted (reported, not fatal).
     """
@@ -267,10 +246,7 @@ def program_write_verify(
         warnings.append(f"{clipped} target(s) outside the device span were clipped")
 
     p = xbar.params
-    nu_pot = p.nu_for(xbar.scheme, Direction.POTENTIATE)
-    nu_dep = p.nu_for(xbar.scheme, Direction.DEPRESS)
     rng = rng if rng is not None else xbar._c2c_rng
-    noisy = xbar.vp.sigma_c2c > 0
     # Measured conductance at the read bias is the state conductance times a
     # state-independent factor, so verification compares in state space.
     iters = np.zeros(xbar.w.shape, dtype=int)
@@ -282,18 +258,11 @@ def program_write_verify(
             break
         iters[active] += 1
         before = xbar.w.copy()
-        for direction, nu, mask in (
-            (Direction.POTENTIATE, nu_pot, active & (g < target_g)),
-            (Direction.DEPRESS, nu_dep, active & (g >= target_g)),
-        ):
-            if not mask.any():
-                continue
-            stepped = step_weight(xbar.w[mask], nu, direction, p.n_levels)
-            if noisy:
-                dw = stepped - xbar.w[mask]
-                eps = truncated_normal(rng, xbar.vp.sigma_c2c, size=int(mask.sum()))
-                stepped = np.clip(xbar.w[mask] + dw * (1.0 + eps), 0.0, 1.0)
-            xbar.w[mask] = stepped
+        for amplitude, mask in ((p.v_set_full, active & (g < target_g)),
+                                (p.v_reset_full, active & (g >= target_g))):
+            if mask.any():
+                xbar.w[mask] = pulse_response(xbar.w[mask], amplitude, xbar.scheme, p,
+                                              xbar.vp.sigma_c2c, rng)
         if np.array_equal(before, xbar.w):
             warnings.append("programming stalled at a saturated level before convergence")
             break

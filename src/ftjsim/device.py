@@ -3,7 +3,9 @@
 The normalized state variable w runs from 0 (high-resistive) to 1
 (low-resistive).  Pulse programming advances a discrete level counter on a
 saturating-exponential staircase; the ramp protocols are represented by that
-counter, not by pulse-level switching kinetics.
+counter, not by pulse-level switching kinetics.  ``pulse_response`` is the one
+array kernel of that law, cycle-to-cycle noise included; the single-device
+and crossbar operations all call it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ import csv
 from dataclasses import dataclass, replace
 from enum import Enum
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 from scipy.optimize import curve_fit
@@ -22,6 +24,7 @@ from .errors import FitError
 
 PULSE_READ_VOLTAGE = 0.2  # V, read bias after programming pulses
 DC_READ_VOLTAGE = 0.3     # V, read bias along the DC write loop
+TRUNCATION_SIGMAS = 3.0   # cycle-to-cycle jitter is resampled beyond this
 
 
 class UpdateScheme(Enum):
@@ -83,12 +86,9 @@ class DeviceParams:
             )
         if self.n_levels < 2:
             raise ValueError(f"n_levels must be >= 2, got {self.n_levels}")
-        if self.nu_p <= 0 or self.nu_d <= 0:
-            raise ValueError("nu_p and nu_d must be > 0")
-        if self.area <= 0:
-            raise ValueError(f"area must be > 0, got {self.area}")
-        if self.t_width_ref <= 0:
-            raise ValueError(f"t_width_ref must be > 0, got {self.t_width_ref}")
+        for name in ("nu_p", "nu_d", "area", "t_width_ref"):
+            if not (getattr(self, name) > 0):
+                raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         # A pulse-class threshold below a coercive voltage or below half of a
         # full write amplitude would break the half-select no-op contract.
         if not (self.v_pulse_threshold > max(abs(self.v_c_set), self.v_c_reset)):
@@ -100,6 +100,12 @@ class DeviceParams:
             raise ValueError(
                 f"v_pulse_threshold {self.v_pulse_threshold} must exceed half of every "
                 f"write amplitude ({abs(self.v_set_full) / 2}, {self.v_reset_full / 2})"
+            )
+        # A full write below the threshold could never move the state.
+        if not (min(abs(self.v_set_full), self.v_reset_full) >= self.v_pulse_threshold):
+            raise ValueError(
+                f"full write amplitudes ({self.v_set_full}, {self.v_reset_full}) must reach "
+                f"the pulse threshold {self.v_pulse_threshold}"
             )
 
     @property
@@ -188,18 +194,48 @@ def step_weight(w, nu: float, direction: Direction, n_levels: int):
     return float(out) if np.ndim(w) == 0 else out
 
 
-def apply_pulse(state: DeviceState, pulse: PulseSpec, params: DeviceParams) -> DeviceState:
-    """Apply one write pulse; below the voltage threshold the state is untouched.
+def truncated_normal(rng: np.random.Generator, sigma: float, size: int | None = None):
+    """Normal(0, sigma) samples truncated (by resampling) to +-3 sigma."""
+    if sigma == 0:
+        return 0.0 if size is None else np.zeros(size)
+    n = 1 if size is None else size
+    out = rng.normal(0.0, sigma, n)
+    bound = TRUNCATION_SIGMAS * sigma
+    bad = np.abs(out) > bound
+    while bad.any():
+        out[bad] = rng.normal(0.0, sigma, int(bad.sum()))
+        bad = np.abs(out) > bound
+    return float(out[0]) if size is None else out
 
-    Negative amplitudes potentiate, positive ones depress.  Returns the input
-    state object itself for sub-threshold pulses, so the no-op is exact.
+
+def pulse_response(w, amplitude: float, scheme: UpdateScheme, params: DeviceParams,
+                   sigma_c2c: float = 0.0, rng: np.random.Generator | None = None):
+    """State after one write pulse of the given signed amplitude, for scalars and arrays.
+
+    Below the voltage threshold ``w`` itself is returned, so the no-op is
+    exact.  Otherwise negative amplitudes potentiate and positive ones
+    depress by one staircase level; with ``sigma_c2c`` > 0 the increment is
+    scaled by 1 + a truncated-normal draw from ``rng`` (one per element, in
+    element order) and the result clamped to [0, 1].
     """
-    if abs(pulse.amplitude) < params.v_pulse_threshold:
-        return state
-    direction = Direction.POTENTIATE if pulse.amplitude < 0 else Direction.DEPRESS
-    nu = params.nu_for(pulse.scheme, direction)
-    w_new = step_weight(state.w, nu, direction, params.n_levels)
-    return replace(state, w=w_new)
+    if abs(amplitude) < params.v_pulse_threshold:
+        return w
+    direction = Direction.POTENTIATE if amplitude < 0 else Direction.DEPRESS
+    stepped = step_weight(w, params.nu_for(scheme, direction), direction, params.n_levels)
+    if sigma_c2c == 0:
+        return stepped
+    if rng is None:
+        raise ValueError("cycle-to-cycle noise needs a random generator")
+    scalar = np.ndim(w) == 0
+    eps = truncated_normal(rng, sigma_c2c, size=None if scalar else np.size(w))
+    out = np.clip(w + (stepped - w) * (1.0 + eps), 0.0, 1.0)
+    return float(out) if scalar else out
+
+
+def apply_pulse(state: DeviceState, pulse: PulseSpec, params: DeviceParams) -> DeviceState:
+    """Noiseless pulse_response on one device; a sub-threshold pulse returns ``state`` itself."""
+    w = pulse_response(state.w, pulse.amplitude, pulse.scheme, params)
+    return state if w is state.w else replace(state, w=w)
 
 
 class TracePoint(NamedTuple):
@@ -218,13 +254,14 @@ def run_sequence(
     n_pot: int,
     n_dep: int,
     params: DeviceParams,
-    noise: Callable[[float], float] | None = None,
+    sigma_c2c: float = 0.0,
+    rng: np.random.Generator | None = None,
 ) -> tuple[list[TracePoint], DeviceState]:
     """Potentiation then depression staircase, read at +0.2 V after each pulse.
 
-    Both branches include their count-0 (pre-pulse) read.  With ``noise`` set,
-    each step's state increment is passed through it and the result clamped to
-    [0, 1].  Returns the trace and the final state.
+    Both branches include their count-0 (pre-pulse) read.  Every pulse goes
+    through pulse_response with the given cycle-to-cycle noise.  Returns the
+    trace and the final state.
     """
     if not (0 <= n_pot <= params.n_levels and 0 <= n_dep <= params.n_levels):
         raise ValueError(f"pulse counts must lie in [0, {params.n_levels}]")
@@ -236,11 +273,7 @@ def run_sequence(
         return TracePoint(count, direction, PULSE_READ_VOLTAGE / r, r)
 
     def pulsed(amplitude: float) -> DeviceState:
-        new = apply_pulse(state, PulseSpec(amplitude, params.t_width_ref, scheme), params)
-        if noise is None:
-            return new
-        dw = noise(new.w - state.w)
-        return replace(state, w=float(np.clip(state.w + dw, 0.0, 1.0)))
+        return replace(state, w=pulse_response(state.w, amplitude, scheme, params, sigma_c2c, rng))
 
     points: list[TracePoint] = []
     points.append(read(0, "potentiation"))

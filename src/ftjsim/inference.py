@@ -9,7 +9,7 @@ against the floating-point forward pass of the same weights.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -148,13 +148,7 @@ def program_network(
         g_pos, g_neg, mapping = map_weights(w, params, v_read=v_read)
         halves = []
         for hi, target in enumerate((g_pos, g_neg)):
-            sub_vp = VariabilityParams(
-                sigma_c2c=vp.sigma_c2c,
-                sigma_d2d_hrs=vp.sigma_d2d_hrs,
-                sigma_d2d_lrs=vp.sigma_d2d_lrs,
-                drift_per_decade=vp.drift_per_decade,
-                seed=derive_seed(vp.seed, 2 * li + hi),
-            )
+            sub_vp = replace(vp, seed=derive_seed(vp.seed, 2 * li + hi))
             xbar = Crossbar.create(w.shape[0], w.shape[1], params, sub_vp, bias, scheme)
             if mode == "continuous":
                 xbar.set_conductances(target)

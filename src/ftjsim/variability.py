@@ -1,27 +1,26 @@
-"""Cycle-to-cycle noise, device-to-device dispersion and retention.
+"""Variability parameters, device-to-device dispersion and retention.
 
-All randomness is driven by numpy Generators.  Population sampling spawns one
-child stream per device from the generator it is handed, so device i's
-endpoints depend only on the parent seed and on i, never on how the sampling
-work is scheduled.
+Cycle-to-cycle noise is applied per pulse by ``device.pulse_response``, with
+the ``sigma_c2c`` held here.  All randomness is driven by numpy Generators.
+Population sampling spawns one child stream per device from the generator it
+is handed, so device i's endpoints depend only on the parent seed and on i,
+never on how the sampling work is scheduled.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable
 
 import numpy as np
 
-from .device import DeviceParams, DeviceState
-
-TRUNCATION_SIGMAS = 3.0
+# truncated_normal is defined beside device.pulse_response and re-exported here.
+from .device import DeviceParams, DeviceState, truncated_normal  # noqa: F401
 
 
 @dataclass(frozen=True)
 class VariabilityParams:
-    sigma_c2c: float = 0.10        # relative std of each update step
+    sigma_c2c: float = 0.10        # relative std of each pulse's state increment
     sigma_d2d_hrs: float = 0.10    # std of ln(HRS conductance) across devices
     sigma_d2d_lrs: float = 0.10    # std of ln(LRS conductance) across devices
     drift_per_decade: float = 0.0  # relative conductance loss per decade of seconds
@@ -29,34 +28,10 @@ class VariabilityParams:
 
     def __post_init__(self) -> None:
         for name in ("sigma_c2c", "sigma_d2d_hrs", "sigma_d2d_lrs"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+            if not (getattr(self, name) >= 0):
+                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
-
-
-def truncated_normal(rng: np.random.Generator, sigma: float, size: int | None = None):
-    """Normal(0, sigma) samples truncated (by resampling) to +-3 sigma."""
-    if sigma == 0:
-        return 0.0 if size is None else np.zeros(size)
-    n = 1 if size is None else size
-    out = rng.normal(0.0, sigma, n)
-    bound = TRUNCATION_SIGMAS * sigma
-    bad = np.abs(out) > bound
-    while bad.any():
-        out[bad] = rng.normal(0.0, sigma, int(bad.sum()))
-        bad = np.abs(out) > bound
-    return float(out[0]) if size is None else out
-
-
-def perturb_step(delta_w: float, vp: VariabilityParams, rng: np.random.Generator) -> float:
-    """Multiplicative cycle-to-cycle jitter on one state increment."""
-    return delta_w * (1.0 + truncated_normal(rng, vp.sigma_c2c))
-
-
-def step_sampler(vp: VariabilityParams, rng: np.random.Generator) -> Callable[[float], float]:
-    """Closure form of perturb_step, for sequence runners."""
-    return lambda delta_w: perturb_step(delta_w, vp, rng)
 
 
 def sample_endpoint_arrays(

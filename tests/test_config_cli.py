@@ -77,21 +77,38 @@ class TestCliContracts:
         assert run_cli("--seed", -5, "--out", tmp_path, "iv") == 2
         assert "seed" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("command", [("xbar", "--writes", "-5"), ("infer", "--seeds", "0")])
+    @pytest.mark.parametrize("command", [("xbar", "--writes", "-5"), ("infer", "--seeds", "0"),
+                                         ("pulse", "--pot", "999"), ("pulse", "--dep", "-1")])
     def test_out_of_range_count_exits_2(self, tmp_path, capsys, command):
-        with pytest.raises(SystemExit) as exc:
-            run_cli("--out", tmp_path, *command)
-        assert exc.value.code == 2
-        err = capsys.readouterr().err
-        assert f"argument {command[1]}: expected an integer" in err
+        if command[0] == "pulse":
+            # The pulse-count bound is the config's n_levels, so main reports it.
+            assert run_cli("--out", tmp_path, *command) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("ftjsim: config-error:") and command[1] in err
+            assert len(err.strip().splitlines()) == 1
+        else:
+            with pytest.raises(SystemExit) as exc:
+                run_cli("--out", tmp_path, *command)
+            assert exc.value.code == 2
+            err = capsys.readouterr().err
+            assert f"argument {command[1]}: expected an integer" in err
         assert "Traceback" not in err
         assert not any(tmp_path.iterdir())
 
-    def test_bad_config_value_exits_2(self, tmp_path, capsys):
+    @pytest.mark.parametrize("section, values", [
+        ("conduction", {"on_off": -1}),
+        ("variability", {"sigma_c2c": math.nan}),
+        ("device", {"area": math.nan}),
+        ("device", {"v_set_full": -1.2}),
+        ("crossbar", {"bias": {"kind": "vfull"}}),
+    ], ids=["on_off", "nan_sigma_c2c", "nan_area", "subthreshold_v_set_full", "bias_kind"])
+    def test_bad_config_value_exits_2(self, tmp_path, capsys, section, values):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps({"conduction": {"on_off": -1}}))
+        bad.write_text(json.dumps({section: values}))
         assert run_cli("--config", bad, "--out", tmp_path, "iv") == 2
-        assert len(capsys.readouterr().err.strip().splitlines()) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("ftjsim: config-error:")
+        assert len(err.strip().splitlines()) == 1
 
     def test_fit_failure_exits_3(self, tmp_path, capsys):
         sweep = tmp_path / "one_temp.csv"

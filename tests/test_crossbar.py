@@ -15,7 +15,16 @@ from ftjsim.crossbar import (
     sneak_ratio,
     write_cell,
 )
-from ftjsim.device import DeviceParams, Direction, PulseSpec, UpdateScheme, update_curve
+from ftjsim.device import (
+    DeviceParams,
+    DeviceState,
+    Direction,
+    PulseSpec,
+    UpdateScheme,
+    apply_pulse,
+    pulse_response,
+    update_curve,
+)
 from ftjsim.errors import ConfigError, ConvergenceError
 from ftjsim.variability import VariabilityParams
 
@@ -133,6 +142,11 @@ class TestWriteCell:
         xbar.w[:] = 0.5  # mid-state so every neighbor has room to move
         report = write_cell(xbar, 2, 2, PulseSpec(3.0, 50e-6, UpdateScheme.AMPLITUDE_RAMP))
         assert report.disturbed == 6 + 5 - 2
+        # Every cell on the two lines, the selected one included, moved exactly one step.
+        one_step = pulse_response(0.5, 3.0, UpdateScheme.AMPLITUDE_RAMP, PARAMS)
+        on_lines = np.zeros((6, 5), dtype=bool)
+        on_lines[2, :] = on_lines[:, 2] = True
+        np.testing.assert_array_equal(xbar.w, np.where(on_lines, one_step, 0.5))
 
     def test_out_of_bounds(self):
         with pytest.raises(IndexError):
@@ -176,6 +190,21 @@ class TestProgramOpenLoop:
             )
             err = abs(xbar.conductances()[0, 0] - target[0, 0]) / span
             assert err <= local_step / 2 + 1e-15
+
+    def test_noiseless_equals_successive_pulses(self):
+        # Open-loop programming is k potentiating pulses from the HRS, k the nearest level.
+        xbar = make_xbar(6, 6)
+        n = PARAMS.n_levels
+        levels = update_curve(np.arange(n + 1) / n, PARAMS.nu_p, Direction.POTENTIATE)
+        t_norm = np.random.default_rng(8).uniform(0, 1, size=(6, 6))
+        t_norm[0, :2] = 0.0, 1.0
+        program_open_loop(xbar, PARAMS.g_hrs + t_norm * (PARAMS.g_lrs - PARAMS.g_hrs))
+        pulse = PulseSpec(PARAMS.v_set_full, PARAMS.t_width_ref, UpdateScheme.AMPLITUDE_RAMP)
+        for (r, c), t in np.ndenumerate(t_norm):
+            state = DeviceState.fresh(PARAMS)
+            for _ in range(int(np.argmin(np.abs(levels - t)))):
+                state = apply_pulse(state, pulse, PARAMS)
+            assert xbar.w[r, c] == state.w
 
     def test_noisy_error_within_twice_quantization(self):
         rng = np.random.default_rng(21)

@@ -166,10 +166,8 @@ class TestRunSequence:
         assert fit_p.direction is POT and fit_d.direction is DEP
 
     def test_noise_perturbs_and_clamps(self):
-        rng = np.random.default_rng(5)
-        noise = lambda dw: dw * (1 + 0.3 * float(rng.standard_normal()))
         trace, final = run_sequence(DeviceState.fresh(PARAMS), UpdateScheme.AMPLITUDE_RAMP,
-                                    50, 50, PARAMS, noise=noise)
+                                    50, 50, PARAMS, sigma_c2c=0.3, rng=np.random.default_rng(5))
         assert 0.0 <= final.w <= 1.0
         noiseless, _ = run_sequence(DeviceState.fresh(PARAMS), UpdateScheme.AMPLITUDE_RAMP,
                                     50, 50, PARAMS)
@@ -178,14 +176,11 @@ class TestRunSequence:
     def test_noisy_staircase_is_unbiased(self):
         # The level counter rounds to the nearest level, so per-step noise
         # must not systematically stretch or compress the fitted staircase.
-        from ftjsim.variability import VariabilityParams, step_sampler
-
-        vp = VariabilityParams(sigma_c2c=0.10)
         errs = []
         for s in range(30):
             rng = np.random.default_rng(1000 + s)
             trace, _ = run_sequence(DeviceState.fresh(PARAMS), UpdateScheme.AMPLITUDE_RAMP,
-                                    50, 0, PARAMS, noise=step_sampler(vp, rng))
+                                    50, 0, PARAMS, sigma_c2c=0.10, rng=rng)
             pot = [pt for pt in trace if pt.direction == "potentiation"]
             fit = fit_update_curve([pt.count for pt in pot], [pt.conductance for pt in pot])
             errs.append(abs(fit.nu / PARAMS.nu_p - 1))

@@ -6,12 +6,12 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ftjsim.device import DeviceParams, DeviceState
+from ftjsim.device import (DeviceParams, DeviceState, Direction, UpdateScheme, pulse_response,
+                           step_weight)
 from ftjsim.variability import (
     VariabilityParams,
     apply_retention,
     derive_seed,
-    perturb_step,
     sample_endpoint_arrays,
     sample_population,
     truncated_normal,
@@ -19,31 +19,62 @@ from ftjsim.variability import (
 
 PARAMS = DeviceParams()
 VP = VariabilityParams()
+AMP = UpdateScheme.AMPLITUDE_RAMP
+WIDTH = UpdateScheme.WIDTH_RAMP
+POT = Direction.POTENTIATE
 
 
-class TestPerturbStep:
-    def test_zero_sigma_is_identity(self):
-        vp0 = VariabilityParams(sigma_c2c=0.0)
+class TestPulseResponse:
+    def test_zero_sigma_equals_noiseless_step(self):
         rng = np.random.default_rng(0)
-        for dw in (0.04, -0.02, 0.0):
-            assert perturb_step(dw, vp0, rng) == dw
+        w = np.random.default_rng(1).uniform(0, 1, 200)
+        for amp in (PARAMS.v_set_full, PARAMS.v_reset_full):
+            noiseless = pulse_response(w, amp, AMP, PARAMS)
+            np.testing.assert_array_equal(pulse_response(w, amp, AMP, PARAMS, 0.0, rng), noiseless)
+        nu = PARAMS.nu_for(AMP, POT)
+        assert pulse_response(0.3, PARAMS.v_set_full, AMP, PARAMS, 0.0, rng) == step_weight(
+            0.3, nu, POT, PARAMS.n_levels)
 
     def test_empirical_std_in_window(self):
         rng = np.random.default_rng(VP.seed)
-        dw = 0.02
-        steps = np.array([perturb_step(dw, VP, rng) for _ in range(10_000)])
-        sigma = np.std(steps / dw - 1.0)
+        w = np.full(10_000, 0.5)
+        dw = pulse_response(w, PARAMS.v_set_full, AMP, PARAMS) - w
+        noisy = pulse_response(w, PARAMS.v_set_full, AMP, PARAMS, VP.sigma_c2c, rng)
+        sigma = np.std((noisy - w) / dw - 1.0)
         assert 0.095 <= sigma <= 0.105
 
     def test_same_seed_same_stream(self):
-        a = [perturb_step(0.01, VP, np.random.default_rng(99)) for _ in range(5)]
-        b = [perturb_step(0.01, VP, np.random.default_rng(99)) for _ in range(5)]
+        def stream(rng, n):
+            return [pulse_response(0.4, PARAMS.v_set_full, AMP, PARAMS, VP.sigma_c2c, rng)
+                    for _ in range(n)]
         # Fresh generators per draw: every element reproduces.
-        assert a == b
-        rng1, rng2 = np.random.default_rng(7), np.random.default_rng(7)
-        seq1 = [perturb_step(0.01, VP, rng1) for _ in range(100)]
-        seq2 = [perturb_step(0.01, VP, rng2) for _ in range(100)]
-        assert seq1 == seq2
+        assert stream(np.random.default_rng(99), 5) == stream(np.random.default_rng(99), 5)
+        assert stream(np.random.default_rng(7), 100) == stream(np.random.default_rng(7), 100)
+
+    def test_clamped_to_unit_interval(self):
+        rng = np.random.default_rng(4)
+        for w0, amp, bound in ((0.0, PARAMS.v_set_full, 0.0), (1.0, PARAMS.v_reset_full, 1.0)):
+            # sigma 1: jitter below -1 reverses the step past the endpoint.
+            out = pulse_response(np.full(1000, w0), amp, AMP, PARAMS, 1.0, rng)
+            assert np.all((out >= 0.0) & (out <= 1.0))
+            assert np.any(out == bound)
+
+    def test_subthreshold_returns_input(self):
+        rng = np.random.default_rng(5)
+        before = rng.bit_generator.state
+        w = np.linspace(0, 1, 11)
+        for amp in (-1.2999, 1.2, 0.0):
+            assert pulse_response(w, amp, AMP, PARAMS, VP.sigma_c2c, rng) is w
+            assert pulse_response(0.37, amp, AMP, PARAMS, VP.sigma_c2c, rng) == 0.37
+        assert rng.bit_generator.state == before  # no draw consumed
+
+    @pytest.mark.parametrize("scheme", [AMP, WIDTH])
+    @pytest.mark.parametrize("amp", [PARAMS.v_set_full, PARAMS.v_reset_full])
+    def test_array_equals_scalar_calls(self, scheme, amp):
+        w = np.concatenate([np.linspace(0, 1, 51), np.random.default_rng(6).uniform(0, 1, 200)])
+        out = pulse_response(w, amp, scheme, PARAMS)
+        expected = np.array([pulse_response(float(x), amp, scheme, PARAMS) for x in w])
+        np.testing.assert_array_equal(out, expected)
 
     def test_truncation_bound(self):
         rng = np.random.default_rng(1)
