@@ -51,9 +51,19 @@ def _parse_temps(raw: str | None, default: float) -> list[float]:
         temps = [float(s) for s in raw.split(",") if s.strip()]
     except ValueError as exc:
         raise ConfigError(f"invalid --temps value {raw!r}: {exc}") from exc
-    if not temps or any(t <= 0 for t in temps):
-        raise ConfigError(f"temperatures must be positive, got {raw!r}")
+    if not temps or not all(np.isfinite(t) and t > 0 for t in temps):
+        raise ConfigError(f"--temps values must be finite and positive, got {raw!r}")
     return temps
+
+
+def _parse_hidden(raw: str) -> list[int]:
+    try:
+        hidden = [int(h) for h in raw.split(",") if h.strip()]
+    except ValueError as exc:
+        raise ConfigError(f"invalid --hidden value {raw!r}: {exc}") from exc
+    if any(h < 1 for h in hidden):
+        raise ConfigError(f"--hidden widths must be >= 1, got {raw!r}")
+    return hidden
 
 
 def cmd_iv(config: SimConfig, out: Path, temps: list[float]) -> None:
@@ -200,7 +210,10 @@ def cmd_infer(config: SimConfig, out: Path, dataset: str | None, n_seeds: int,
               hidden: list[int], mode: str) -> None:
     """Analog-vs-float accuracy over Monte-Carlo device replicas."""
     if dataset:
-        x, y = inf.load_dataset_csv(dataset)
+        try:
+            x, y = inf.load_dataset_csv(dataset)
+        except (OSError, StopIteration, ValueError) as exc:
+            raise ConfigError(f"cannot read --dataset {dataset}: {exc}") from exc
     else:
         x, y = inf.make_blobs_dataset()
     n_classes = int(y.max()) + 1
@@ -349,8 +362,8 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "xbar":
             cmd_xbar(config, out, args.writes)
         elif args.command == "infer":
-            hidden = [int(h) for h in args.hidden.split(",") if h.strip()]
-            cmd_infer(config, out, args.dataset, args.seeds, hidden, args.mode)
+            cmd_infer(config, out, args.dataset, args.seeds, _parse_hidden(args.hidden),
+                      args.mode)
         elif args.command == "bench":
             cmd_bench(config, out)
     except ConfigError as exc:

@@ -55,9 +55,9 @@ class ConductionParams:
                 "regime edges must satisfy 0 < v_ohmic_max <= v_pf_min < v_clamp, "
                 f"got {self.v_ohmic_max}, {self.v_pf_min}, {self.v_clamp}"
             )
-        if self.e_a < 0:
+        if not (self.e_a >= 0):
             raise ValueError(f"e_a must be >= 0, got {self.e_a}")
-        if self.beta < 0:
+        if not (self.beta >= 0):
             raise ValueError(f"beta must be >= 0, got {self.beta}")
         if not (self.t_ref > 0):
             raise ValueError(f"t_ref must be > 0, got {self.t_ref}")

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .conduction import ConductionParams, current
 from .errors import FitError
@@ -322,6 +321,9 @@ def fit_update_curve(counts: Sequence[float], conductances: Sequence[float]) -> 
     extremes.  A non-monotone branch degrades the fit and is reported as a
     warning, not an error.
     """
+    # Imported here, its only use: scipy.optimize dominates the package import.
+    from scipy.optimize import curve_fit
+
     counts = np.asarray(counts, dtype=float)
     g = np.asarray(conductances, dtype=float)
     if counts.size != g.size or counts.size < 5:

@@ -2,9 +2,9 @@
 
 Cycle-to-cycle noise is applied per pulse by ``device.pulse_response``, with
 the ``sigma_c2c`` held here.  All randomness is driven by numpy Generators.
-Population sampling spawns one child stream per device from the generator it
-is handed, so device i's endpoints depend only on the parent seed and on i,
-never on how the sampling work is scheduled.
+Population sampling takes one draw in device order from the generator it is
+handed, so device i's endpoints depend only on the seed and on i, never on
+how many devices are sampled.
 """
 
 from __future__ import annotations
@@ -39,15 +39,14 @@ def sample_endpoint_arrays(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-device endpoint conductances with log-normal dispersion.
 
-    Draws two normals per device from that device's own child stream; if a
-    draw inverts the endpoint ordering the pair is swapped.
+    One draw in device order: a C-order ``(n, 2)`` block of standard normals,
+    row i holding device i's HRS and LRS normals (stream entries 2i and
+    2i + 1), so device i does not depend on n.  If a draw inverts the
+    endpoint ordering the pair is swapped.
     """
-    g_hrs = np.empty(n)
-    g_lrs = np.empty(n)
-    children = rng.spawn(n)
-    for i, child in enumerate(children):
-        g_hrs[i] = params.g_hrs * math.exp(child.normal(0.0, vp.sigma_d2d_hrs))
-        g_lrs[i] = params.g_lrs * math.exp(child.normal(0.0, vp.sigma_d2d_lrs))
+    z = rng.standard_normal((n, 2))
+    g_hrs = params.g_hrs * np.exp(vp.sigma_d2d_hrs * z[:, 0])
+    g_lrs = params.g_lrs * np.exp(vp.sigma_d2d_lrs * z[:, 1])
     inverted = g_hrs >= g_lrs
     if inverted.any():
         g_hrs[inverted], g_lrs[inverted] = g_lrs[inverted].copy(), g_hrs[inverted].copy()

@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import ftjsim
 from ftjsim.cli import main
 from ftjsim.conduction import K_B_EV, synthetic_pf_sweep
 from ftjsim.config import SimConfig, apply_master_seed, config_from_dict, default_config_text, load_config
@@ -73,15 +78,31 @@ class TestCliContracts:
         assert err.startswith("ftjsim: config-error:")
         assert len(err.strip().splitlines()) == 1
 
+    def test_cli_import_leaves_out_scipy_optimize(self):
+        # scipy.optimize is loaded only by the fitters that use it.
+        src = str(Path(ftjsim.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        code = "import sys, ftjsim.cli; print('scipy.optimize' in sys.modules)"
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True, check=True)
+        assert result.stdout.strip() == "False"
+
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         assert run_cli("--seed", -5, "--out", tmp_path, "iv") == 2
         assert "seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [("xbar", "--writes", "-5"), ("infer", "--seeds", "0"),
-                                         ("pulse", "--pot", "999"), ("pulse", "--dep", "-1")])
-    def test_out_of_range_count_exits_2(self, tmp_path, capsys, command):
-        if command[0] == "pulse":
-            # The pulse-count bound is the config's n_levels, so main reports it.
+                                         ("pulse", "--pot", "999"), ("pulse", "--dep", "-1"),
+                                         ("iv", "--temps", "nan"), ("iv", "--temps", "inf"),
+                                         ("infer", "--hidden", "abc"),
+                                         ("infer", "--dataset", "no_such_dataset.csv"),
+                                         ("infer", "--hidden", "8,0")])
+    def test_out_of_range_count_exits_2(self, tmp_path, capsys, monkeypatch, command):
+        # Every bad command-line value.  Plain counts fail in argparse; the
+        # rest (pulse counts bounded by the config's n_levels, temperatures,
+        # layer widths, the dataset path) are reported by main.
+        monkeypatch.chdir(tmp_path)  # so the relative dataset path is missing
+        if command[1] not in ("--writes", "--seeds"):
             assert run_cli("--out", tmp_path, *command) == 2
             err = capsys.readouterr().err
             assert err.startswith("ftjsim: config-error:") and command[1] in err
@@ -101,7 +122,10 @@ class TestCliContracts:
         ("device", {"area": math.nan}),
         ("device", {"v_set_full": -1.2}),
         ("crossbar", {"bias": {"kind": "vfull"}}),
-    ], ids=["on_off", "nan_sigma_c2c", "nan_area", "subthreshold_v_set_full", "bias_kind"])
+        ("conduction", {"e_a": math.nan}),
+        ("conduction", {"beta": math.nan}),
+    ], ids=["on_off", "nan_sigma_c2c", "nan_area", "subthreshold_v_set_full", "bias_kind",
+            "nan_e_a", "nan_beta"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, section, values):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({section: values}))

@@ -1,5 +1,7 @@
 """Crossbar tests, including exhaustive brute-force oracles for small arrays."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -35,6 +37,18 @@ NOISY = VariabilityParams(seed=7)
 
 def make_xbar(rows, cols, vp=QUIET, params=PARAMS):
     return Crossbar.create(rows, cols, params, vp)
+
+
+def per_device_spawn_sampler(n, params, vp, rng):
+    """Reference copy of the earlier endpoint sampler: one child stream per device."""
+    g_hrs = np.empty(n)
+    g_lrs = np.empty(n)
+    for i, child in enumerate(rng.spawn(n)):
+        g_hrs[i] = params.g_hrs * math.exp(child.normal(0.0, vp.sigma_d2d_hrs))
+        g_lrs[i] = params.g_lrs * math.exp(child.normal(0.0, vp.sigma_d2d_lrs))
+    inverted = g_hrs >= g_lrs
+    g_hrs[inverted], g_lrs[inverted] = g_lrs[inverted].copy(), g_hrs[inverted].copy()
+    return g_hrs, g_lrs
 
 
 def pot_pulse(params=PARAMS):
@@ -398,9 +412,13 @@ class TestSneakRatio:
         with pytest.raises(ConvergenceError, match=expected):
             sneak_ratio(xbar, 2, 2, 2.0)
 
-    def test_default_cli_value_is_pinned(self, tmp_path):
+    def test_default_cli_value_is_pinned(self, tmp_path, monkeypatch):
         # Golden value of xbar_disturb.csv at the default config (master seed
-        # 12345), recorded from the scalar per-path solver.
+        # 12345), recorded from the scalar per-path solver on endpoints drawn
+        # by the earlier one-child-stream-per-device sampler.  That sampler is
+        # patched back in so the pin keeps checking the solver through the
+        # full CLI path, independent of how endpoints are sampled.
+        monkeypatch.setattr(crossbar, "sample_endpoint_arrays", per_device_spawn_sampler)
         assert main(["--out", str(tmp_path), "xbar"]) == 0
         rows = dict(line.split(",") for line in
                     (tmp_path / "xbar_disturb.csv").read_text().strip().splitlines()[1:])

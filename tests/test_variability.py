@@ -119,6 +119,28 @@ class TestSamplePopulation:
         for a, b in zip(head, full[:20]):
             assert a == b
 
+    def test_one_device_major_draw(self):
+        # Row i of one C-order (n, 2) standard-normal draw is device i: column 0
+        # its HRS normal, column 1 its LRS normal.
+        g_hrs, g_lrs = sample_endpoint_arrays(1000, PARAMS, VP, np.random.default_rng(77))
+        z = np.random.default_rng(77).standard_normal((1000, 2))
+        np.testing.assert_array_equal(g_hrs, PARAMS.g_hrs * np.exp(VP.sigma_d2d_hrs * z[:, 0]))
+        np.testing.assert_array_equal(g_lrs, PARAMS.g_lrs * np.exp(VP.sigma_d2d_lrs * z[:, 1]))
+
+    def test_prefix_stable_with_swaps(self):
+        # At 1.5 per endpoint some pairs invert and are swapped; the first
+        # devices still do not depend on how many are sampled.
+        wide = VariabilityParams(sigma_d2d_hrs=1.5, sigma_d2d_lrs=1.5)
+        full = sample_endpoint_arrays(50, PARAMS, wide, np.random.default_rng(31))
+        head = sample_endpoint_arrays(20, PARAMS, wide, np.random.default_rng(31))
+        for a, b in zip(head, full):
+            np.testing.assert_array_equal(a, b[:20])
+        z = np.random.default_rng(31).standard_normal((20, 2))
+        swapped = head[0] != PARAMS.g_hrs * np.exp(1.5 * z[:, 0])
+        assert swapped.any()
+        np.testing.assert_array_equal(head[0][swapped], PARAMS.g_lrs * np.exp(1.5 * z[swapped, 1]))
+        assert np.all(full[0] < full[1])
+
     def test_determinism(self):
         a = sample_population(64, PARAMS, VP, np.random.default_rng(55))
         b = sample_population(64, PARAMS, VP, np.random.default_rng(55))
