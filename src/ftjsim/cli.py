@@ -95,9 +95,8 @@ def cmd_pulse(config: SimConfig, out: Path, n_pot: int | None, n_dep: int | None
     print(f"wrote {out / 'pulse_trace.csv'} ({len(trace)} rows)")
 
 
-def _fit_sweep_file(config: SimConfig, path: Path, rows: list) -> None:
+def _fit_sweep_file(config: SimConfig, path: Path, data: cnd.SweepRecord, rows: list) -> None:
     p = config.device.conduction
-    data = cnd.SweepRecord.from_csv(path)
     low = data.restrict(0.0, p.v_ohmic_max)
     if len(low):
         fit = cnd.fit_ohmic(low)
@@ -123,8 +122,7 @@ def _fit_sweep_file(config: SimConfig, path: Path, rows: list) -> None:
         raise FitError(f"{path}: no samples inside the configured fit windows")
 
 
-def _fit_trace_file(path: Path, rows: list) -> None:
-    points = dev.read_trace_csv(path)
+def _fit_trace_file(config: SimConfig, path: Path, points: list, rows: list) -> None:
     for direction in ("potentiation", "depression"):
         branch = [pt for pt in points if pt.direction == direction]
         if len(branch) < 5:
@@ -147,15 +145,21 @@ def cmd_fit(config: SimConfig, out: Path, files: list[str]) -> None:
     for name in files:
         path = Path(name)
         try:
-            header = tuple(next(csv.reader(open(path, newline=""))))
+            with open(path, newline="") as fh:
+                header = tuple(next(csv.reader(fh)))
         except (OSError, StopIteration) as exc:
             raise FitError(f"cannot read {path}: {exc}") from exc
         if header == cnd.SweepRecord.CSV_HEADER:
-            _fit_sweep_file(config, path, rows)
+            load, fit = cnd.SweepRecord.from_csv, _fit_sweep_file
         elif header == dev.TRACE_CSV_HEADER:
-            _fit_trace_file(path, rows)
+            load, fit = dev.read_trace_csv, _fit_trace_file
         else:
             raise FitError(f"{path}: unrecognized header {header!r}")
+        try:
+            data = load(path)
+        except (ValueError, IndexError) as exc:  # a non-numeric cell or a short row
+            raise FitError(f"{path}: malformed row: {exc}") from exc
+        fit(config, path, data, rows)
     _write_csv(out / "fit_report.csv", ("file", "model", "parameter", "value"), rows)
     for row in rows:
         print(" ".join(str(c) for c in row))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import numbers
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -76,14 +77,23 @@ class SimConfig:
         return json.dumps(self.to_dict(), indent=2) + "\n"
 
 
+def _check_int(value, name: str) -> None:
+    """JSON integers only: true/false and numbers such as 2.5 or 64.0 are rejected."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
 def _build(cls, section: dict, name: str, **extra):
     """Instantiate a parameter dataclass from one JSON section, strictly."""
     if not isinstance(section, dict):
         raise ConfigError(f"section '{name}' must be an object")
-    allowed = {f.name for f in dataclasses.fields(cls)}
-    unknown = sorted(set(section) - allowed)
+    fields = {f.name: f for f in dataclasses.fields(cls)}
+    unknown = sorted(set(section) - set(fields))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in section '{name}'")
+    for key, value in section.items():
+        if fields[key].type in ("int", int):
+            _check_int(value, f"{name}.{key}")
     try:
         return cls(**section, **extra)
     except (TypeError, ValueError) as exc:
@@ -112,10 +122,13 @@ def config_from_dict(raw: dict) -> SimConfig:
     except ValueError as exc:
         raise ConfigError(f"scheme: {exc}") from exc
 
+    top = {key: raw.get(key, default) for key, default in
+           (("schema_version", SCHEMA_VERSION), ("seed", 12345))}
+    for key, value in top.items():
+        _check_int(value, key)
     try:
         return SimConfig(
-            schema_version=raw.get("schema_version", SCHEMA_VERSION),
-            seed=raw.get("seed", 12345),
+            **top,
             output_dir=raw.get("output_dir", "out"),
             device=device,
             variability=variability,

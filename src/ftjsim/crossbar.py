@@ -215,11 +215,13 @@ def program_open_loop(
     k = np.where(pick_lower, idx - 1, idx)
 
     rng = rng if rng is not None else xbar._c2c_rng
-    w = np.zeros_like(xbar.w)
+    k = k.ravel()
+    w = np.zeros(k.size)
+    idx = np.flatnonzero(k)  # cells still owed a pulse, ascending flat index
     for s in range(1, int(k.max()) + 1):
-        mask = k >= s
-        w[mask] = pulse_response(w[mask], p.v_set_full, xbar.scheme, p, xbar.vp.sigma_c2c, rng)
-    xbar.w[:] = w
+        idx = idx[k[idx] >= s]
+        w[idx] = pulse_response(w[idx], p.v_set_full, xbar.scheme, p, xbar.vp.sigma_c2c, rng)
+    xbar.w[:] = w.reshape(xbar.w.shape)
     return xbar
 
 
@@ -249,23 +251,31 @@ def program_write_verify(
     rng = rng if rng is not None else xbar._c2c_rng
     # Measured conductance at the read bias is the state conductance times a
     # state-independent factor, so verification compares in state space.
-    iters = np.zeros(xbar.w.shape, dtype=int)
+    # Only unfinished cells are carried, as ascending flat indices: a cell
+    # within tol is never pulsed again, so it stays finished.
+    w = xbar.w.flatten()
+    iters = np.zeros(w.size, dtype=int)
+    idx = np.arange(w.size)
+    g_hrs, span, tg = xbar.g_hrs.ravel(), (xbar.g_lrs - xbar.g_hrs).ravel(), target_g.ravel()
 
     for _ in range(max_iters):
-        g = xbar.conductances()
-        active = np.abs(g - target_g) / target_g > tol
-        if not active.any():
+        before = w[idx]
+        g = g_hrs + before * span
+        keep = np.abs(g - tg) / tg > tol
+        idx, before, g, g_hrs, span, tg = (a[keep] for a in (idx, before, g, g_hrs, span, tg))
+        if not idx.size:
             break
-        iters[active] += 1
-        before = xbar.w.copy()
-        for amplitude, mask in ((p.v_set_full, active & (g < target_g)),
-                                (p.v_reset_full, active & (g >= target_g))):
+        iters[idx] += 1
+        after = before.copy()
+        for amplitude, mask in ((p.v_set_full, g < tg), (p.v_reset_full, g >= tg)):
             if mask.any():
-                xbar.w[mask] = pulse_response(xbar.w[mask], amplitude, xbar.scheme, p,
-                                              xbar.vp.sigma_c2c, rng)
-        if np.array_equal(before, xbar.w):
+                after[mask] = pulse_response(before[mask], amplitude, xbar.scheme, p,
+                                             xbar.vp.sigma_c2c, rng)
+        if np.array_equal(before, after):
             warnings.append("programming stalled at a saturated level before convergence")
             break
+        w[idx] = after
+    xbar.w[:] = w.reshape(xbar.w.shape)
 
     g = xbar.conductances()
     converged = np.abs(g - target_g) / target_g <= tol

@@ -213,7 +213,13 @@ def train_mlp(
     epochs: int = 400,
     lr: float = 1.0,
 ) -> list[np.ndarray]:
-    """Full-batch softmax-regression training of the float baseline weights."""
+    """Full-batch softmax-regression training of the float baseline weights.
+
+    Every per-epoch array is allocated once, before the first epoch, and
+    written in place.  Going backwards, each layer's weights are updated
+    before its gradient is propagated to the layer below, so that gradient
+    goes through the already-updated weights.
+    """
     n_classes = spec.layer_sizes[-1]
     if x.shape[1] != spec.layer_sizes[0]:
         raise ValueError(f"dataset has {x.shape[1]} features, spec expects {spec.layer_sizes[0]}")
@@ -224,21 +230,40 @@ def train_mlp(
     ]
     onehot = np.eye(n_classes)[y]
     n = x.shape[0]
+    # Slot i of each list is the input side of layer i: pre[i] is the output
+    # of layer i - 1 (the logits last), relu[i] and mask[i] its rectified form
+    # and sign, grad[i] its gradient.  relu[0] is x itself.
+    pre = [None] + [np.empty((n, width)) for width in spec.layer_sizes[1:]]
+    relu = [x] + [np.empty_like(a) for a in pre[1:-1]]
+    mask = [None] + [np.empty(a.shape, dtype=bool) for a in pre[1:-1]]
+    grad = [None] + [np.empty_like(a) for a in pre[1:]]
+    step = [np.empty_like(w) for w in weights]
+    row = np.empty((n, 1))
+    logits = pre[-1]
     for _ in range(epochs):
-        acts = [x]
         for i, w in enumerate(weights):
-            pre = (np.maximum(acts[-1], 0.0) if i > 0 else acts[-1]) @ w
-            acts.append(pre)
-        logits = acts[-1]
-        logits = logits - logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        grad = (p - onehot) / n
-        for i in reversed(range(len(weights))):
-            inp = acts[i] if i == 0 else np.maximum(acts[i], 0.0)
-            weights[i] -= lr * (inp.T @ grad)
             if i > 0:
-                grad = (grad @ weights[i].T) * (acts[i] > 0)
+                np.maximum(pre[i], 0.0, out=relu[i])
+            np.matmul(relu[i], w, out=pre[i + 1])
+        # A running maximum over the few class columns is the exact row max,
+        # several times faster than a reduction along the short axis.
+        np.copyto(row, logits[:, :1])
+        for c in range(1, n_classes):
+            np.maximum(row, logits[:, c:c + 1], out=row)
+        logits -= row
+        np.exp(logits, out=logits)
+        np.sum(logits, axis=1, keepdims=True, out=row)
+        logits /= row
+        np.subtract(logits, onehot, out=grad[-1])
+        grad[-1] /= n
+        for i in reversed(range(len(weights))):
+            np.matmul(relu[i].T, grad[i + 1], out=step[i])
+            step[i] *= lr
+            weights[i] -= step[i]
+            if i > 0:
+                np.matmul(grad[i + 1], weights[i].T, out=grad[i])
+                np.greater(pre[i], 0, out=mask[i])
+                grad[i] *= mask[i]
     return weights
 
 

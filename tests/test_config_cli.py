@@ -14,6 +14,7 @@ import ftjsim
 from ftjsim.cli import main
 from ftjsim.conduction import K_B_EV, synthetic_pf_sweep
 from ftjsim.config import SimConfig, apply_master_seed, config_from_dict, default_config_text, load_config
+from ftjsim.device import TRACE_CSV_HEADER
 from ftjsim.errors import ConfigError
 
 
@@ -124,8 +125,14 @@ class TestCliContracts:
         ("crossbar", {"bias": {"kind": "vfull"}}),
         ("conduction", {"e_a": math.nan}),
         ("conduction", {"beta": math.nan}),
+        ("device", {"n_levels": 2.5}),
+        ("seed", True),
+        ("variability", {"seed": True}),
+        ("crossbar", {"rows": 8.0}),
+        ("crossbar", {"cols": True}),
     ], ids=["on_off", "nan_sigma_c2c", "nan_area", "subthreshold_v_set_full", "bias_kind",
-            "nan_e_a", "nan_beta"])
+            "nan_e_a", "nan_beta", "float_n_levels", "bool_seed", "bool_variability_seed",
+            "float_rows", "bool_cols"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, section, values):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({section: values}))
@@ -139,6 +146,24 @@ class TestCliContracts:
         synthetic_pf_sweep(np.linspace(0.01, 0.1, 5), [300.0], phi_b=0.15, beta=0.0).to_csv(sweep)
         assert run_cli("--out", tmp_path, "fit", sweep) == 3
         assert capsys.readouterr().err.startswith("ftjsim: fit-error:")
+
+    @pytest.mark.parametrize("kind, row", [
+        ("sweep", "abc,1e-9,300.0"), ("sweep", "0.05,1e-9"),
+        ("trace", "0,potentiation,abc,1e9"), ("trace", "0,potentiation,1e-9"),
+    ], ids=["sweep_non_numeric", "sweep_short_row", "trace_non_numeric", "trace_short_row"])
+    def test_malformed_fit_file_exits_3(self, tmp_path, capsys, kind, row):
+        path = tmp_path / f"{kind}.csv"
+        if kind == "sweep":
+            synthetic_pf_sweep(np.linspace(0.01, 0.1, 5), [300.0, 320.0], phi_b=0.15,
+                               beta=0.0).to_csv(path)
+        else:
+            path.write_text(",".join(TRACE_CSV_HEADER) + "\n0,potentiation,1e-9,1e9\n")
+        with open(path, "a") as fh:
+            fh.write(row + "\n")
+        assert run_cli("--out", tmp_path, "fit", path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"ftjsim: fit-error: {path}: malformed row")
+        assert len(err.strip().splitlines()) == 1
 
     def test_iv_default_grid_and_activation(self, tmp_path):
         assert run_cli("--out", tmp_path, "--temps", "300,330", "iv") == 0

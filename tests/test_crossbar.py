@@ -28,6 +28,7 @@ from ftjsim.device import (
     update_curve,
 )
 from ftjsim.errors import ConfigError, ConvergenceError
+from ftjsim.inference import map_weights
 from ftjsim.variability import VariabilityParams
 
 PARAMS = DeviceParams()
@@ -57,6 +58,56 @@ def pot_pulse(params=PARAMS):
 
 def dep_pulse(params=PARAMS):
     return PulseSpec(params.v_reset_full, params.t_width_ref, UpdateScheme.AMPLITUDE_RAMP)
+
+
+def full_mask_open_loop(xbar, target):
+    """Reference copy of the earlier open-loop loop, which masked the full array per pulse."""
+    t_norm, _ = xbar._normalized_targets(target)
+    p, n = xbar.params, xbar.params.n_levels
+    levels = update_curve(np.arange(n + 1) / n, p.nu_for(xbar.scheme, Direction.POTENTIATE),
+                          Direction.POTENTIATE)
+    idx = np.clip(np.searchsorted(levels, t_norm), 1, len(levels) - 1)
+    k = np.where((t_norm - levels[idx - 1]) <= (levels[idx] - t_norm), idx - 1, idx)
+    w = np.zeros_like(xbar.w)
+    for s in range(1, int(k.max()) + 1):
+        mask = k >= s
+        w[mask] = pulse_response(w[mask], p.v_set_full, xbar.scheme, p, xbar.vp.sigma_c2c,
+                                 xbar._c2c_rng)
+    xbar.w[:] = w
+
+
+def full_mask_write_verify(xbar, target, tol=0.05, max_iters=200):
+    """Reference copy of the earlier write-verify loop, which re-read the full array per iteration."""
+    t_norm, clipped = xbar._normalized_targets(target)
+    target_g = xbar.g_hrs + t_norm * (xbar.g_lrs - xbar.g_hrs)
+    warnings = [f"{clipped} target(s) outside the device span were clipped"] if clipped else []
+    p = xbar.params
+    iters = np.zeros(xbar.w.shape, dtype=int)
+    for _ in range(max_iters):
+        g = xbar.conductances()
+        active = np.abs(g - target_g) / target_g > tol
+        if not active.any():
+            break
+        iters[active] += 1
+        before = xbar.w.copy()
+        for amplitude, mask in ((p.v_set_full, active & (g < target_g)),
+                                (p.v_reset_full, active & (g >= target_g))):
+            if mask.any():
+                xbar.w[mask] = pulse_response(xbar.w[mask], amplitude, xbar.scheme, p,
+                                              xbar.vp.sigma_c2c, xbar._c2c_rng)
+        if np.array_equal(before, xbar.w):
+            warnings.append("programming stalled at a saturated level before convergence")
+            break
+    converged = np.abs(xbar.conductances() - target_g) / target_g <= tol
+    return crossbar.WriteVerifyReport(
+        converged_fraction=float(converged.mean()), mean_iterations=float(iters.mean()),
+        max_iterations=int(iters.max()), clipped_cells=clipped, warnings=tuple(warnings))
+
+
+def weight_like_targets(rows, cols, seed):
+    """Both halves of a mapped Gaussian weight matrix: about half of each sits at the HRS."""
+    g_pos, g_neg, _ = map_weights(np.random.default_rng(seed).normal(size=(rows, cols)), PARAMS)
+    return g_pos, g_neg
 
 
 # --- independent oracles -----------------------------------------------------
@@ -273,6 +324,56 @@ class TestProgramWriteVerify:
         target = PARAMS.g_hrs + t_norm * span
         report = program_write_verify(xbar, target, tol=0.05, max_iters=200)
         assert report.converged_fraction >= 0.90
+
+
+class TestActiveSetProgramming:
+    """Carrying only unfinished cells leaves states, reports and draws bit-identical."""
+
+    CASES = [(sigma, rows, cols, half) for sigma in (0.0, 0.1) for rows, cols in ((16, 64), (64, 4))
+             for half in (0, 1)]
+
+    @staticmethod
+    def twin(rows, cols, sigma):
+        vp = VariabilityParams(sigma_c2c=sigma, seed=11)
+        return make_xbar(rows, cols, vp=vp), make_xbar(rows, cols, vp=vp)
+
+    @staticmethod
+    def assert_same(a, b):
+        assert np.array_equal(a.w, b.w)
+        assert a._c2c_rng.bit_generator.state == b._c2c_rng.bit_generator.state
+
+    @pytest.mark.parametrize("sigma, rows, cols, half", CASES)
+    def test_open_loop_matches_full_mask(self, sigma, rows, cols, half):
+        target = weight_like_targets(rows, cols, seed=5)[half]
+        a, b = self.twin(rows, cols, sigma)
+        program_open_loop(a, target)
+        full_mask_open_loop(b, target)
+        self.assert_same(a, b)
+
+    @pytest.mark.parametrize("max_iters", [200, 2])
+    @pytest.mark.parametrize("sigma, rows, cols, half", CASES)
+    def test_write_verify_matches_full_mask(self, sigma, rows, cols, half, max_iters):
+        target = weight_like_targets(rows, cols, seed=5)[half]
+        a, b = self.twin(rows, cols, sigma)
+        got = program_write_verify(a, target, tol=0.05, max_iters=max_iters)
+        want = full_mask_write_verify(b, target, tol=0.05, max_iters=max_iters)
+        assert got == want
+        self.assert_same(a, b)
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_all_hrs_targets_send_no_pulse(self, sigma):
+        a, b = self.twin(16, 64, sigma)
+        a.w[:] = b.w[:] = 0.5  # open loop starts from the HRS whatever the state
+        target = a.g_hrs.copy()
+        program_open_loop(a, target)
+        full_mask_open_loop(b, target)
+        self.assert_same(a, b)
+        assert np.array_equal(a.w, np.zeros((16, 64)))
+        a, b = self.twin(16, 64, sigma)
+        got = program_write_verify(a, target)
+        assert got == full_mask_write_verify(b, target)
+        self.assert_same(a, b)
+        assert got.max_iterations == 0 and got.converged_fraction == 1.0
 
 
 class TestContinuousProgramming:

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ftjsim.config import STREAM_TRAINING
 from ftjsim.device import DeviceParams
 from ftjsim.errors import ConfigError
 from ftjsim.inference import (
@@ -23,6 +24,33 @@ from ftjsim.variability import VariabilityParams, derive_seed
 
 PARAMS = DeviceParams()
 QUIET = VariabilityParams(sigma_c2c=0.0, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0, seed=1)
+
+
+def allocating_train_mlp(x, y, spec, seed=0, epochs=400, lr=1.0):
+    """Reference copy of the earlier train_mlp loop, which allocated every array per epoch."""
+    rng = np.random.default_rng(seed)
+    weights = [
+        rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
+        for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:])
+    ]
+    onehot = np.eye(spec.layer_sizes[-1])[y]
+    n = x.shape[0]
+    for _ in range(epochs):
+        acts = [x]
+        for i, w in enumerate(weights):
+            pre = (np.maximum(acts[-1], 0.0) if i > 0 else acts[-1]) @ w
+            acts.append(pre)
+        logits = acts[-1]
+        logits = logits - logits.max(axis=1, keepdims=True)
+        p = np.exp(logits)
+        p /= p.sum(axis=1, keepdims=True)
+        grad = (p - onehot) / n
+        for i in reversed(range(len(weights))):
+            inp = acts[i] if i == 0 else np.maximum(acts[i], 0.0)
+            weights[i] -= lr * (inp.T @ grad)
+            if i > 0:
+                grad = (grad @ weights[i].T) * (acts[i] > 0)
+    return weights
 
 
 @pytest.fixture(scope="module")
@@ -191,3 +219,18 @@ class TestDataset:
     def test_spec_validation(self):
         with pytest.raises(ValueError):
             MLPSpec((16,))
+
+
+class TestTrainMlp:
+    @pytest.mark.parametrize("sizes", [(16, 4), (16, 24, 4), (16, 64, 64, 4)],
+                             ids=["linear", "hidden_24", "hidden_64_64"])
+    @pytest.mark.parametrize("seed", [0, derive_seed(12345, STREAM_TRAINING)],
+                             ids=["seed_0", "training_stream"])
+    def test_bit_identical_to_allocating_loop(self, sizes, seed):
+        x, y = make_blobs_dataset()
+        spec = MLPSpec(sizes)
+        got = train_mlp(x, y, spec, seed=seed)
+        want = allocating_train_mlp(x, y, spec, seed=seed)
+        assert len(got) == len(want)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
