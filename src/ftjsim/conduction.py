@@ -114,6 +114,8 @@ class SweepRecord:
             if header != cls.CSV_HEADER:
                 raise ValueError(f"unexpected sweep header {header!r}, want {cls.CSV_HEADER!r}")
             rows = [tuple(float(x) for x in row) for row in reader if row]
+        if any(len(row) != len(cls.CSV_HEADER) for row in rows):
+            raise ValueError(f"every row needs {len(cls.CSV_HEADER)} cells, one per header column")
         if not rows:
             raise ValueError(f"no samples in {path}")
         v, j, t = (np.array(col) for col in zip(*rows))

@@ -11,6 +11,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import numbers
+import sys
 from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
@@ -83,6 +84,13 @@ def _check_int(value, name: str) -> None:
         raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
+def _check_float(value, name: str) -> None:
+    """Finite JSON numbers only: true/false, NaN, +-Infinity and 1e400 are rejected."""
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not abs(value) <= sys.float_info.max):  # False for NaN, exact for huge ints
+        raise ConfigError(f"{name} must be a finite number, got {value!r}")
+
+
 def _build(cls, section: dict, name: str, **extra):
     """Instantiate a parameter dataclass from one JSON section, strictly."""
     if not isinstance(section, dict):
@@ -92,8 +100,9 @@ def _build(cls, section: dict, name: str, **extra):
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in section '{name}'")
     for key, value in section.items():
-        if fields[key].type in ("int", int):
-            _check_int(value, f"{name}.{key}")
+        check = {"int": _check_int, "float": _check_float}.get(fields[key].type)
+        if check:
+            check(value, f"{name}.{key}")
     try:
         return cls(**section, **extra)
     except (TypeError, ValueError) as exc:

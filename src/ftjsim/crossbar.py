@@ -21,12 +21,11 @@ from .conduction import (V_READ_SWEEP_MAX, activation_factor, current, different
                          shape_factor, voltage_at_current)
 from .device import (
     DeviceParams,
-    DeviceState,
     Direction,
     PulseSpec,
     UpdateScheme,
+    level_table,
     pulse_response,
-    update_curve,
 )
 from .errors import ConfigError, ConvergenceError
 from .variability import VariabilityParams, sample_endpoint_arrays
@@ -140,10 +139,6 @@ class Crossbar:
         """Small-signal conductance of every cell, in siemens."""
         return self.g_hrs + self.w * (self.g_lrs - self.g_hrs)
 
-    def state_at(self, r: int, c: int) -> DeviceState:
-        return DeviceState(w=float(self.w[r, c]), g_hrs_dev=float(self.g_hrs[r, c]),
-                           g_lrs_dev=float(self.g_lrs[r, c]))
-
     def snapshot_csv(self, path: str | Path) -> None:
         g = self.conductances()
         with open(path, "w", newline="") as fh:
@@ -196,6 +191,21 @@ def write_cell(xbar: Crossbar, r: int, c: int, pulse: PulseSpec) -> DisturbRepor
     return DisturbReport(half_selected=xbar.rows + xbar.cols - 2, disturbed=disturbed)
 
 
+def _stack(xbars: list[Crossbar], rngs: list | None) -> tuple:
+    """Shared device model, each array's c2c generator and the flat cell bounds of a stack."""
+    model = (xbars[0].params, xbars[0].scheme, xbars[0].vp.sigma_c2c)
+    if any((x.params, x.scheme, x.vp.sigma_c2c) != model for x in xbars):
+        raise ValueError("stacked arrays must share device parameters, scheme and sigma_c2c")
+    rngs = [x._c2c_rng if r is None else r
+            for x, r in zip(xbars, rngs or [None] * len(xbars), strict=True)]
+    return (*model, rngs, np.cumsum([0] + [x.w.size for x in xbars]))
+
+
+def _segments(rngs: list, bounds: np.ndarray, idx: np.ndarray) -> list:
+    """(generator, count) of each array with cells among the ascending stacked indices idx."""
+    return [(g, n) for g, n in zip(rngs, np.diff(np.searchsorted(idx, bounds))) if n]
+
+
 def program_open_loop(
     xbar: Crossbar, target: np.ndarray, rng: np.random.Generator | None = None
 ) -> Crossbar:
@@ -205,24 +215,33 @@ def program_open_loop(
     at ``v_set_full``, each through the pulse kernel with the array's
     cycle-to-cycle noise drawn from ``rng`` (default: the array's own stream).
     """
-    t_norm, _ = xbar._normalized_targets(target)
-    p, n = xbar.params, xbar.params.n_levels
-    nu = p.nu_for(xbar.scheme, Direction.POTENTIATE)
-    levels = update_curve(np.arange(n + 1) / n, nu, Direction.POTENTIATE)
-    idx = np.searchsorted(levels, t_norm)
-    idx = np.clip(idx, 1, len(levels) - 1)
-    pick_lower = (t_norm - levels[idx - 1]) <= (levels[idx] - t_norm)
-    k = np.where(pick_lower, idx - 1, idx)
+    program_open_loop_stack([xbar], [target], [rng])
+    return xbar
 
-    rng = rng if rng is not None else xbar._c2c_rng
-    k = k.ravel()
+
+def program_open_loop_stack(xbars: list[Crossbar], targets: list,
+                            rngs: list | None = None) -> None:
+    """program_open_loop on arrays sharing one device model, in one pass over all their cells.
+
+    Each pulse is one kernel call over every cell still owed one; each array
+    draws for its own segment from its own generator (``rngs``, default its
+    stream), so states and streams equal programming one array at a time.
+    """
+    p, scheme, sigma, rngs, bounds = _stack(xbars, rngs)
+    t_norm = np.concatenate([x._normalized_targets(t)[0].ravel()
+                             for x, t in zip(xbars, targets, strict=True)])
+    levels = level_table(p.nu_for(scheme, Direction.POTENTIATE), Direction.POTENTIATE, p.n_levels)
+    idx = np.clip(np.searchsorted(levels, t_norm), 1, len(levels) - 1)
+    k = np.where((t_norm - levels[idx - 1]) <= (levels[idx] - t_norm), idx - 1, idx)
+
     w = np.zeros(k.size)
     idx = np.flatnonzero(k)  # cells still owed a pulse, ascending flat index
     for s in range(1, int(k.max()) + 1):
         idx = idx[k[idx] >= s]
-        w[idx] = pulse_response(w[idx], p.v_set_full, xbar.scheme, p, xbar.vp.sigma_c2c, rng)
-    xbar.w[:] = w.reshape(xbar.w.shape)
-    return xbar
+        w[idx] = pulse_response(w[idx], p.v_set_full, scheme, p, sigma,
+                                _segments(rngs, bounds, idx))
+    for x, lo, hi in zip(xbars, bounds, bounds[1:]):
+        x.w[:] = w[lo:hi].reshape(x.w.shape)
 
 
 def program_write_verify(
@@ -239,53 +258,67 @@ def program_write_verify(
     measured conductance is within ``tol`` relative or its iteration budget is
     exhausted (reported, not fatal).
     """
+    return program_write_verify_stack([xbar], [target], tol, max_iters, [rng])[0]
+
+
+def program_write_verify_stack(xbars: list[Crossbar], targets: list, tol: float = 0.05,
+                               max_iters: int = 200,
+                               rngs: list | None = None) -> list[WriteVerifyReport]:
+    """program_write_verify on arrays sharing one device model, in one pass over all their cells.
+
+    Each array keeps its own generator (``rngs``, default its stream), drawing
+    for its own segment of every pulse, its own stall detection and its own
+    report, so everything equals programming one array at a time.
+    """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    t_norm, clipped = xbar._normalized_targets(target)
-    target_g = xbar.g_hrs + t_norm * (xbar.g_lrs - xbar.g_hrs)
-    warnings: list[str] = []
-    if clipped:
-        warnings.append(f"{clipped} target(s) outside the device span were clipped")
-
-    p = xbar.params
-    rng = rng if rng is not None else xbar._c2c_rng
+    p, scheme, sigma, rngs, bounds = _stack(xbars, rngs)
+    normalized = [x._normalized_targets(t) for x, t in zip(xbars, targets, strict=True)]
+    warnings = [[f"{c} target(s) outside the device span were clipped"] if c else []
+                for _, c in normalized]
     # Measured conductance at the read bias is the state conductance times a
     # state-independent factor, so verification compares in state space.
-    # Only unfinished cells are carried, as ascending flat indices: a cell
-    # within tol is never pulsed again, so it stays finished.
-    w = xbar.w.flatten()
+    # Only unfinished cells are carried, as ascending flat indices with their
+    # owning array: a cell within tol is never pulsed again, so it stays
+    # finished, and an array stops once a pulse moves none of its cells.
+    g_hrs = np.concatenate([x.g_hrs.ravel() for x in xbars])
+    span = np.concatenate([(x.g_lrs - x.g_hrs).ravel() for x in xbars])
+    target_g = g_hrs + np.concatenate([t.ravel() for t, _ in normalized]) * span
+    w = np.concatenate([x.w.ravel() for x in xbars])
     iters = np.zeros(w.size, dtype=int)
-    idx = np.arange(w.size)
-    g_hrs, span, tg = xbar.g_hrs.ravel(), (xbar.g_lrs - xbar.g_hrs).ravel(), target_g.ravel()
+    idx, owner = np.arange(w.size), np.repeat(np.arange(len(xbars)), np.diff(bounds))
+    running = np.ones(len(xbars), dtype=bool)
+    g_a, span_a, tg = g_hrs, span, target_g
 
     for _ in range(max_iters):
         before = w[idx]
-        g = g_hrs + before * span
-        keep = np.abs(g - tg) / tg > tol
-        idx, before, g, g_hrs, span, tg = (a[keep] for a in (idx, before, g, g_hrs, span, tg))
+        g = g_a + before * span_a
+        keep = (np.abs(g - tg) / tg > tol) & running[owner]
+        idx, owner, before, g, g_a, span_a, tg = (
+            a[keep] for a in (idx, owner, before, g, g_a, span_a, tg))
         if not idx.size:
             break
         iters[idx] += 1
         after = before.copy()
         for amplitude, mask in ((p.v_set_full, g < tg), (p.v_reset_full, g >= tg)):
             if mask.any():
-                after[mask] = pulse_response(before[mask], amplitude, xbar.scheme, p,
-                                             xbar.vp.sigma_c2c, rng)
-        if np.array_equal(before, after):
-            warnings.append("programming stalled at a saturated level before convergence")
-            break
-        w[idx] = after
-    xbar.w[:] = w.reshape(xbar.w.shape)
+                after[mask] = pulse_response(before[mask], amplitude, scheme, p, sigma,
+                                             _segments(rngs, bounds, idx[mask]))
+        moved = np.bincount(owner[before != after], minlength=len(xbars))
+        stalled = (moved == 0) & (np.bincount(owner, minlength=len(xbars)) > 0)
+        for i in np.flatnonzero(stalled):
+            warnings[i].append("programming stalled at a saturated level before convergence")
+        running &= ~stalled
+        w[idx] = np.where(running[owner], after, before)
 
-    g = xbar.conductances()
-    converged = np.abs(g - target_g) / target_g <= tol
-    return WriteVerifyReport(
-        converged_fraction=float(converged.mean()),
-        mean_iterations=float(iters.mean()),
-        max_iterations=int(iters.max()),
-        clipped_cells=clipped,
-        warnings=tuple(warnings),
-    )
+    converged = np.abs(g_hrs + w * span - target_g) / target_g <= tol
+    for x, lo, hi in zip(xbars, bounds, bounds[1:]):
+        x.w[:] = w[lo:hi].reshape(x.w.shape)
+    return [WriteVerifyReport(converged_fraction=float(converged[lo:hi].mean()),
+                              mean_iterations=float(iters[lo:hi].mean()),
+                              max_iterations=int(iters[lo:hi].max()), clipped_cells=clipped,
+                              warnings=tuple(warn))
+            for (_, clipped), warn, lo, hi in zip(normalized, warnings, bounds, bounds[1:])]
 
 
 def read_vmm(xbar: Crossbar, x: np.ndarray, t: float | None = None) -> np.ndarray:

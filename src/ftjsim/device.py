@@ -13,6 +13,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, replace
 from enum import Enum
+from functools import lru_cache
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
@@ -179,17 +180,24 @@ def update_curve_inverse(g_norm, nu: float, direction: Direction):
     return float(out) if g_arr.ndim == 0 else out
 
 
+@lru_cache(maxsize=None)
+def level_table(nu: float, direction: Direction, n_levels: int) -> np.ndarray:
+    """update_curve(k / n_levels) for k = 0 .. n_levels, bit for bit, read-only."""
+    table = update_curve(np.arange(n_levels + 1) / n_levels, nu, direction)
+    table.flags.writeable = False
+    return table
+
+
 def step_weight(w, nu: float, direction: Direction, n_levels: int):
     """Advance w by one discrete staircase level in the given direction.
 
     The level counter is recovered from w (nearest level, so a noisy state
-    neither stalls nor double-steps on average), incremented, and mapped back
-    through the update curve; it saturates at the endpoint.  Works on scalars
-    and arrays.
+    neither stalls nor double-steps on average), incremented, and looked up
+    in ``level_table``; it saturates at the endpoint.  Scalars and arrays.
     """
     x = update_curve_inverse(w, nu, direction)
-    k = np.minimum(np.round(np.asarray(x) * n_levels) + 1, n_levels)
-    out = update_curve(k / n_levels, nu, direction)
+    k = np.minimum(np.round(np.asarray(x) * n_levels) + 1, n_levels).astype(np.intp)
+    out = level_table(nu, direction, n_levels)[k]
     return float(out) if np.ndim(w) == 0 else out
 
 
@@ -208,14 +216,15 @@ def truncated_normal(rng: np.random.Generator, sigma: float, size: int | None = 
 
 
 def pulse_response(w, amplitude: float, scheme: UpdateScheme, params: DeviceParams,
-                   sigma_c2c: float = 0.0, rng: np.random.Generator | None = None):
+                   sigma_c2c: float = 0.0, rng: np.random.Generator | Sequence | None = None):
     """State after one write pulse of the given signed amplitude, for scalars and arrays.
 
     Below the voltage threshold ``w`` itself is returned, so the no-op is
     exact.  Otherwise negative amplitudes potentiate and positive ones
     depress by one staircase level; with ``sigma_c2c`` > 0 the increment is
-    scaled by 1 + a truncated-normal draw from ``rng`` (one per element, in
-    element order) and the result clamped to [0, 1].
+    scaled by 1 + a truncated-normal draw per element, in element order, and
+    the result clamped to [0, 1].  ``rng`` is a Generator, or (Generator,
+    count) segments covering w in order, each drawing as if pulsed alone.
     """
     if abs(amplitude) < params.v_pulse_threshold:
         return w
@@ -225,10 +234,10 @@ def pulse_response(w, amplitude: float, scheme: UpdateScheme, params: DevicePara
         return stepped
     if rng is None:
         raise ValueError("cycle-to-cycle noise needs a random generator")
-    scalar = np.ndim(w) == 0
-    eps = truncated_normal(rng, sigma_c2c, size=None if scalar else np.size(w))
-    out = np.clip(w + (stepped - w) * (1.0 + eps), 0.0, 1.0)
-    return float(out) if scalar else out
+    segments = [(rng, np.size(w))] if isinstance(rng, np.random.Generator) else rng
+    eps = np.concatenate([truncated_normal(g, sigma_c2c, n) for g, n in segments])
+    out = np.clip(w + (stepped - w) * (1.0 + eps.reshape(np.shape(w))), 0.0, 1.0)
+    return float(out) if np.ndim(w) == 0 else out
 
 
 def apply_pulse(state: DeviceState, pulse: PulseSpec, params: DeviceParams) -> DeviceState:
@@ -300,7 +309,10 @@ def read_trace_csv(path: str | Path) -> list[TracePoint]:
         header = tuple(next(reader))
         if header != TRACE_CSV_HEADER:
             raise ValueError(f"unexpected trace header {header!r}")
-        return [TracePoint(int(r[0]), r[1], float(r[2]), float(r[3])) for r in reader if r]
+        rows = [r for r in reader if r]
+    if any(len(r) != len(header) for r in rows):
+        raise ValueError(f"every row needs {len(header)} cells, one per header column")
+    return [TracePoint(int(r[0]), r[1], float(r[2]), float(r[3])) for r in rows]
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .crossbar import BiasScheme, Crossbar, program_open_loop, program_write_verify, read_vmm
+from .crossbar import (BiasScheme, Crossbar, program_open_loop_stack, program_write_verify_stack,
+                       read_vmm)
 from .device import DeviceParams, UpdateScheme
 from .errors import ConfigError
 from .variability import VariabilityParams, derive_seed
@@ -139,26 +140,30 @@ def program_network(
     ``mode`` selects continuous (idealized), open-loop or write-verify
     programming.  Each crossbar draws its own population from a sub-seed of
     ``vp.seed`` so layers are statistically independent but reproducible.
+    All crossbars are programmed in one stacked pass, each with its own
+    noise stream, which equals programming them one at a time.
     """
     if mode not in ("continuous", "open_loop", "write_verify"):
         raise ValueError(f"unknown programming mode {mode!r}")
     bias = BiasScheme(v_write_pot=params.v_set_full, v_write_dep=params.v_reset_full)
-    layers = []
+    layers, xbars, targets = [], [], []
     for li, w in enumerate(weights):
         g_pos, g_neg, mapping = map_weights(w, params, v_read=v_read)
-        halves = []
-        for hi, target in enumerate((g_pos, g_neg)):
-            sub_vp = replace(vp, seed=derive_seed(vp.seed, 2 * li + hi))
-            xbar = Crossbar.create(w.shape[0], w.shape[1], params, sub_vp, bias, scheme)
-            if mode == "continuous":
-                xbar.set_conductances(target)
-            elif mode == "open_loop":
-                program_open_loop(xbar, target)
-            else:
-                program_write_verify(xbar, target, tol=tol, max_iters=max_iters)
-            halves.append(xbar)
+        halves = [Crossbar.create(w.shape[0], w.shape[1], params,
+                                  replace(vp, seed=derive_seed(vp.seed, 2 * li + hi)), bias, scheme)
+                  for hi in range(2)]
         layers.append(AnalogLayer(pos=halves[0], neg=halves[1], mapping=mapping))
-    return AnalogNetwork(layers)
+        xbars += halves
+        targets += [g_pos, g_neg]
+    net = AnalogNetwork(layers)
+    if mode == "continuous":
+        for xbar, target in zip(xbars, targets):
+            xbar.set_conductances(target)
+    elif mode == "open_loop":
+        program_open_loop_stack(xbars, targets)
+    else:
+        program_write_verify_stack(xbars, targets, tol=tol, max_iters=max_iters)
+    return net
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +282,6 @@ class EvalReport:
     baseline_accuracy: float
     degradation_points: float          # baseline - analog, in percentage points
     per_class_analog: np.ndarray
-    per_class_baseline: np.ndarray
 
 
 def _accuracy(scores: np.ndarray, y: np.ndarray) -> float:
@@ -309,5 +313,4 @@ def evaluate(
         baseline_accuracy=acc_f,
         degradation_points=100.0 * (acc_f - acc_a),
         per_class_analog=_per_class_accuracy(analog_scores, y, n_classes),
-        per_class_baseline=_per_class_accuracy(float_scores, y, n_classes),
     )

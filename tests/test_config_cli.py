@@ -130,9 +130,17 @@ class TestCliContracts:
         ("variability", {"seed": True}),
         ("crossbar", {"rows": 8.0}),
         ("crossbar", {"cols": True}),
+        ("conduction", {"g_lrs_ref": math.inf}),
+        ("conduction", {"t_ref": 10**400}),
+        ("crossbar", {"bias": {"v_write_pot": math.nan}}),
+        ("device", {"hzo_thickness_nm": math.nan}),
+        ("variability", {"drift_per_decade": -math.inf}),
+        ("device", {"area": True}),
+        ("device", {"nu_p": "1.9"}),
     ], ids=["on_off", "nan_sigma_c2c", "nan_area", "subthreshold_v_set_full", "bias_kind",
             "nan_e_a", "nan_beta", "float_n_levels", "bool_seed", "bool_variability_seed",
-            "float_rows", "bool_cols"])
+            "float_rows", "bool_cols", "inf_g_lrs_ref", "huge_int_t_ref", "nan_v_write_pot",
+            "nan_hzo_thickness", "inf_drift", "bool_area", "string_nu_p"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, section, values):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({section: values}))
@@ -140,6 +148,21 @@ class TestCliContracts:
         err = capsys.readouterr().err
         assert err.startswith("ftjsim: config-error:")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("command, section, values", [
+        ("bench", "conduction", {"g_lrs_ref": math.inf}),
+        ("xbar", "crossbar", {"bias": {"v_write_pot": math.nan}}),
+        ("bench", "device", {"hzo_thickness_nm": math.nan}),
+    ], ids=["bench_inf_g_lrs_ref", "xbar_nan_v_write_pot", "bench_nan_hzo_thickness"])
+    def test_non_finite_float_exits_2_before_the_command(self, tmp_path, capsys, command,
+                                                          section, values):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({section: values}))
+        assert run_cli("--config", bad, "--out", tmp_path / "out", command) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ftjsim: config-error:") and "must be a finite number" in err
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out").exists()
 
     def test_fit_failure_exits_3(self, tmp_path, capsys):
         sweep = tmp_path / "one_temp.csv"
@@ -150,7 +173,9 @@ class TestCliContracts:
     @pytest.mark.parametrize("kind, row", [
         ("sweep", "abc,1e-9,300.0"), ("sweep", "0.05,1e-9"),
         ("trace", "0,potentiation,abc,1e9"), ("trace", "0,potentiation,1e-9"),
-    ], ids=["sweep_non_numeric", "sweep_short_row", "trace_non_numeric", "trace_short_row"])
+        ("sweep", "0.05,1e-9,300.0,7"), ("trace", "1,potentiation,1e-9,1e9,7"),
+    ], ids=["sweep_non_numeric", "sweep_short_row", "trace_non_numeric", "trace_short_row",
+            "sweep_long_row", "trace_long_row"])
     def test_malformed_fit_file_exits_3(self, tmp_path, capsys, kind, row):
         path = tmp_path / f"{kind}.csv"
         if kind == "sweep":

@@ -12,7 +12,9 @@ from ftjsim.crossbar import (
     BiasScheme,
     Crossbar,
     program_open_loop,
+    program_open_loop_stack,
     program_write_verify,
+    program_write_verify_stack,
     read_vmm,
     sneak_ratio,
     write_cell,
@@ -38,6 +40,12 @@ NOISY = VariabilityParams(seed=7)
 
 def make_xbar(rows, cols, vp=QUIET, params=PARAMS):
     return Crossbar.create(rows, cols, params, vp)
+
+
+def state_at(xbar, r, c):
+    """One cell of an array as a scalar device state."""
+    return DeviceState(w=float(xbar.w[r, c]), g_hrs_dev=float(xbar.g_hrs[r, c]),
+                       g_lrs_dev=float(xbar.g_lrs[r, c]))
 
 
 def per_device_spawn_sampler(n, params, vp, rng):
@@ -118,7 +126,7 @@ def vmm_oracle(xbar, x, t):
     out = np.zeros(xbar.cols)
     for j in range(xbar.cols):
         for i in range(xbar.rows):
-            out[j] += current(float(x[i]), xbar.state_at(i, j).conductance, t,
+            out[j] += current(float(x[i]), state_at(xbar, i, j).conductance, t,
                               xbar.params.conduction)
     return out
 
@@ -376,6 +384,60 @@ class TestActiveSetProgramming:
         assert got.max_iterations == 0 and got.converged_fraction == 1.0
 
 
+class TestStackedProgramming:
+    """One stacked pass equals the reference loops run one array at a time, bit for bit."""
+
+    @staticmethod
+    def members(sigma):
+        """Arrays of three shapes (the last with every target at its HRS) and one that stalls.
+
+        The stalling array has swapped endpoints, so each depressing pulse
+        from w = 0.01 moves it away from its target until it sits at w = 0,
+        where a further pulse changes nothing.
+        """
+        vps = [VariabilityParams(sigma_c2c=sigma, seed=seed) for seed in (11, 12, 13, 14)]
+        xbars = [make_xbar(rows, cols, vp=vp)
+                 for (rows, cols), vp in zip(((16, 64), (64, 64), (64, 4)), vps)]
+        g = np.full((8, 8), PARAMS.g_hrs)
+        xbars.append(Crossbar(np.full((8, 8), 0.01), 2 * g, g, PARAMS, vps[3], BiasScheme(),
+                              UpdateScheme.AMPLITUDE_RAMP, np.random.default_rng(14)))
+        targets = [weight_like_targets(16, 64, seed=5)[0], weight_like_targets(64, 64, seed=6)[1],
+                   xbars[2].g_hrs.copy(), 1.5 * g]
+        return xbars, targets
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_open_loop_matches_one_at_a_time(self, sigma):
+        xbars, targets = self.members(sigma)
+        program_open_loop_stack(xbars, targets)
+        for got, want, target in zip(xbars, self.members(sigma)[0], targets):
+            full_mask_open_loop(want, target)
+            TestActiveSetProgramming.assert_same(got, want)
+        assert np.array_equal(xbars[2].w, np.zeros((64, 4)))
+
+    @pytest.mark.parametrize("max_iters", [200, 2])
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_write_verify_matches_one_at_a_time(self, sigma, max_iters):
+        xbars, targets = self.members(sigma)
+        got = program_write_verify_stack(xbars, targets, tol=0.05, max_iters=max_iters)
+        ref = self.members(sigma)[0]
+        assert got == [full_mask_write_verify(b, t, tol=0.05, max_iters=max_iters)
+                       for b, t in zip(ref, targets)]
+        for a, b in zip(xbars, ref):
+            TestActiveSetProgramming.assert_same(a, b)
+        assert got[2].max_iterations == 0
+        if max_iters == 200:
+            assert [any("stalled" in w for w in r.warnings) for r in got] == [
+                False, False, False, True]
+            assert 2 < got[3].max_iterations < got[1].max_iterations
+
+    def test_mixed_device_models_rejected(self):
+        a, b = make_xbar(2, 2, vp=QUIET), make_xbar(2, 2, vp=NOISY)
+        with pytest.raises(ValueError, match="share"):
+            program_open_loop_stack([a, b], [a.g_hrs, b.g_hrs])
+        with pytest.raises(ValueError, match="share"):
+            program_write_verify_stack([a, b], [a.g_hrs, b.g_hrs])
+
+
 class TestContinuousProgramming:
     def test_exact_targets(self):
         xbar = make_xbar(3, 3)
@@ -396,7 +458,7 @@ class TestReadVmm:
         x = np.zeros(4)
         x[2] = 0.1
         currents = read_vmm(xbar, x)
-        expected = current(0.1, xbar.state_at(2, 1).conductance, 300.0, PARAMS.conduction)
+        expected = current(0.1, state_at(xbar, 2, 1).conductance, 300.0, PARAMS.conduction)
         assert currents[1] == pytest.approx(expected, rel=1e-12)
 
     def test_linearity_in_ohmic_regime(self):

@@ -19,10 +19,13 @@ from ftjsim.device import (
     extract_memory_window,
     fit_update_curve,
     hysteresis_loop,
+    level_table,
+    pulse_response,
     read_resistance,
     read_trace_csv,
     run_sequence,
     scale_area,
+    step_weight,
     update_curve,
     update_curve_inverse,
     write_energy,
@@ -74,6 +77,44 @@ class TestUpdateCurve:
     def test_inverse_round_trip(self, x, nu):
         g = update_curve(x, nu, POT)
         assert update_curve_inverse(g, nu, POT) == pytest.approx(x, abs=1e-9)
+
+
+class TestLevelTable:
+    @pytest.mark.parametrize("n_levels", [2, 50, 64])
+    @pytest.mark.parametrize("direction", [POT, DEP])
+    @pytest.mark.parametrize("scheme", [UpdateScheme.AMPLITUDE_RAMP, UpdateScheme.WIDTH_RAMP])
+    def test_equals_update_curve_bit_for_bit(self, scheme, direction, n_levels):
+        nu = PARAMS.nu_for(scheme, direction)
+        table = level_table(nu, direction, n_levels)
+        k = np.arange(n_levels + 1)
+        assert table.tobytes() == update_curve(k / n_levels, nu, direction).tobytes()
+        assert table.tobytes() == np.array([update_curve(i / n_levels, nu, direction)
+                                            for i in k]).tobytes()
+        assert not table.flags.writeable
+
+    def test_step_weight_is_the_next_level(self):
+        table = level_table(PARAMS.nu_p, POT, PARAMS.n_levels)
+        assert np.array_equal(step_weight(table[:-1], PARAMS.nu_p, POT, PARAMS.n_levels),
+                              table[1:])
+        assert step_weight(table[-1], PARAMS.nu_p, POT, PARAMS.n_levels) == 1.0
+
+
+class TestSegmentedDraws:
+    def test_segments_draw_as_separate_calls(self):
+        w = np.linspace(0.0, 0.9, 8)
+        got_rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
+        want_rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
+        got = pulse_response(w, PARAMS.v_set_full, UpdateScheme.AMPLITUDE_RAMP, PARAMS, 0.3,
+                             list(zip(got_rngs, (3, 0, 5))))
+        want = np.concatenate([
+            pulse_response(w[:3], PARAMS.v_set_full, UpdateScheme.AMPLITUDE_RAMP, PARAMS, 0.3,
+                           want_rngs[0]),
+            pulse_response(w[3:], PARAMS.v_set_full, UpdateScheme.AMPLITUDE_RAMP, PARAMS, 0.3,
+                           want_rngs[2]),
+        ])
+        assert got.tobytes() == want.tobytes()
+        for a, b in zip(got_rngs, want_rngs):
+            assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestApplyPulse:
