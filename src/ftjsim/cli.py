@@ -222,7 +222,10 @@ def cmd_infer(config: SimConfig, out: Path, dataset: str | None, n_seeds: int,
         x, y = inf.make_blobs_dataset()
     n_classes = int(y.max()) + 1
     spec = inf.MLPSpec((x.shape[1], *hidden, n_classes))
-    weights = inf.train_mlp(x, y, spec, seed=var.derive_seed(config.seed, STREAM_TRAINING))
+    with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
+        weights = inf.train_mlp(x, y, spec, seed=var.derive_seed(config.seed, STREAM_TRAINING))
+    if not all(np.isfinite(w).all() for w in weights):
+        raise ConfigError("training diverged; scale the dataset features to about [-1, 1]")
 
     rows = []
     per_class_header = [f"class_{k}_analog" for k in range(n_classes)]

@@ -321,21 +321,27 @@ def program_write_verify_stack(xbars: list[Crossbar], targets: list, tol: float 
             for (_, clipped), warn, lo, hi in zip(normalized, warnings, bounds, bounds[1:])]
 
 
-def read_vmm(xbar: Crossbar, x: np.ndarray, t: float | None = None) -> np.ndarray:
+def read_vmm(xbar: Crossbar, x: np.ndarray, t: float | None = None,
+             neg: Crossbar | None = None) -> np.ndarray:
     """Column currents for row voltages x (one vector or a batch of them).
 
     I_j = sum_i current(x_i, g_ij, t); within the Ohmic regime at the
     reference temperature this is exactly the conductance-matrix product.
+    With ``neg``, the differential currents I(xbar) - I(neg) of an equal-shaped
+    pair on the same row voltages, evaluating the conduction law once.
     """
     t = xbar.params.conduction.t_ref if t is None else t
     x = np.asarray(x, dtype=float)
     if x.shape[-1] != xbar.rows:
         raise ValueError(f"input length {x.shape[-1]} != rows {xbar.rows}")
+    if neg is not None and neg.w.shape != xbar.w.shape:
+        raise ValueError(f"pair shapes differ: {xbar.w.shape} and {neg.w.shape}")
     if np.any(np.abs(x) > V_READ_SWEEP_MAX):
         raise ValueError(f"read voltages must satisfy |v| <= {V_READ_SWEEP_MAX} V")
     p = xbar.params.conduction
     eff = x * activation_factor(t, p) * shape_factor(np.abs(x), t, p)
-    return eff @ xbar.conductances()
+    i = eff @ xbar.conductances()
+    return i if neg is None else i - eff @ neg.conductances()
 
 
 # Relative bias residual that ends a sneak path's solve, and the iteration cap.

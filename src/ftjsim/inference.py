@@ -109,9 +109,8 @@ class AnalogNetwork:
             # Per-sample amplitude normalization keeps voltages in range.
             m = np.maximum(1.0, np.max(np.abs(y), axis=1, keepdims=True))
             v = layer.mapping.v_read * (y / m)
-            i_pos = read_vmm(layer.pos, v, t)
-            i_neg = read_vmm(layer.neg, v, t)
-            y = (i_pos - i_neg) / (layer.mapping.scale * layer.mapping.v_read) * m
+            i_diff = read_vmm(layer.pos, v, t, neg=layer.neg)
+            y = i_diff / (layer.mapping.scale * layer.mapping.v_read) * m
         return y[0] if single else y
 
 
@@ -205,8 +204,16 @@ def load_dataset_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         if header[-1] != DATASET_LABEL_COLUMN or not header[0].startswith("feature_"):
             raise ValueError(f"unexpected dataset header {header!r}")
         rows = [row for row in reader if row]
+    if not rows:
+        raise ValueError("no rows")
+    if any(len(r) != len(header) for r in rows):
+        raise ValueError(f"every row needs {len(header)} cells, one per header column")
     x = np.array([[float(v) for v in row[:-1]] for row in rows])
     y = np.array([int(row[-1]) for row in rows])
+    if not np.isfinite(x).all():
+        raise ValueError("non-finite feature")
+    if y.min() < 0:
+        raise ValueError(f"label {y.min()} outside 0..{y.max()}")
     return x, y
 
 
@@ -220,10 +227,10 @@ def train_mlp(
 ) -> list[np.ndarray]:
     """Full-batch softmax-regression training of the float baseline weights.
 
-    Every per-epoch array is allocated once, before the first epoch, and
-    written in place.  Going backwards, each layer's weights are updated
-    before its gradient is propagated to the layer below, so that gradient
-    goes through the already-updated weights.
+    Textbook backprop: every gradient of an epoch is taken at the weights the
+    epoch started from.  Training stops at the first forward pass whose
+    logits classify every sample (``argmax == y``), after ``epochs`` updates
+    at the latest.  Every per-epoch array is allocated once, written in place.
     """
     n_classes = spec.layer_sizes[-1]
     if x.shape[1] != spec.layer_sizes[0]:
@@ -256,6 +263,10 @@ def train_mlp(
         for c in range(1, n_classes):
             np.maximum(row, logits[:, c:c + 1], out=row)
         logits -= row
+        # Row maxima are now exactly 0 and the rest negative: a zero sum means every
+        # true-class logit is a row maximum, and argmax settles ties (first wins).
+        if np.vdot(logits, onehot) == 0 and np.array_equal(np.argmax(logits, axis=1), y):
+            break
         np.exp(logits, out=logits)
         np.sum(logits, axis=1, keepdims=True, out=row)
         logits /= row
@@ -263,12 +274,12 @@ def train_mlp(
         grad[-1] /= n
         for i in reversed(range(len(weights))):
             np.matmul(relu[i].T, grad[i + 1], out=step[i])
-            step[i] *= lr
-            weights[i] -= step[i]
             if i > 0:
                 np.matmul(grad[i + 1], weights[i].T, out=grad[i])
                 np.greater(pre[i], 0, out=mask[i])
                 grad[i] *= mask[i]
+            step[i] *= lr
+            weights[i] -= step[i]
     return weights
 
 

@@ -16,6 +16,7 @@ from ftjsim.conduction import K_B_EV, synthetic_pf_sweep
 from ftjsim.config import SimConfig, apply_master_seed, config_from_dict, default_config_text, load_config
 from ftjsim.device import TRACE_CSV_HEADER
 from ftjsim.errors import ConfigError
+from ftjsim.inference import make_blobs_dataset, save_dataset_csv
 
 
 def run_cli(*args):
@@ -189,6 +190,32 @@ class TestCliContracts:
         err = capsys.readouterr().err
         assert err.startswith(f"ftjsim: fit-error: {path}: malformed row")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("case, message", [
+        ("no_rows", "no rows"), ("nan_feature", "non-finite feature"),
+        ("negative_label", "label -1 outside 0..3"), ("huge_features", "training diverged"),
+        ("long_rows", "every row needs 17 cells"),
+    ], ids=["no_rows", "nan_feature", "negative_label", "huge_features", "long_rows"])
+    def test_bad_dataset_exits_2(self, tmp_path, capsys, case, message):
+        x, y = make_blobs_dataset(n_samples=64)
+        if case == "no_rows":
+            x, y = x[:0], y[:0]
+        elif case == "nan_feature":
+            x[1, 2] = np.nan
+        elif case == "negative_label":
+            y[0] = -1
+        elif case == "huge_features":  # lr-1 training on features of magnitude 100 overflows
+            x = 100.0 * x
+        path = tmp_path / "data.csv"
+        save_dataset_csv(path, x, y)
+        if case == "long_rows":  # the appended cell would otherwise be read as the label
+            lines = path.read_text().splitlines()
+            path.write_text("\n".join(lines[:1] + [line + ",7" for line in lines[1:]]) + "\n")
+        assert run_cli("--out", tmp_path / "out", "infer", "--dataset", path, "--seeds", 1) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ftjsim: config-error:") and message in err
+        assert len(err.strip().splitlines()) == 1
+        assert not any((tmp_path / "out").iterdir())
 
     def test_iv_default_grid_and_activation(self, tmp_path):
         assert run_cli("--out", tmp_path, "--temps", "300,330", "iv") == 0

@@ -5,7 +5,6 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from ftjsim.config import STREAM_TRAINING
 from ftjsim.device import DeviceParams
 from ftjsim.errors import ConfigError
 from ftjsim.inference import (
@@ -26,31 +25,15 @@ PARAMS = DeviceParams()
 QUIET = VariabilityParams(sigma_c2c=0.0, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0, seed=1)
 
 
-def allocating_train_mlp(x, y, spec, seed=0, epochs=400, lr=1.0):
-    """Reference copy of the earlier train_mlp loop, which allocated every array per epoch."""
-    rng = np.random.default_rng(seed)
-    weights = [
-        rng.normal(0.0, np.sqrt(2.0 / fan_in), size=(fan_in, fan_out))
-        for fan_in, fan_out in zip(spec.layer_sizes[:-1], spec.layer_sizes[1:])
-    ]
-    onehot = np.eye(spec.layer_sizes[-1])[y]
-    n = x.shape[0]
-    for _ in range(epochs):
-        acts = [x]
-        for i, w in enumerate(weights):
-            pre = (np.maximum(acts[-1], 0.0) if i > 0 else acts[-1]) @ w
-            acts.append(pre)
-        logits = acts[-1]
-        logits = logits - logits.max(axis=1, keepdims=True)
-        p = np.exp(logits)
-        p /= p.sum(axis=1, keepdims=True)
-        grad = (p - onehot) / n
-        for i in reversed(range(len(weights))):
-            inp = acts[i] if i == 0 else np.maximum(acts[i], 0.0)
-            weights[i] -= lr * (inp.T @ grad)
-            if i > 0:
-                grad = (grad @ weights[i].T) * (acts[i] > 0)
-    return weights
+def cross_entropy(weights, x, y):
+    """Mean softmax cross-entropy of the float network over the batch."""
+    logits = float_forward(weights, x)
+    logits = logits - logits.max(axis=1, keepdims=True)
+    return float(np.mean(np.log(np.exp(logits).sum(axis=1)) - logits[np.arange(len(y)), y]))
+
+
+def fits(weights, x, y):
+    return np.array_equal(np.argmax(float_forward(weights, x), axis=1), y)
 
 
 @pytest.fixture(scope="module")
@@ -224,13 +207,47 @@ class TestDataset:
 class TestTrainMlp:
     @pytest.mark.parametrize("sizes", [(16, 4), (16, 24, 4), (16, 64, 64, 4)],
                              ids=["linear", "hidden_24", "hidden_64_64"])
-    @pytest.mark.parametrize("seed", [0, derive_seed(12345, STREAM_TRAINING)],
-                             ids=["seed_0", "training_stream"])
-    def test_bit_identical_to_allocating_loop(self, sizes, seed):
-        x, y = make_blobs_dataset()
+    def test_one_epoch_steps_down_the_central_difference_gradient(self, sizes):
+        # Every layer's step must be -lr times the gradient at the weights the
+        # epoch started from, which fails if a gradient goes through weights
+        # already updated in the same epoch.
+        x, y = make_blobs_dataset(n_samples=32)
         spec = MLPSpec(sizes)
-        got = train_mlp(x, y, spec, seed=seed)
-        want = allocating_train_mlp(x, y, spec, seed=seed)
-        assert len(got) == len(want)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        before = train_mlp(x, y, spec, seed=3, epochs=0)
+        lr, h = 0.5, 1e-6
+        after = train_mlp(x, y, spec, seed=3, epochs=1, lr=lr)
+        for w, w_after in zip(before, after):
+            numeric = np.empty_like(w)
+            for idx in np.ndindex(w.shape):
+                w0 = w[idx]
+                w[idx] = w0 + h
+                up = cross_entropy(before, x, y)
+                w[idx] = w0 - h
+                down = cross_entropy(before, x, y)
+                w[idx] = w0
+                numeric[idx] = (up - down) / (2 * h)
+            np.testing.assert_allclose(w_after - w, -lr * numeric, rtol=1e-6, atol=1e-8)
+
+    def test_stops_at_the_first_epoch_that_fits(self):
+        x, y = make_blobs_dataset(n_samples=64, spread=0.3)
+        spec = MLPSpec((16, 24, 4))
+        k_fit = next(k for k in range(400) if fits(train_mlp(x, y, spec, epochs=k), x, y))
+        assert k_fit > 0
+        for got, want in zip(train_mlp(x, y, spec, epochs=400), train_mlp(x, y, spec, epochs=k_fit)):
+            assert np.array_equal(got, want)
+
+    def test_runs_every_epoch_when_the_set_never_fits(self):
+        x, y = make_blobs_dataset()
+        spec = MLPSpec((16, 4))
+        (last,) = train_mlp(x, y, spec, epochs=400)
+        (one_short,) = train_mlp(x, y, spec, epochs=399)
+        assert not fits([last], x, y)
+        assert not np.array_equal(last, one_short)
+
+    def test_zero_epochs_return_the_initial_draw(self):
+        x, y = make_blobs_dataset()
+        rng = np.random.default_rng(5)
+        want = [rng.normal(0.0, np.sqrt(2.0 / 16), size=(16, 24)),
+                rng.normal(0.0, np.sqrt(2.0 / 24), size=(24, 4))]
+        for got, w in zip(train_mlp(x, y, MLPSpec((16, 24, 4)), seed=5, epochs=0), want):
+            assert np.array_equal(got, w)
