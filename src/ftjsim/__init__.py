@@ -31,18 +31,18 @@ from .device import (
     PulseSpec,
     UpdateScheme,
     apply_pulse,
+    dc_response,
     dc_write,
     fit_update_curve,
     hysteresis_loop,
     pulse_response,
     read_resistance,
     run_sequence,
-    scale_area,
     update_curve,
     write_energy,
 )
 from .errors import ConfigError, FitError
 from .inference import AnalogNetwork, MLPSpec, WeightMapping, evaluate, map_weights, program_network
-from .variability import VariabilityParams, apply_retention, sample_population
+from .variability import VariabilityParams, apply_retention
 
 __version__ = "0.1.0"

@@ -73,9 +73,9 @@ def cmd_iv(config: SimConfig, out: Path, temps: list[float]) -> None:
     rows = []
     for t in temps:
         for name, g in (("lrs", params.g_lrs), ("hrs", params.g_hrs)):
-            for v in grid:
-                i = cnd.current(v, g, t, params.conduction)
-                rows.append([_fmt(v), _fmt(t), name, _fmt(i), _fmt(v / i)])
+            i = cnd.current(grid, g, t, params.conduction)
+            rows += [[_fmt(v), _fmt(t), name, _fmt(c), _fmt(v / c)]
+                     for v, c in zip(grid, i.tolist())]
     _write_csv(out / "iv_sweep.csv", IV_CSV_HEADER, rows)
     print(f"wrote {out / 'iv_sweep.csv'} ({len(rows)} rows)")
 
@@ -95,46 +95,40 @@ def cmd_pulse(config: SimConfig, out: Path, n_pot: int | None, n_dep: int | None
     print(f"wrote {out / 'pulse_trace.csv'} ({len(trace)} rows)")
 
 
+def _fit_rows(path: Path, model: str, values: dict, warnings: tuple) -> list:
+    """One report row per fitted value, then one per warning."""
+    return ([[path.name, model, name, _fmt(v)] for name, v in values.items()]
+            + [[path.name, model, "warning", w] for w in warnings])
+
+
 def _fit_sweep_file(config: SimConfig, path: Path, data: cnd.SweepRecord, rows: list) -> None:
     p = config.device.conduction
     low = data.restrict(0.0, p.v_ohmic_max)
     if len(low):
         fit = cnd.fit_ohmic(low)
-        rows += [
-            [path.name, "ohmic", "e_a_eV", _fmt(fit.e_a)],
-            [path.name, "ohmic", "ln_prefactor", _fmt(fit.ln_prefactor)],
-            [path.name, "ohmic", "max_flatness_residual", _fmt(fit.max_flatness_residual)],
-            [path.name, "ohmic", "r_squared", _fmt(fit.r_squared)],
-        ]
-        rows += [[path.name, "ohmic", "warning", w] for w in fit.warnings]
+        rows += _fit_rows(path, "ohmic", {"e_a_eV": fit.e_a, "ln_prefactor": fit.ln_prefactor,
+                          "max_flatness_residual": fit.max_flatness_residual,
+                          "r_squared": fit.r_squared}, fit.warnings)
     high = data.restrict(p.v_pf_min, cnd.V_READ_SWEEP_MAX)
     if len(high):
         fit = cnd.fit_poole_frenkel(high)
-        rows += [
-            [path.name, "poole_frenkel", "phi_b_eV", _fmt(fit.phi_b)],
-            [path.name, "poole_frenkel", "beta_eV_per_sqrtV", _fmt(fit.beta)],
-            [path.name, "poole_frenkel", "ln_prefactor", _fmt(fit.ln_prefactor)],
-            [path.name, "poole_frenkel", "r_squared", _fmt(fit.r_squared)],
-        ]
-        rows += [[path.name, "poole_frenkel", "warning", w] for w in fit.warnings]
+        rows += _fit_rows(path, "poole_frenkel", {"phi_b_eV": fit.phi_b,
+                          "beta_eV_per_sqrtV": fit.beta, "ln_prefactor": fit.ln_prefactor,
+                          "r_squared": fit.r_squared}, fit.warnings)
         rows += [[path.name, "poole_frenkel", "note", n] for n in fit.notes]
     if not len(low) and not len(high):
         raise FitError(f"{path}: no samples inside the configured fit windows")
 
 
 def _fit_trace_file(config: SimConfig, path: Path, points: list, rows: list) -> None:
-    for direction in ("potentiation", "depression"):
+    for direction in dev.TRACE_DIRECTIONS:
         branch = [pt for pt in points if pt.direction == direction]
         if len(branch) < 5:
             continue
         fit = dev.fit_update_curve([pt.count for pt in branch],
                                    [pt.conductance for pt in branch])
-        rows += [
-            [path.name, f"update_{direction}", "nu", _fmt(fit.nu)],
-            [path.name, f"update_{direction}", "sigma0", _fmt(fit.sigma0)],
-            [path.name, f"update_{direction}", "rms_residual", _fmt(fit.rms_residual)],
-        ]
-        rows += [[path.name, f"update_{direction}", "warning", w] for w in fit.warnings]
+        rows += _fit_rows(path, f"update_{direction}", {"nu": fit.nu, "sigma0": fit.sigma0,
+                          "rms_residual": fit.rms_residual}, fit.warnings)
 
 
 def cmd_fit(config: SimConfig, out: Path, files: list[str]) -> None:
@@ -268,7 +262,7 @@ def cmd_bench(config: SimConfig, out: Path) -> None:
     e_pot = dev.write_energy(lrs, dev.PulseSpec(params.v_set_full, params.t_width_ref))
 
     rng = np.random.default_rng(config.variability.seed)
-    steps = var.truncated_normal(rng, config.variability.sigma_c2c, size=10_000)
+    steps = dev.truncated_normal(rng, config.variability.sigma_c2c, size=10_000)
     c2c = float(np.std(steps)) if config.variability.sigma_c2c > 0 else 0.0
     g_hrs_pop, _ = var.sample_endpoint_arrays(10_000, params, config.variability, rng)
     d2d = float(np.std(np.log(g_hrs_pop)))

@@ -83,8 +83,8 @@ class SweepRecord:
         t = np.asarray(self.temperature, dtype=float)
         if not (v.shape == j.shape == t.shape) or v.ndim != 1:
             raise ValueError("voltage, current_density, temperature must be equal-length 1-D arrays")
-        if not np.all(np.isfinite(v)):
-            raise ValueError("voltages must be finite")
+        if not (np.isfinite(v).all() and np.isfinite(j).all() and np.isfinite(t).all()):
+            raise ValueError("voltages, current densities and temperatures must be finite")
         if np.any(t <= 0):
             raise ValueError("temperatures must be > 0")
         object.__setattr__(self, "voltage", v)

@@ -74,9 +74,6 @@ class SimConfig:
                          "bias": dataclasses.asdict(self.crossbar.bias)},
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
 
 def _check_int(value, name: str) -> None:
     """JSON integers only: true/false and numbers such as 2.5 or 64.0 are rejected."""

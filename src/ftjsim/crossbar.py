@@ -60,8 +60,7 @@ class BiasScheme:
 
 @dataclass
 class DisturbReport:
-    half_selected: int  # cells that saw +-V/2
-    disturbed: int      # of those, cells whose state changed
+    disturbed: int  # half-selected cells whose state changed
 
 
 @dataclass
@@ -188,7 +187,7 @@ def write_cell(xbar: Crossbar, r: int, c: int, pulse: PulseSpec) -> DisturbRepor
                         - 2 * (new_row[c] != row[c]))
         row[:], col[:] = new_row, new_col
     row[c] = selected
-    return DisturbReport(half_selected=xbar.rows + xbar.cols - 2, disturbed=disturbed)
+    return DisturbReport(disturbed=disturbed)
 
 
 def _stack(xbars: list[Crossbar], rngs: list | None) -> tuple:

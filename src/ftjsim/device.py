@@ -5,7 +5,8 @@ The normalized state variable w runs from 0 (high-resistive) to 1
 saturating-exponential staircase; the ramp protocols are represented by that
 counter, not by pulse-level switching kinetics.  ``pulse_response`` is the one
 array kernel of that law, cycle-to-cycle noise included; the single-device
-and crossbar operations all call it.
+and crossbar operations all call it.  ``dc_response`` is the one kernel of
+the DC write law; traces and loops are read in one conduction call each.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ class UpdateScheme(Enum):
 
     AMPLITUDE_RAMP = "amplitude_ramp"  # constant width, stepped amplitude
     WIDTH_RAMP = "width_ramp"          # constant amplitude, stepped width
-    SINGLE = "single"
 
 
 class Direction(Enum):
@@ -46,7 +46,7 @@ class PulseSpec:
 
     amplitude: float          # V, negative potentiates (top electrode negative)
     width: float              # s
-    scheme: UpdateScheme = UpdateScheme.SINGLE
+    scheme: UpdateScheme = UpdateScheme.AMPLITUDE_RAMP
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.amplitude) and np.isfinite(self.width)):
@@ -201,18 +201,17 @@ def step_weight(w, nu: float, direction: Direction, n_levels: int):
     return float(out) if np.ndim(w) == 0 else out
 
 
-def truncated_normal(rng: np.random.Generator, sigma: float, size: int | None = None):
-    """Normal(0, sigma) samples truncated (by resampling) to +-3 sigma."""
+def truncated_normal(rng: np.random.Generator, sigma: float, size: int) -> np.ndarray:
+    """size Normal(0, sigma) samples truncated (by resampling) to +-3 sigma."""
     if sigma == 0:
-        return 0.0 if size is None else np.zeros(size)
-    n = 1 if size is None else size
-    out = rng.normal(0.0, sigma, n)
+        return np.zeros(size)
+    out = rng.normal(0.0, sigma, size)
     bound = TRUNCATION_SIGMAS * sigma
     bad = np.abs(out) > bound
     while bad.any():
         out[bad] = rng.normal(0.0, sigma, int(bad.sum()))
         bad = np.abs(out) > bound
-    return float(out[0]) if size is None else out
+    return out
 
 
 def pulse_response(w, amplitude: float, scheme: UpdateScheme, params: DeviceParams,
@@ -254,6 +253,7 @@ class TracePoint(NamedTuple):
 
 
 TRACE_CSV_HEADER = ("count", "direction", "conductance_S", "resistance_ohm")
+TRACE_DIRECTIONS = ("potentiation", "depression")
 
 
 def run_sequence(
@@ -268,31 +268,22 @@ def run_sequence(
     """Potentiation then depression staircase, read at +0.2 V after each pulse.
 
     Both branches include their count-0 (pre-pulse) read.  Every pulse goes
-    through pulse_response with the given cycle-to-cycle noise.  Returns the
-    trace and the final state.
+    through pulse_response with the given cycle-to-cycle noise, in order;
+    the whole trace is then read at once.  Returns it and the final state.
     """
     if not (0 <= n_pot <= params.n_levels and 0 <= n_dep <= params.n_levels):
         raise ValueError(f"pulse counts must lie in [0, {params.n_levels}]")
-
-    t_ref = params.conduction.t_ref
-
-    def read(count: int, direction: str) -> TracePoint:
-        r = read_resistance(state, PULSE_READ_VOLTAGE, t_ref, params)
-        return TracePoint(count, direction, PULSE_READ_VOLTAGE / r, r)
-
-    def pulsed(amplitude: float) -> DeviceState:
-        return replace(state, w=pulse_response(state.w, amplitude, scheme, params, sigma_c2c, rng))
-
-    points: list[TracePoint] = []
-    points.append(read(0, "potentiation"))
-    for i in range(1, n_pot + 1):
-        state = pulsed(params.v_set_full)
-        points.append(read(i, "potentiation"))
-    points.append(read(0, "depression"))
-    for i in range(1, n_dep + 1):
-        state = pulsed(params.v_reset_full)
-        points.append(read(i, "depression"))
-    return points, state
+    labels, ws, w = [], [], state.w
+    for direction, amplitude, n in (("potentiation", params.v_set_full, n_pot),
+                                    ("depression", params.v_reset_full, n_dep)):
+        labels += [(i, direction) for i in range(n + 1)]
+        ws.append(w)
+        for _ in range(n):
+            w = pulse_response(w, amplitude, scheme, params, sigma_c2c, rng)
+            ws.append(w)
+    r = _read_trace(state, np.array(ws), PULSE_READ_VOLTAGE, params).tolist()
+    points = [TracePoint(i, d, PULSE_READ_VOLTAGE / ri, ri) for (i, d), ri in zip(labels, r)]
+    return points, replace(state, w=w)
 
 
 def write_trace_csv(path: str | Path, points: Sequence[TracePoint]) -> None:
@@ -312,7 +303,12 @@ def read_trace_csv(path: str | Path) -> list[TracePoint]:
         rows = [r for r in reader if r]
     if any(len(r) != len(header) for r in rows):
         raise ValueError(f"every row needs {len(header)} cells, one per header column")
-    return [TracePoint(int(r[0]), r[1], float(r[2]), float(r[3])) for r in rows]
+    points = [TracePoint(int(r[0]), r[1], float(r[2]), float(r[3])) for r in rows]
+    if any(p.direction not in TRACE_DIRECTIONS for p in points):
+        raise ValueError(f"every direction must be one of {TRACE_DIRECTIONS}")
+    if not np.isfinite([p[2:] for p in points]).all():
+        raise ValueError("conductances and resistances must be finite")
+    return points
 
 
 @dataclass(frozen=True)
@@ -368,19 +364,26 @@ def fit_update_curve(counts: Sequence[float], conductances: Sequence[float]) -> 
                           rms_residual=rms, warnings=tuple(warnings))
 
 
-def dc_write(state: DeviceState, v_write: float, params: DeviceParams) -> DeviceState:
-    """One-sided saturating DC write; inside the memory window it is a no-op."""
-    if not np.isfinite(v_write):
+def dc_response(w, v_write, params: DeviceParams):
+    """State after a one-sided saturating DC write at v_write, for scalars and arrays.
+
+    At or below the SET coercive voltage w rises to at least the SET level, at
+    or above the RESET one it falls to at most 1 - drop, and in between it is kept.
+    """
+    v = np.asarray(v_write, dtype=float)
+    if not np.isfinite(v).all():
         raise ValueError(f"v_write must be finite, got {v_write}")
-    if v_write <= params.v_c_set:
-        target = min(1.0, (params.v_c_set - v_write) / (params.v_c_set - params.v_set_full))
-        w = max(state.w, target)
-    elif v_write >= params.v_c_reset:
-        drop = min(1.0, (v_write - params.v_c_reset) / (params.v_reset_full - params.v_c_reset))
-        w = min(state.w, 1.0 - drop)
-    else:
-        return state
-    return replace(state, w=w) if w != state.w else state
+    set_level = np.minimum(1.0, (params.v_c_set - v) / (params.v_c_set - params.v_set_full))
+    drop = np.minimum(1.0, (v - params.v_c_reset) / (params.v_reset_full - params.v_c_reset))
+    out = np.where(v <= params.v_c_set, np.maximum(w, set_level),
+                   np.where(v >= params.v_c_reset, np.minimum(w, 1.0 - drop), w))
+    return float(out) if out.ndim == 0 else out
+
+
+def dc_write(state: DeviceState, v_write: float, params: DeviceParams) -> DeviceState:
+    """dc_response on one device; a write that leaves w unchanged returns ``state`` itself."""
+    w = dc_response(state.w, v_write, params)
+    return state if w == state.w else replace(state, w=w)
 
 
 @dataclass(frozen=True)
@@ -406,19 +409,16 @@ def hysteresis_loop(params: DeviceParams, v_min: float, v_max: float, n_steps: i
         raise ValueError("v_max must exceed v_min")
     if n_steps < 2:
         raise ValueError("n_steps must be >= 2")
-    t_ref = params.conduction.t_ref
     grid = np.linspace(v_min, v_max, n_steps)
-    state = DeviceState.fresh(params)
-    r_up = np.empty_like(grid)
-    for i, v in enumerate(grid):
-        state = dc_write(state, float(v), params)
-        r_up[i] = read_resistance(state, DC_READ_VOLTAGE, t_ref, params)
     grid_down = grid[::-1].copy()
-    r_down = np.empty_like(grid_down)
-    for i, v in enumerate(grid_down):
-        state = dc_write(state, float(v), params)
-        r_down[i] = read_resistance(state, DC_READ_VOLTAGE, t_ref, params)
-    return HysteresisLoop(v_up=grid, r_up=r_up, v_down=grid_down, r_down=r_down)
+    # A write clamps w to [dc_response(0, v), dc_response(1, v)].  Going up, every SET floor
+    # comes before every RESET ceiling, going down after it, so running extrema give w.
+    rise, fall = np.maximum.accumulate, np.minimum.accumulate
+    w_up = np.minimum(rise(dc_response(0.0, grid, params)), fall(dc_response(1.0, grid, params)))
+    w_down = np.maximum(fall(np.minimum(w_up[-1], dc_response(1.0, grid_down, params))),
+                        rise(dc_response(0.0, grid_down, params)))
+    r = _read_trace(DeviceState.fresh(params), np.append(w_up, w_down), DC_READ_VOLTAGE, params)
+    return HysteresisLoop(v_up=grid, r_up=r[:n_steps], v_down=grid_down, r_down=r[n_steps:])
 
 
 def extract_memory_window(loop: HysteresisLoop, rel_tol: float = 1e-6) -> tuple[float, float, float]:
@@ -444,6 +444,12 @@ def read_resistance(state: DeviceState, v_read: float, t: float, params: DeviceP
     return v_read / current(v_read, state.conductance, t, params.conduction)
 
 
+def _read_trace(state: DeviceState, w: np.ndarray, v_read: float, params: DeviceParams):
+    """read_resistance at t_ref of ``state``'s device at each state in w, in one call."""
+    g = state.g_hrs_dev + w * (state.g_lrs_dev - state.g_hrs_dev)
+    return v_read / current(v_read, g, params.conduction.t_ref, params.conduction)
+
+
 def write_energy(state: DeviceState, pulse: PulseSpec) -> float:
     """Energy G * V^2 * t of one pulse at the small-signal state conductance.
 
@@ -451,10 +457,3 @@ def write_energy(state: DeviceState, pulse: PulseSpec) -> float:
     small-signal conductance keeps the estimate within the model's validity.
     """
     return state.conductance * pulse.amplitude**2 * pulse.width
-
-
-def scale_area(params: DeviceParams, new_area: float) -> DeviceParams:
-    """Same junction at a different area: conductances scale, voltages do not."""
-    if new_area <= 0:
-        raise ValueError(f"area must be > 0, got {new_area}")
-    return replace(params, area=new_area)

@@ -73,11 +73,6 @@ def map_weights(
     return g_pos, g_neg, WeightMapping(scale=scale, v_read=v_read)
 
 
-def unmap_weights(g_pos: np.ndarray, g_neg: np.ndarray, mapping: WeightMapping) -> np.ndarray:
-    """Inverse of map_weights on (possibly re-read) conductance pairs."""
-    return (np.asarray(g_pos, float) - np.asarray(g_neg, float)) / mapping.scale
-
-
 @dataclass
 class AnalogLayer:
     pos: Crossbar
@@ -189,14 +184,6 @@ def make_blobs_dataset(
     return x[perm], labels[perm]
 
 
-def save_dataset_csv(path: str | Path, x: np.ndarray, y: np.ndarray) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"feature_{i}" for i in range(x.shape[1])] + [DATASET_LABEL_COLUMN])
-        for xi, yi in zip(x, y):
-            writer.writerow([f"{v:.17g}" for v in xi] + [int(yi)])
-
-
 def load_dataset_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -214,6 +201,9 @@ def load_dataset_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("non-finite feature")
     if y.min() < 0:
         raise ValueError(f"label {y.min()} outside 0..{y.max()}")
+    missing = np.setdiff1d(np.arange(y.max() + 1), y)
+    if missing.size:
+        raise ValueError(f"label {missing[0]} in 0..{y.max()} has no sample")
     return x, y
 
 

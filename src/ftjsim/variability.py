@@ -1,10 +1,10 @@
 """Variability parameters, device-to-device dispersion and retention.
 
-Cycle-to-cycle noise is applied per pulse by ``device.pulse_response``, with
-the ``sigma_c2c`` held here.  All randomness is driven by numpy Generators.
-Population sampling takes one draw in device order from the generator it is
-handed, so device i's endpoints depend only on the seed and on i, never on
-how many devices are sampled.
+Cycle-to-cycle noise is applied per pulse by ``device.pulse_response`` with
+``device.truncated_normal`` draws and the ``sigma_c2c`` held here.  All
+randomness is driven by numpy Generators.  ``sample_endpoint_arrays`` takes
+one draw in device order from the generator it is handed, so device i's
+endpoints depend only on the seed and on i, never on how many are sampled.
 """
 
 from __future__ import annotations
@@ -14,8 +14,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-# truncated_normal is defined beside device.pulse_response and re-exported here.
-from .device import DeviceParams, DeviceState, truncated_normal  # noqa: F401
+from .device import DeviceParams, DeviceState
 
 
 @dataclass(frozen=True)
@@ -51,15 +50,6 @@ def sample_endpoint_arrays(
     if inverted.any():
         g_hrs[inverted], g_lrs[inverted] = g_lrs[inverted].copy(), g_hrs[inverted].copy()
     return g_hrs, g_lrs
-
-
-def sample_population(
-    n: int, params: DeviceParams, vp: VariabilityParams, rng: np.random.Generator
-) -> list[DeviceState]:
-    """n fresh devices with sampled endpoints, all starting at the HRS."""
-    g_hrs, g_lrs = sample_endpoint_arrays(n, params, vp, rng)
-    return [DeviceState(w=0.0, g_hrs_dev=float(h), g_lrs_dev=float(l))
-            for h, l in zip(g_hrs, g_lrs)]
 
 
 def apply_retention(state: DeviceState, elapsed_s: float, vp: VariabilityParams) -> DeviceState:

@@ -4,6 +4,8 @@ Run with ``pytest tests/test_acceptance.py -s`` to see every line; each
 criterion also asserts, so the suite is red if any figure is missed.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -25,7 +27,7 @@ from ftjsim.device import (
     fit_update_curve,
     hysteresis_loop,
     run_sequence,
-    scale_area,
+    truncated_normal,
     write_energy,
 )
 from ftjsim.inference import (
@@ -36,12 +38,7 @@ from ftjsim.inference import (
     program_network,
     train_mlp,
 )
-from ftjsim.variability import (
-    VariabilityParams,
-    derive_seed,
-    sample_endpoint_arrays,
-    truncated_normal,
-)
+from ftjsim.variability import VariabilityParams, derive_seed, sample_endpoint_arrays
 
 from test_crossbar import sneak_oracle, vmm_oracle
 
@@ -88,7 +85,7 @@ def test_04_depression_write_energy():
 
 
 def test_05_submicron_current():
-    small = scale_area(PARAMS, 1.0)
+    small = replace(PARAMS, area=1.0)
     i = current(0.1, DeviceState.fresh(small, w=1.0).conductance, 300.0, small.conduction)
     ok = i < 1e-12 and abs(i - 6.9e-14) < 0.1e-14
     check("5 sub-um current", ok, f"1 um^2 LRS read at 0.1 V draws {i:.3e} A (< 1 pA)")

@@ -16,7 +16,7 @@ from ftjsim.conduction import K_B_EV, synthetic_pf_sweep
 from ftjsim.config import SimConfig, apply_master_seed, config_from_dict, default_config_text, load_config
 from ftjsim.device import TRACE_CSV_HEADER
 from ftjsim.errors import ConfigError
-from ftjsim.inference import make_blobs_dataset, save_dataset_csv
+from ftjsim.inference import make_blobs_dataset
 
 
 def run_cli(*args):
@@ -138,10 +138,11 @@ class TestCliContracts:
         ("variability", {"drift_per_decade": -math.inf}),
         ("device", {"area": True}),
         ("device", {"nu_p": "1.9"}),
+        ("scheme", "single"),
     ], ids=["on_off", "nan_sigma_c2c", "nan_area", "subthreshold_v_set_full", "bias_kind",
             "nan_e_a", "nan_beta", "float_n_levels", "bool_seed", "bool_variability_seed",
             "float_rows", "bool_cols", "inf_g_lrs_ref", "huge_int_t_ref", "nan_v_write_pot",
-            "nan_hzo_thickness", "inf_drift", "bool_area", "string_nu_p"])
+            "nan_hzo_thickness", "inf_drift", "bool_area", "string_nu_p", "scheme_single"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, section, values):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({section: values}))
@@ -175,8 +176,13 @@ class TestCliContracts:
         ("sweep", "abc,1e-9,300.0"), ("sweep", "0.05,1e-9"),
         ("trace", "0,potentiation,abc,1e9"), ("trace", "0,potentiation,1e-9"),
         ("sweep", "0.05,1e-9,300.0,7"), ("trace", "1,potentiation,1e-9,1e9,7"),
+        ("sweep", "0.05,nan,300.0"), ("sweep", "0.05,inf,300.0"), ("sweep", "0.05,1e-9,inf"),
+        ("sweep", "0.05,1e-9,nan"), ("trace", "1,potentiation,nan,1e9"),
+        ("trace", "1,potentiation,1e-9,inf"), ("trace", "1,sideways,1e-9,1e9"),
     ], ids=["sweep_non_numeric", "sweep_short_row", "trace_non_numeric", "trace_short_row",
-            "sweep_long_row", "trace_long_row"])
+            "sweep_long_row", "trace_long_row", "sweep_nan_current", "sweep_inf_current",
+            "sweep_inf_temperature", "sweep_nan_temperature", "trace_nan_conductance",
+            "trace_inf_resistance", "trace_sideways_direction"])
     def test_malformed_fit_file_exits_3(self, tmp_path, capsys, kind, row):
         path = tmp_path / f"{kind}.csv"
         if kind == "sweep":
@@ -194,9 +200,9 @@ class TestCliContracts:
     @pytest.mark.parametrize("case, message", [
         ("no_rows", "no rows"), ("nan_feature", "non-finite feature"),
         ("negative_label", "label -1 outside 0..3"), ("huge_features", "training diverged"),
-        ("long_rows", "every row needs 17 cells"),
-    ], ids=["no_rows", "nan_feature", "negative_label", "huge_features", "long_rows"])
-    def test_bad_dataset_exits_2(self, tmp_path, capsys, case, message):
+        ("long_rows", "every row needs 17 cells"), ("label_gap", "label 1 in 0..6 has no sample"),
+    ], ids=["no_rows", "nan_feature", "negative_label", "huge_features", "long_rows", "label_gap"])
+    def test_bad_dataset_exits_2(self, tmp_path, capsys, save_dataset_csv, case, message):
         x, y = make_blobs_dataset(n_samples=64)
         if case == "no_rows":
             x, y = x[:0], y[:0]
@@ -206,6 +212,8 @@ class TestCliContracts:
             y[0] = -1
         elif case == "huge_features":  # lr-1 training on features of magnitude 100 overflows
             x = 100.0 * x
+        elif case == "label_gap":  # labels {0, 2, 4, 6} would make a 7-output network
+            y = 2 * y
         path = tmp_path / "data.csv"
         save_dataset_csv(path, x, y)
         if case == "long_rows":  # the appended cell would otherwise be read as the label

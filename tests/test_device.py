@@ -1,6 +1,7 @@
 """Device state-machine tests: update staircase, DC loop, read, energy, area."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -9,12 +10,16 @@ from hypothesis import strategies as st
 
 from ftjsim.conduction import K_B_EV, current
 from ftjsim.device import (
+    DC_READ_VOLTAGE,
+    PULSE_READ_VOLTAGE,
     DeviceParams,
     DeviceState,
     Direction,
     PulseSpec,
     UpdateScheme,
+    TracePoint,
     apply_pulse,
+    dc_response,
     dc_write,
     extract_memory_window,
     fit_update_curve,
@@ -24,7 +29,6 @@ from ftjsim.device import (
     read_resistance,
     read_trace_csv,
     run_sequence,
-    scale_area,
     step_weight,
     update_curve,
     update_curve_inverse,
@@ -337,6 +341,104 @@ class TestHysteresisLoop:
             hysteresis_loop(PARAMS, -0.5, 3.0, 41)
 
 
+def reference_dc_write(state, v_write, params):
+    """The DC write law written per device, one scalar branch per regime."""
+    if v_write <= params.v_c_set:
+        target = min(1.0, (params.v_c_set - v_write) / (params.v_c_set - params.v_set_full))
+        w = max(state.w, target)
+    elif v_write >= params.v_c_reset:
+        drop = min(1.0, (v_write - params.v_c_reset) / (params.v_reset_full - params.v_c_reset))
+        w = min(state.w, 1.0 - drop)
+    else:
+        return state
+    return replace(state, w=w) if w != state.w else state
+
+
+def reference_hysteresis_loop(params, v_min, v_max, n_steps):
+    """hysteresis_loop stepped one write and one read_resistance call at a time."""
+    t_ref = params.conduction.t_ref
+    grid = np.linspace(v_min, v_max, n_steps)
+    state = DeviceState.fresh(params)
+    r_up = np.empty_like(grid)
+    for i, v in enumerate(grid):
+        state = reference_dc_write(state, float(v), params)
+        r_up[i] = read_resistance(state, DC_READ_VOLTAGE, t_ref, params)
+    r_down = np.empty_like(grid)
+    for i, v in enumerate(grid[::-1]):
+        state = reference_dc_write(state, float(v), params)
+        r_down[i] = read_resistance(state, DC_READ_VOLTAGE, t_ref, params)
+    return r_up, r_down
+
+
+def reference_run_sequence(state, scheme, n_pot, n_dep, params, sigma_c2c=0.0, rng=None):
+    """run_sequence with one read_resistance call after every pulse."""
+    t_ref = params.conduction.t_ref
+
+    def read(count, direction):
+        r = read_resistance(state, PULSE_READ_VOLTAGE, t_ref, params)
+        return TracePoint(count, direction, PULSE_READ_VOLTAGE / r, r)
+
+    points = [read(0, "potentiation")]
+    for i in range(1, n_pot + 1):
+        state = replace(state, w=pulse_response(state.w, params.v_set_full, scheme, params,
+                                                sigma_c2c, rng))
+        points.append(read(i, "potentiation"))
+    points.append(read(0, "depression"))
+    for i in range(1, n_dep + 1):
+        state = replace(state, w=pulse_response(state.w, params.v_reset_full, scheme, params,
+                                                sigma_c2c, rng))
+        points.append(read(i, "depression"))
+    return points, state
+
+
+class TestArrayKernelEquivalence:
+    """The array paths equal per-device references kept here, bit for bit."""
+
+    def test_dc_response_equals_scalar_law(self):
+        rng = np.random.default_rng(21)
+        v = np.concatenate([np.linspace(-3.0, 3.0, 241), rng.uniform(-3.0, 3.0, 500),
+                            [PARAMS.v_c_set, PARAMS.v_c_reset, PARAMS.v_set_full,
+                             PARAMS.v_reset_full]])
+        w = rng.uniform(0.0, 1.0, v.size)
+        w[:8] = [0.0, 1.0, 0.0, 1.0, 0.5, 0.5, 0.0, 1.0]
+        want = [reference_dc_write(DeviceState.fresh(PARAMS, w=float(a)), float(b), PARAMS).w
+                for a, b in zip(w, v)]
+        assert np.array_equal(dc_response(w, v, PARAMS), want)
+        assert [dc_write(DeviceState.fresh(PARAMS, w=float(a)), float(b), PARAMS).w
+                for a, b in zip(w, v)] == want
+
+    def test_dc_response_rejects_nan_in_array(self):
+        with pytest.raises(ValueError):
+            dc_response(np.full(3, 0.5), np.array([-1.0, np.nan, 1.0]), PARAMS)
+        with pytest.raises(ValueError):
+            dc_write(DeviceState.fresh(PARAMS), float("inf"), PARAMS)
+
+    @pytest.mark.parametrize("v_min, v_max, n_steps", [
+        (-2.0, 3.0, 101), (-2.0, 0.5, 41), (-2.0, 3.0, 2), (-1.1, 0.0, 17), (-1.0, 1.6, 33),
+        (-3.0, 2.4, 7),
+    ], ids=["full", "flat_below_reset", "two_steps", "ends_in_window", "partial_both",
+            "coarse"])
+    def test_hysteresis_loop_equals_stepped_loop(self, v_min, v_max, n_steps):
+        loop = hysteresis_loop(PARAMS, v_min, v_max, n_steps)
+        r_up, r_down = reference_hysteresis_loop(PARAMS, v_min, v_max, n_steps)
+        assert np.array_equal(loop.r_up, r_up)
+        assert np.array_equal(loop.r_down, r_down)
+        assert np.array_equal(loop.v_down, loop.v_up[::-1])
+
+    @pytest.mark.parametrize("sigma_c2c", [0.0, 0.1])
+    @pytest.mark.parametrize("n_pot, n_dep", [(50, 50), (12, 0), (0, 9), (0, 0)])
+    @pytest.mark.parametrize("scheme", [UpdateScheme.AMPLITUDE_RAMP, UpdateScheme.WIDTH_RAMP])
+    def test_run_sequence_equals_pulse_by_pulse(self, sigma_c2c, n_pot, n_dep, scheme):
+        start = DeviceState(w=0.3, g_hrs_dev=1.1e-9, g_lrs_dev=0.9e-8)
+        got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+        got, got_final = run_sequence(start, scheme, n_pot, n_dep, PARAMS, sigma_c2c, got_rng)
+        want, want_final = reference_run_sequence(start, scheme, n_pot, n_dep, PARAMS,
+                                                  sigma_c2c, want_rng)
+        assert got == want
+        assert got_final == want_final
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
 class TestReadResistance:
     def test_lrs_at_100mv(self):
         lrs = DeviceState.fresh(PARAMS, w=1.0)
@@ -378,19 +480,19 @@ class TestWriteEnergy:
 class TestScaleArea:
     def test_submicron_current_below_picoamp(self):
         # oracle: 1e-9 A * (1 um^2 / 14400 um^2) = 6.944e-14 A
-        small = scale_area(PARAMS, 1.0)
+        small = replace(PARAMS, area=1.0)
         lrs = DeviceState.fresh(small, w=1.0)
         i = current(0.1, lrs.conductance, 300.0, small.conduction)
         assert i == pytest.approx(1e-9 / 14400, rel=1e-12)
         assert i < 1e-12
 
     def test_reference_area_is_identity(self):
-        same = scale_area(PARAMS, PARAMS.conduction.area_ref)
+        same = replace(PARAMS, area=PARAMS.conduction.area_ref)
         assert same.g_lrs == PARAMS.g_lrs
         assert same.g_hrs == PARAMS.g_hrs
 
     def test_doubling_area_doubles_current_everywhere(self):
-        doubled = scale_area(PARAMS, 2 * PARAMS.area)
+        doubled = replace(PARAMS, area=2 * PARAMS.area)
         for w in (0.0, 0.3, 1.0):
             for v in (0.05, 0.25, 0.5):
                 for t in (300.0, 340.0):
@@ -399,9 +501,14 @@ class TestScaleArea:
                     assert i2 == pytest.approx(2 * i1, rel=1e-12)
 
     def test_voltages_unchanged(self):
-        small = scale_area(PARAMS, 1.0)
+        small = replace(PARAMS, area=1.0)
         assert small.v_c_set == PARAMS.v_c_set
         assert small.v_pulse_threshold == PARAMS.v_pulse_threshold
+
+    @pytest.mark.parametrize("area", [0.0, -1.0])
+    def test_nonpositive_area_rejected(self, area):
+        with pytest.raises(ValueError):
+            replace(PARAMS, area=area)
 
 
 class TestParamsValidation:
