@@ -121,10 +121,11 @@ def _fit_sweep_file(config: SimConfig, path: Path, data: cnd.SweepRecord, rows: 
 
 
 def _fit_trace_file(config: SimConfig, path: Path, points: list, rows: list) -> None:
-    for direction in dev.TRACE_DIRECTIONS:
-        branch = [pt for pt in points if pt.direction == direction]
-        if len(branch) < 5:
-            continue
+    branches = {d: [pt for pt in points if pt.direction == d] for d in dev.TRACE_DIRECTIONS}
+    branches = {d: b for d, b in branches.items() if len(b) >= 5}
+    if not branches:
+        raise FitError(f"{path}: no direction has the 5 points an update-curve fit needs")
+    for direction, branch in branches.items():
         fit = dev.fit_update_curve([pt.count for pt in branch],
                                    [pt.conductance for pt in branch])
         rows += _fit_rows(path, f"update_{direction}", {"nu": fit.nu, "sigma0": fit.sigma0,

@@ -1,9 +1,9 @@
 """Conduction model of a single junction, its inverse and slope, and parameter fitters.
 
-The junction conducts Ohmically at low bias and with a field-enhanced
-(Poole-Frenkel type) exponential above ``v_pf_min``.  Temperature enters
-through a single Arrhenius activation factor referenced to ``t_ref``, so the
-LRS/HRS current ratio is temperature independent by construction.
+I = g a(T) v h(|v|, T): Ohmic up to ``v_pf_min`` and Poole-Frenkel type above it, in
+one clipped field factor h that is exactly 1 up to the onset.  Temperature enters
+through one Arrhenius factor a(T) referenced to ``t_ref``, so the LRS/HRS current
+ratio is temperature independent; every temperature must be finite and > 0.
 """
 
 from __future__ import annotations
@@ -62,10 +62,6 @@ class ConductionParams:
         if not (self.t_ref > 0):
             raise ValueError(f"t_ref must be > 0, got {self.t_ref}")
 
-    @property
-    def g_hrs_ref(self) -> float:
-        return self.g_lrs_ref / self.on_off
-
 
 @dataclass(frozen=True)
 class SweepRecord:
@@ -122,49 +118,50 @@ class SweepRecord:
         return cls(v, j, t)
 
 
-def _check_finite(**values: float) -> None:
-    for name, value in values.items():
-        if not np.all(np.isfinite(value)):
-            raise ValueError(f"{name} must be finite, got {value}")
+def _finite(name: str, x) -> None:
+    if not np.isfinite(x).all():
+        raise ValueError(f"{name} must be finite, got {x}")
+
+
+def _kt(t: float) -> float:
+    """Thermal energy kT in eV; the one check of a temperature: finite and > 0."""
+    if not 0 < t < math.inf:
+        raise ValueError(f"temperature must be finite and > 0, got {t}")
+    return K_B_EV * t
+
+
+def _h(v_abs, kt: float, p: ConductionParams):
+    """exp(beta (sqrt(v) - sqrt(v_pf_min)) / kT) with v clipped to [v_pf_min, v_clamp].
+    Exactly 1 up to the onset, because np.sqrt and math.sqrt are both correctly rounded."""
+    u = np.sqrt(np.minimum(np.maximum(v_abs, p.v_pf_min), p.v_clamp))
+    return np.exp(p.beta * (u - math.sqrt(p.v_pf_min)) / kt)
 
 
 def shape_factor(v, t: float, p: ConductionParams):
-    """Field-enhancement multiplier h(v, t) of the conduction model.
+    """Field-enhancement multiplier h(v, t) of the conduction model, for scalar or array v >= 0.
 
     Equals 1 up to ``v_pf_min``, rises as exp(beta*(sqrt(v)-sqrt(v_pf_min))/kT)
-    beyond it, and freezes at its ``v_clamp`` value above that.  Continuous and
-    non-decreasing in v.  Accepts scalars or arrays of v >= 0.
+    beyond it, and freezes at its ``v_clamp`` value above that; continuous, non-decreasing.
     """
     v_arr = np.asarray(v, dtype=float)
-    _check_finite(v=v_arr, t=t)
-    if np.any(v_arr < 0):
+    _finite("v", v_arr)
+    if (v_arr < 0).any():
         raise ValueError("shape_factor requires v >= 0")
-    if t <= 0:
-        raise ValueError(f"temperature must be > 0, got {t}")
-    kt = K_B_EV * t
-    v_eff = np.minimum(v_arr, p.v_clamp)
-    h = np.where(
-        v_arr <= p.v_pf_min,
-        1.0,
-        np.exp(p.beta * (np.sqrt(v_eff) - math.sqrt(p.v_pf_min)) / kt),
-    )
+    h = _h(v_arr, _kt(t), p)
     return float(h) if v_arr.ndim == 0 else h
 
 
 def activation_factor(t: float, p: ConductionParams) -> float:
     """Arrhenius factor exp(-e_a * (1/kT - 1/kT_ref)); exactly 1 at t_ref."""
-    if t <= 0:
-        raise ValueError(f"temperature must be > 0, got {t}")
-    return math.exp(-p.e_a * (1.0 / (K_B_EV * t) - 1.0 / (K_B_EV * p.t_ref)))
+    return math.exp(-p.e_a * (1.0 / _kt(t) - 1.0 / (K_B_EV * p.t_ref)))
 
 
-def _base_conductance(g_state, t: float, p: ConductionParams) -> np.ndarray:
-    """g_state * a(t), with every state conductance checked finite and > 0."""
+def _base_conductance(g_state, t: float, p: ConductionParams) -> tuple[np.ndarray, float]:
+    """(g_state * a(t), kT), with every state conductance checked finite and > 0."""
     g_arr = np.asarray(g_state, dtype=float)
-    _check_finite(g_state=g_arr)
-    if np.any(g_arr <= 0):
-        raise ValueError("g_state must be > 0")
-    return g_arr * activation_factor(t, p)
+    if not ((0 < g_arr) & (g_arr < math.inf)).all():
+        raise ValueError(f"g_state must be finite and > 0, got {g_state}")
+    return g_arr * activation_factor(t, p), K_B_EV * t
 
 
 def current(v, g_state, t: float, p: ConductionParams):
@@ -175,8 +172,9 @@ def current(v, g_state, t: float, p: ConductionParams):
     array-valued v and g_state.
     """
     v_arr = np.asarray(v, dtype=float)
-    _check_finite(v=v_arr)
-    i = _base_conductance(g_state, t, p) * v_arr * shape_factor(np.abs(v_arr), t, p)
+    _finite("v", v_arr)
+    base, kt = _base_conductance(g_state, t, p)
+    i = base * v_arr * _h(np.abs(v_arr), kt, p)
     return float(i) if np.ndim(i) == 0 else i
 
 
@@ -195,10 +193,10 @@ def voltage_at_current(i, g_state, t: float, p: ConductionParams):
     of f, which overshoots once at most, until a step is within 4 ulp of u.
     """
     i_arr = np.asarray(i, dtype=float)
-    _check_finite(i=i_arr, t=t)
-    i_abs, base = np.broadcast_arrays(np.abs(i_arr), _base_conductance(g_state, t, p))
-    c = p.beta / (K_B_EV * t)
-    u0, u_hi = math.sqrt(p.v_pf_min), math.sqrt(p.v_clamp)
+    _finite("i", i_arr)
+    base, kt = _base_conductance(g_state, t, p)
+    i_abs, base = np.broadcast_arrays(np.abs(i_arr), base)
+    c, u0, u_hi = p.beta / kt, math.sqrt(p.v_pf_min), math.sqrt(p.v_clamp)
     h_clamp = math.exp(c * (u_hi - u0))
     frozen = i_abs >= base * (p.v_clamp * h_clamp)
     v = np.where(frozen, i_abs / (base * h_clamp), i_abs / base)
@@ -233,17 +231,16 @@ def differential_conductance(v, g_state, t: float, p: ConductionParams):
     between v_pf_min and v_clamp; at either edge the outer regime's value.
     """
     v_abs = np.abs(np.asarray(v, dtype=float))
-    base = _base_conductance(g_state, t, p)
+    _finite("v", v_abs)
+    base, kt = _base_conductance(g_state, t, p)
     window = (v_abs > p.v_pf_min) & (v_abs < p.v_clamp)
-    gain = np.where(window, 1.0 + 0.5 * p.beta / (K_B_EV * t) * np.sqrt(v_abs), 1.0)
-    s = base * shape_factor(v_abs, t, p) * gain
+    gain = np.where(window, 1.0 + 0.5 * p.beta / kt * np.sqrt(v_abs), 1.0)
+    s = base * _h(v_abs, kt, p) * gain
     return float(s) if np.ndim(s) == 0 else s
 
 
 def nonlinearity_ratio(v: float, t: float, p: ConductionParams) -> float:
     """Current ratio I(v)/I(v/2) at fixed state; the state conductance cancels."""
-    if not np.isfinite(v) or not np.isfinite(v / 2):
-        raise ValueError(f"v must be finite, got {v}")
     if v <= 0:
         raise ValueError(f"nonlinearity_ratio requires v > 0, got {v}")
     return current(v, 1.0, t, p) / current(v / 2, 1.0, t, p)

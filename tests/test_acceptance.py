@@ -54,7 +54,7 @@ def check(criterion: str, ok: bool, detail: str) -> None:
 def test_01_on_off_ratio_and_temperature_invariance():
     p = PARAMS.conduction
     ratios = np.array([
-        current(0.1, p.g_lrs_ref, t, p) / current(0.1, p.g_hrs_ref, t, p)
+        current(0.1, p.g_lrs_ref, t, p) / current(0.1, p.g_lrs_ref / p.on_off, t, p)
         for t in np.linspace(300.0, 360.0, 25)
     ])
     deviation = float(np.max(np.abs(ratios / ratios[0] - 1)))

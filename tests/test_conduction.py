@@ -69,6 +69,70 @@ class TestShapeFactor:
             shape_factor(0.1, 0.0, P)
 
 
+def _two_branch_shape_factor(v, t, p):
+    """Reference: the field factor written as an Ohmic and a field-enhanced branch."""
+    v = np.asarray(v, dtype=float)
+    kt = K_B_EV * t
+    field = np.exp(p.beta * (np.sqrt(np.minimum(v, p.v_clamp)) - math.sqrt(p.v_pf_min)) / kt)
+    return np.where(v <= p.v_pf_min, 1.0, field)
+
+
+def _two_branch_current(v, g, t, p):
+    v = np.asarray(v, dtype=float)
+    a = math.exp(-p.e_a * (1.0 / (K_B_EV * t) - 1.0 / (K_B_EV * p.t_ref)))
+    return np.asarray(g, dtype=float) * a * v * _two_branch_shape_factor(np.abs(v), t, p)
+
+
+LAW_RECORDS = {
+    "default": P,
+    "beta0": ConductionParams(beta=0.0),
+    "edges_0.1_0.7": ConductionParams(v_pf_min=0.1, v_clamp=0.7),
+    "edges_0.25_1.5": ConductionParams(v_pf_min=0.25, v_clamp=1.5),
+}
+
+
+class TestBranchFreeLaw:
+    """The clipped one-expression law equals the two-branch one bit for bit."""
+
+    @pytest.mark.parametrize("record", sorted(LAW_RECORDS))
+    @pytest.mark.parametrize("t", [250.0, 300.0, 350.0])
+    def test_matches_two_branch_reference(self, record, t):
+        p = LAW_RECORDS[record]
+        edges = [0.0, p.v_pf_min, p.v_clamp, 3.0]
+        v = np.unique(edges + [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+                      + list(np.linspace(0.0, 3.0, 301)))
+        v = np.concatenate([-v, v])
+        g = np.linspace(1e-10, 1e-7, v.size)
+        h_ref = _two_branch_shape_factor(np.abs(v), t, p)
+        i_ref = _two_branch_current(v, g, t, p)
+        assert np.array_equal(shape_factor(np.abs(v), t, p), h_ref)
+        assert np.array_equal(current(v, g, t, p), i_ref)
+        # Scalar calls take the same path as arrays and give the same bits.
+        assert [shape_factor(abs(x), t, p) for x in v.tolist()] == h_ref.tolist()
+        assert [current(x, y, t, p) for x, y in zip(v.tolist(), g.tolist())] == i_ref.tolist()
+
+    @pytest.mark.parametrize("record", sorted(LAW_RECORDS))
+    def test_exactly_one_up_to_onset(self, record):
+        p = LAW_RECORDS[record]
+        for t in (250.0, 300.0, 350.0):
+            assert (shape_factor(np.linspace(0.0, p.v_pf_min, 1000), t, p) == 1.0).all()
+
+
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("call", [
+    lambda t: current(0.5, 1e-8, t, P),
+    lambda t: shape_factor(0.5, t, P),
+    lambda t: activation_factor(t, P),
+    lambda t: voltage_at_current(1e-9, 1e-8, t, P),
+    lambda t: differential_conductance(0.5, 1e-8, t, P),
+], ids=["current", "shape_factor", "activation_factor", "voltage_at_current",
+        "differential_conductance"])
+def test_rejects_non_physical_temperature(call, t):
+    with pytest.raises(ValueError, match="temperature must be finite and > 0"):
+        call(t)
+
+
 class TestCurrent:
     def test_lrs_read_current(self):
         # R_on = 100 Mohm read at 100 mV.
@@ -109,12 +173,17 @@ class TestCurrent:
     def test_on_off_invariant_in_temperature(self):
         for t in np.linspace(300.0, 360.0, 13):
             for v in (0.05, 0.1, 0.25, 0.5):
-                ratio = current(v, P.g_lrs_ref, t, P) / current(v, P.g_hrs_ref, t, P)
+                ratio = current(v, P.g_lrs_ref, t, P) / current(v, P.g_lrs_ref / P.on_off, t, P)
                 assert abs(ratio / P.on_off - 1) < 1e-12
 
     def test_rejects_nonpositive_state(self):
         with pytest.raises(ValueError):
             current(0.1, 0.0, 300.0, P)
+
+    @pytest.mark.parametrize("g", [math.nan, math.inf, np.array([1e-8, math.nan])])
+    def test_rejects_non_finite_state(self, g):
+        with pytest.raises(ValueError, match="g_state must be finite and > 0"):
+            current(0.1, g, 300.0, P)
 
     def test_activation_factor_is_one_at_reference(self):
         assert activation_factor(P.t_ref, P) == 1.0
@@ -133,7 +202,7 @@ class TestVoltageAtCurrent:
     @pytest.mark.parametrize("t", [P.t_ref, 350.0])
     def test_round_trip(self, regime, t):
         v = np.array(REGIME_V[regime])
-        for g in (P.g_hrs_ref, P.g_lrs_ref, 3.3e-7):
+        for g in (P.g_lrs_ref / P.on_off, P.g_lrs_ref, 3.3e-7):
             i = current(v, g, t, P)
             back = voltage_at_current(i, g, t, P)
             np.testing.assert_allclose(current(back, g, t, P), i, rtol=1e-13, atol=0)

@@ -197,6 +197,17 @@ class TestCliContracts:
         assert err.startswith(f"ftjsim: fit-error: {path}: malformed row")
         assert len(err.strip().splitlines()) == 1
 
+    @pytest.mark.parametrize("rows", ["", "0,potentiation,1e-9,1e9\n"],
+                             ids=["header_only", "one_row"])
+    def test_trace_without_fittable_branch_exits_3(self, tmp_path, capsys, rows):
+        path = tmp_path / "trace.csv"
+        path.write_text(",".join(TRACE_CSV_HEADER) + "\n" + rows)
+        assert run_cli("--out", tmp_path / "out", "fit", path) == 3
+        err = capsys.readouterr().err
+        assert err.startswith(f"ftjsim: fit-error: {path}: no direction has the 5 points")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "out" / "fit_report.csv").exists()
+
     @pytest.mark.parametrize("case, message", [
         ("no_rows", "no rows"), ("nan_feature", "non-finite feature"),
         ("negative_label", "label -1 outside 0..3"), ("huge_features", "training diverged"),
