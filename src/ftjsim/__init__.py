@@ -22,6 +22,7 @@ from .crossbar import (
     read_vmm,
     sneak_ratio,
     write_cell,
+    write_cells,
 )
 from .config import SimConfig, load_config
 from .device import (

@@ -187,14 +187,16 @@ def cmd_xbar(config: SimConfig, out: Path, n_writes: int) -> None:
     _write_csv(out / "xbar_read.csv", ("col", "current_A"),
                [[j, _fmt(i)] for j, i in enumerate(currents)])
 
-    # Random single-cell writes under the half-bias scheme.
-    disturbed = 0
+    # Random single-cell writes under the half-bias scheme, drawn one by one, applied in order.
+    bias = config.crossbar.bias
+    for amp in (bias.v_write_pot, bias.v_write_dep):
+        dev.PulseSpec(amp, params.t_width_ref, config.scheme)
+    rows, cols, amps = [], [], []
     for _ in range(n_writes):
-        r = int(rng.integers(xbar.rows))
-        c = int(rng.integers(xbar.cols))
-        amp = config.crossbar.bias.v_write_pot if rng.random() < 0.5 else config.crossbar.bias.v_write_dep
-        pulse = dev.PulseSpec(amp, params.t_width_ref, config.scheme)
-        disturbed += xb.write_cell(xbar, r, c, pulse).disturbed
+        rows.append(int(rng.integers(xbar.rows)))
+        cols.append(int(rng.integers(xbar.cols)))
+        amps.append(bias.v_write_pot if rng.random() < 0.5 else bias.v_write_dep)
+    disturbed = xb.write_cells(xbar, rows, cols, amps, config.scheme).disturbed
     sneak = xb.sneak_ratio(xbar, xbar.rows // 2, xbar.cols // 2, 0.5)
     _write_csv(out / "xbar_disturb.csv", ("metric", "value"), [
         ["writes", n_writes],

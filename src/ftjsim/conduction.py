@@ -241,8 +241,8 @@ def differential_conductance(v, g_state, t: float, p: ConductionParams):
 
 def nonlinearity_ratio(v: float, t: float, p: ConductionParams) -> float:
     """Current ratio I(v)/I(v/2) at fixed state; the state conductance cancels."""
-    if v <= 0:
-        raise ValueError(f"nonlinearity_ratio requires v > 0, got {v}")
+    if not v / 2 > 0:  # a subnormal v halves to 0
+        raise ValueError(f"nonlinearity_ratio requires v / 2 > 0, got v = {v}")
     return current(v, 1.0, t, p) / current(v / 2, 1.0, t, p)
 
 

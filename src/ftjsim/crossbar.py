@@ -3,15 +3,16 @@
 Cell state is held as dense arrays (one entry per junction) so reads and
 programming vectorize.  Every state update, from a half-select write to a
 programming loop, applies the one pulse kernel ``device.pulse_response`` to
-the cells a pulse reaches.  Wires are ideal (no line resistance) and
-unselected lines are grounded during reads.  The sneak metric solves all
-three-junction paths in one vectorised Newton iteration, to a bias residual
-of 1e-14 relative.
+the cells a pulse reaches.  ``write_cells`` applies a sequence of half-bias
+single-cell writes in a few array passes: a write whose half amplitude stays
+below the pulse threshold changes only its own cell, so such writes commute
+across cells.  Wires are ideal (no line resistance) and unselected lines are
+grounded during reads.  The sneak metric solves all three-junction paths in
+one vectorised Newton iteration, to a bias residual of 1e-14 relative.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -139,13 +140,13 @@ class Crossbar:
         return self.g_hrs + self.w * (self.g_lrs - self.g_hrs)
 
     def snapshot_csv(self, path: str | Path) -> None:
+        """One CSV line per cell, row-major, with CRLF endings as csv.writer writes them."""
         g = self.conductances()
         with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(SNAPSHOT_CSV_HEADER)
-            for r in range(self.rows):
-                for c in range(self.cols):
-                    writer.writerow([r, c, f"{self.w[r, c]:.12e}", f"{g[r, c]:.12e}"])
+            fh.write(",".join(SNAPSHOT_CSV_HEADER) + "\r\n")
+            for r, (w_row, g_row) in enumerate(zip(self.w, g)):
+                fh.write("".join("%d,%d,%.12e,%.12e\r\n" % (r, c, w, gc)
+                                 for c, (w, gc) in enumerate(zip(w_row.tolist(), g_row.tolist()))))
 
     def _normalized_targets(self, target: np.ndarray) -> tuple[np.ndarray, int]:
         """Targets mapped to w-space, clipped to the per-device span."""
@@ -167,27 +168,71 @@ class Crossbar:
         return clipped
 
 
+def _write_own_cells(xbar: Crossbar, r, c, amps, scheme: UpdateScheme) -> None:
+    """Apply writes that each change only their own cell, in order per cell.
+
+    Such writes commute across cells, so pass j applies every cell's j-th
+    write at once, one kernel call per distinct amplitude.
+    """
+    cell = r * xbar.cols + c
+    order = np.argsort(cell, kind="stable")
+    first = np.flatnonzero(np.r_[True, np.diff(cell[order]) != 0])
+    rank = np.empty(cell.size, dtype=np.intp)  # earlier writes to the same cell
+    rank[order] = np.arange(cell.size) - np.repeat(first, np.diff(np.r_[first, cell.size]))
+    for j in range(int(rank.max(initial=-1)) + 1):
+        batch = np.flatnonzero(rank == j)
+        for amp in dict.fromkeys(amps[batch].tolist()):
+            sel = batch[amps[batch] == amp]
+            xbar.w[r[sel], c[sel]] = pulse_response(xbar.w[r[sel], c[sel]], amp, scheme,
+                                                    xbar.params)
+
+
+def write_cells(xbar: Crossbar, rows, cols, amplitudes, scheme: UpdateScheme) -> DisturbReport:
+    """Apply single-cell writes under the half-bias scheme in order; report half-select fallout.
+
+    Write i pulses cell (rows[i], cols[i]) at amplitudes[i]: the selected cell
+    sees the full amplitude and every other cell on its row or column half of
+    it, all through the same noiseless pulse response, in place.  A write whose
+    half amplitude is below the pulse threshold changes only its own cell, so
+    runs of such writes go through a few array passes; a write whose half
+    amplitude reaches the threshold is applied alone, in order.  Every cell is
+    bounds-checked before any changes.
+    """
+    r, c, amps = np.asarray(rows), np.asarray(cols), np.asarray(amplitudes, dtype=float)
+    if not (r.ndim == c.ndim == amps.ndim == 1 and r.size == c.size == amps.size):
+        raise ValueError("rows, cols and amplitudes must be 1-D sequences of one length")
+    outside = (r < 0) | (r >= xbar.rows) | (c < 0) | (c >= xbar.cols)
+    if outside.any():
+        i = int(np.argmax(outside))
+        raise IndexError(f"cell ({r[i]}, {c[i]}) out of bounds for {xbar.rows}x{xbar.cols}")
+    if not np.isfinite(amps).all():
+        raise ValueError("write amplitudes must be finite")
+    p, w = xbar.params, xbar.w
+    disturbed = lo = 0
+    for i in np.flatnonzero(np.abs(amps / 2) >= p.v_pulse_threshold):
+        _write_own_cells(xbar, r[lo:i], c[lo:i], amps[lo:i], scheme)
+        ri, ci, amp = int(r[i]), int(c[i]), float(amps[i])
+        row, col = w[ri, :], w[:, ci]
+        selected = pulse_response(row[ci], amp, scheme, p)
+        new_row = pulse_response(row, amp / 2, scheme, p)
+        new_col = pulse_response(col, amp / 2, scheme, p)
+        # The selected cell lies on both lines but is not half-selected.
+        disturbed += int(np.count_nonzero(new_row != row) + np.count_nonzero(new_col != col)
+                         - 2 * (new_row[ci] != row[ci]))
+        row[:], col[:] = new_row, new_col
+        row[ci] = selected
+        lo = i + 1
+    _write_own_cells(xbar, r[lo:], c[lo:], amps[lo:], scheme)
+    return DisturbReport(disturbed=disturbed)
+
+
 def write_cell(xbar: Crossbar, r: int, c: int, pulse: PulseSpec) -> DisturbReport:
     """Program one cell under the half-bias scheme; report half-select fallout.
 
-    The selected cell sees the full amplitude; every other cell on its row or
-    column sees half of it.  Both go through the same noiseless pulse
-    response, and the array is updated in place.
+    The one-write view of ``write_cells``: the selected cell sees the full
+    amplitude, every other cell on its row or column half of it.
     """
-    if not (0 <= r < xbar.rows and 0 <= c < xbar.cols):
-        raise IndexError(f"cell ({r}, {c}) out of bounds for {xbar.rows}x{xbar.cols}")
-    p, row, col = xbar.params, xbar.w[r, :], xbar.w[:, c]
-    selected = pulse_response(row[c], pulse.amplitude, pulse.scheme, p)
-    new_row = pulse_response(row, pulse.amplitude / 2, pulse.scheme, p)
-    disturbed = 0
-    if new_row is not row:  # below the threshold the kernel returns the view itself
-        new_col = pulse_response(col, pulse.amplitude / 2, pulse.scheme, p)
-        # The selected cell lies on both lines but is not half-selected.
-        disturbed = int(np.count_nonzero(new_row != row) + np.count_nonzero(new_col != col)
-                        - 2 * (new_row[c] != row[c]))
-        row[:], col[:] = new_row, new_col
-    row[c] = selected
-    return DisturbReport(disturbed=disturbed)
+    return write_cells(xbar, [r], [c], [pulse.amplitude], pulse.scheme)
 
 
 def _stack(xbars: list[Crossbar], rngs: list | None) -> tuple:

@@ -282,6 +282,12 @@ class TestNonlinearity:
             explicit = current(0.4, g, 310.0, P) / current(0.2, g, 310.0, P)
             assert explicit == pytest.approx(r, rel=1e-12)
 
+    @pytest.mark.parametrize("v", [0.0, -0.5, 5e-324, math.nan])
+    def test_rejects_bias_without_positive_half(self, v):
+        # 5e-324 is positive, but v / 2 rounds to 0 and I(v / 2) would divide by 0.
+        with pytest.raises(ValueError, match="v / 2 > 0"):
+            nonlinearity_ratio(v, 300.0, P)
+
 
 OHMIC_V = np.linspace(0.01, 0.1, 10)
 PF_V = np.linspace(0.2, 0.3, 9)

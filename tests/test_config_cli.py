@@ -348,6 +348,7 @@ class TestCliContracts:
         ("bench",),
         ("infer", "--seeds", "1", "--hidden", "8"),
         ("xbar", "--writes", "50"),
+        ("xbar", "--writes", "0"),
     ])
     def test_byte_identical_reruns(self, tmp_path, command):
         cfg = tmp_path / "small.json"

@@ -1,5 +1,6 @@
 """Crossbar tests, including exhaustive brute-force oracles for small arrays."""
 
+import csv
 import math
 
 import numpy as np
@@ -18,6 +19,7 @@ from ftjsim.crossbar import (
     read_vmm,
     sneak_ratio,
     write_cell,
+    write_cells,
 )
 from ftjsim.device import (
     DeviceParams,
@@ -222,6 +224,71 @@ class TestWriteCell:
     def test_out_of_bounds(self):
         with pytest.raises(IndexError):
             write_cell(make_xbar(2, 2), 2, 0, pot_pulse())
+
+
+def reference_write_cell(xbar, r, c, pulse):
+    """Reference copy of the earlier one-write-at-a-time write_cell; returns its disturb count."""
+    if not (0 <= r < xbar.rows and 0 <= c < xbar.cols):
+        raise IndexError(f"cell ({r}, {c}) out of bounds for {xbar.rows}x{xbar.cols}")
+    p, row, col = xbar.params, xbar.w[r, :], xbar.w[:, c]
+    selected = pulse_response(row[c], pulse.amplitude, pulse.scheme, p)
+    new_row = pulse_response(row, pulse.amplitude / 2, pulse.scheme, p)
+    disturbed = 0
+    if new_row is not row:
+        new_col = pulse_response(col, pulse.amplitude / 2, pulse.scheme, p)
+        disturbed = int(np.count_nonzero(new_row != row) + np.count_nonzero(new_col != col)
+                        - 2 * (new_row[c] != row[c]))
+        row[:], col[:] = new_row, new_col
+    row[c] = selected
+    return disturbed
+
+
+# Default potentiate and depress levels, a sub-threshold one and two over-driven ones
+# (half amplitudes 1.5 V and 1.4 V reach the 1.3 V threshold).
+WRITE_AMPLITUDES = (-1.6, 2.4, 1.0, 3.0, -2.8)
+
+
+class TestWriteCells:
+    @pytest.mark.parametrize("seed", range(20))
+    def test_equals_sequential_writes(self, seed):
+        rng = np.random.default_rng(seed)
+        rows, cols = (int(n) for n in rng.integers(1, 9, size=2))
+        scheme = (UpdateScheme.AMPLITUDE_RAMP, UpdateScheme.WIDTH_RAMP)[seed % 2]
+        n = int(rng.integers(0, 201))
+        # Alternate cases keep over-driven writes rare, so long sub-threshold runs occur.
+        weights = (0.3, 0.3, 0.3, 0.05, 0.05) if seed % 4 < 2 else None
+        r = rng.integers(rows, size=n)
+        c = rng.integers(cols, size=n)
+        amps = rng.choice(WRITE_AMPLITUDES, size=n, p=weights)
+        batched = make_xbar(rows, cols)
+        batched.w[:] = rng.random((rows, cols))
+        sequential = make_xbar(rows, cols)
+        sequential.w[:] = batched.w
+        expected = sum(reference_write_cell(sequential, int(ri), int(ci),
+                                            PulseSpec(a, 50e-6, scheme))
+                       for ri, ci, a in zip(r, c, amps))
+        report = write_cells(batched, r, c, amps, scheme)
+        assert np.array_equal(batched.w, sequential.w)
+        assert report.disturbed == expected
+
+    def test_out_of_bounds_anywhere_changes_nothing(self):
+        xbar = make_xbar(4, 4)
+        xbar.w[:] = 0.5
+        for bad in ((4, 0), (0, 4), (-1, 2)):
+            r, c = [0, 1, 2, bad[0], 3], [0, 1, 2, bad[1], 3]
+            with pytest.raises(IndexError):
+                write_cells(xbar, r, c, [-1.6, 3.0, 2.4, -1.6, -1.6], UpdateScheme.AMPLITUDE_RAMP)
+            assert np.all(xbar.w == 0.5)
+
+    @pytest.mark.parametrize("rows, cols, amps", [
+        ([0, 1], [0], [-1.6, -1.6]),
+        ([0], [0, 1], [-1.6]),
+        ([0, 1], [0, 1], [-1.6]),
+        ([[0, 1]], [[0, 1]], [[-1.6, -1.6]]),
+    ])
+    def test_ragged_inputs_rejected(self, rows, cols, amps):
+        with pytest.raises(ValueError):
+            write_cells(make_xbar(2, 2), rows, cols, amps, UpdateScheme.AMPLITUDE_RAMP)
 
 
 class TestBiasScheme:
@@ -602,7 +669,26 @@ class TestEndpointPattern:
         assert np.all(ratio < PARAMS.conduction.on_off * np.exp(0.6))
 
 
+def reference_snapshot_csv(xbar, path):
+    """Reference copy of the earlier csv.writer snapshot."""
+    g = xbar.conductances()
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(("row", "col", "w", "g_S"))
+        for r in range(xbar.rows):
+            for c in range(xbar.cols):
+                writer.writerow([r, c, f"{xbar.w[r, c]:.12e}", f"{g[r, c]:.12e}"])
+
+
 class TestSnapshot:
+    @pytest.mark.parametrize("rows, cols", [(64, 64), (1, 1)])
+    def test_bytes_match_csv_writer(self, tmp_path, rows, cols):
+        xbar = make_xbar(rows, cols, vp=NOISY)
+        xbar.w[:] = np.random.default_rng(rows).random((rows, cols))
+        xbar.snapshot_csv(tmp_path / "snap.csv")
+        reference_snapshot_csv(xbar, tmp_path / "ref.csv")
+        assert (tmp_path / "snap.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
+
     def test_snapshot_csv(self, tmp_path):
         xbar = make_xbar(2, 3)
         xbar.w[:] = 0.25
