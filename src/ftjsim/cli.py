@@ -44,15 +44,15 @@ def _fmt(x: float) -> str:
     return f"{x:.12e}"
 
 
-def _parse_temps(raw: str | None, default: float) -> list[float]:
-    if not raw:
-        return [default]
+def _parse_temps(raw: str | None, p: cnd.ConductionParams) -> list[float]:
     try:
-        temps = [float(s) for s in raw.split(",") if s.strip()]
+        temps = [float(s) for s in raw.split(",") if s.strip()] if raw else [p.t_ref]
+        for t in temps:
+            cnd.activation_factor(t, p)  # the conduction law's one temperature check
     except ValueError as exc:
         raise ConfigError(f"invalid --temps value {raw!r}: {exc}") from exc
-    if not temps or not all(np.isfinite(t) and t > 0 for t in temps):
-        raise ConfigError(f"--temps values must be finite and positive, got {raw!r}")
+    if not temps:
+        raise ConfigError(f"--temps names no temperature, got {raw!r}")
     return temps
 
 
@@ -266,7 +266,7 @@ def cmd_bench(config: SimConfig, out: Path) -> None:
 
     rng = np.random.default_rng(config.variability.seed)
     steps = dev.truncated_normal(rng, config.variability.sigma_c2c, size=10_000)
-    c2c = float(np.std(steps)) if config.variability.sigma_c2c > 0 else 0.0
+    c2c = float(np.std(steps))
     g_hrs_pop, _ = var.sample_endpoint_arrays(10_000, params, config.variability, rng)
     d2d = float(np.std(np.log(g_hrs_pop)))
 
@@ -356,9 +356,12 @@ def main(argv: list[str] | None = None) -> int:
         if args.seed is not None:
             config = apply_master_seed(config, args.seed)
         out = Path(args.out) if args.out else Path(config.output_dir)
-        out.mkdir(parents=True, exist_ok=True)
+        try:
+            out.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
         if args.command == "iv":
-            cmd_iv(config, out, _parse_temps(args.temps, config.device.conduction.t_ref))
+            cmd_iv(config, out, _parse_temps(args.temps, config.device.conduction))
         elif args.command == "pulse":
             cmd_pulse(config, out, args.pot, args.dep)
         elif args.command == "fit":

@@ -3,7 +3,7 @@
 I = g a(T) v h(|v|, T): Ohmic up to ``v_pf_min`` and Poole-Frenkel type above it, in
 one clipped field factor h that is exactly 1 up to the onset.  Temperature enters
 through one Arrhenius factor a(T) referenced to ``t_ref``, so the LRS/HRS current
-ratio is temperature independent; every temperature must be finite and > 0.
+ratio is temperature independent; every temperature must keep both factors finite and > 0.
 """
 
 from __future__ import annotations
@@ -59,8 +59,7 @@ class ConductionParams:
             raise ValueError(f"e_a must be >= 0, got {self.e_a}")
         if not (self.beta >= 0):
             raise ValueError(f"beta must be >= 0, got {self.beta}")
-        if not (self.t_ref > 0):
-            raise ValueError(f"t_ref must be > 0, got {self.t_ref}")
+        _kt(self.t_ref, self)  # t_ref is checked like any temperature
 
 
 @dataclass(frozen=True)
@@ -123,11 +122,18 @@ def _finite(name: str, x) -> None:
         raise ValueError(f"{name} must be finite, got {x}")
 
 
-def _kt(t: float) -> float:
-    """Thermal energy kT in eV; the one check of a temperature: finite and > 0."""
-    if not 0 < t < math.inf:
-        raise ValueError(f"temperature must be finite and > 0, got {t}")
-    return K_B_EV * t
+_LN_MAX = math.log(np.finfo(float).max)  # exp(x) is finite and > 0 for |x| < _LN_MAX
+
+
+def _kt(t: float, p: ConductionParams) -> float:
+    """Thermal energy kT in eV; the one check of a temperature: finite and > 0, and keeping
+    the Arrhenius factor and the field factor at v_clamp finite and > 0 (1 K keeps neither)."""
+    kt = K_B_EV * t if 0 < t < math.inf else 0.0
+    if not (kt > 0 and abs(p.e_a * (1.0 / kt - 1.0 / (K_B_EV * p.t_ref))) < _LN_MAX
+            and p.beta * (math.sqrt(p.v_clamp) - math.sqrt(p.v_pf_min)) / kt < _LN_MAX):
+        raise ValueError(f"temperature must be finite and > 0 with finite, non-zero "
+                         f"conduction factors, got {t}")
+    return kt
 
 
 def _h(v_abs, kt: float, p: ConductionParams):
@@ -147,13 +153,13 @@ def shape_factor(v, t: float, p: ConductionParams):
     _finite("v", v_arr)
     if (v_arr < 0).any():
         raise ValueError("shape_factor requires v >= 0")
-    h = _h(v_arr, _kt(t), p)
+    h = _h(v_arr, _kt(t, p), p)
     return float(h) if v_arr.ndim == 0 else h
 
 
 def activation_factor(t: float, p: ConductionParams) -> float:
     """Arrhenius factor exp(-e_a * (1/kT - 1/kT_ref)); exactly 1 at t_ref."""
-    return math.exp(-p.e_a * (1.0 / _kt(t) - 1.0 / (K_B_EV * p.t_ref)))
+    return math.exp(-p.e_a * (1.0 / _kt(t, p) - 1.0 / (K_B_EV * p.t_ref)))
 
 
 def _base_conductance(g_state, t: float, p: ConductionParams) -> tuple[np.ndarray, float]:

@@ -57,6 +57,8 @@ class SimConfig:
             raise ValueError(f"unsupported schema_version {self.schema_version}")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         self.crossbar.bias.validate_against(self.device)
 
     def to_dict(self) -> dict:

@@ -3,12 +3,14 @@
 Cell state is held as dense arrays (one entry per junction) so reads and
 programming vectorize.  Every state update, from a half-select write to a
 programming loop, applies the one pulse kernel ``device.pulse_response`` to
-the cells a pulse reaches.  ``write_cells`` applies a sequence of half-bias
-single-cell writes in a few array passes: a write whose half amplitude stays
-below the pulse threshold changes only its own cell, so such writes commute
-across cells.  Wires are ideal (no line resistance) and unselected lines are
-grounded during reads.  The sneak metric solves all three-junction paths in
-one vectorised Newton iteration, to a bias residual of 1e-14 relative.
+the cells a pulse reaches; programming hands it jitter drawn from each array's
+own stream, and half-select writes are noiseless.  ``write_cells`` applies a
+sequence of half-bias single-cell writes in a few array passes: a write whose
+half amplitude stays below the pulse threshold changes only its own cell, so
+such writes commute across cells.  Wires are ideal (no line resistance) and
+unselected lines are grounded during reads.  The sneak metric solves all
+three-junction paths in one vectorised Newton iteration, to a bias residual
+of 1e-14 relative.
 """
 
 from __future__ import annotations
@@ -20,14 +22,8 @@ import numpy as np
 
 from .conduction import (V_READ_SWEEP_MAX, activation_factor, current, differential_conductance,
                          shape_factor, voltage_at_current)
-from .device import (
-    DeviceParams,
-    Direction,
-    PulseSpec,
-    UpdateScheme,
-    level_table,
-    pulse_response,
-)
+from .device import (DeviceParams, Direction, PulseSpec, UpdateScheme, level_table, pulse_response,
+                     truncated_normal)
 from .errors import ConfigError, ConvergenceError
 from .variability import VariabilityParams, sample_endpoint_arrays
 
@@ -235,43 +231,42 @@ def write_cell(xbar: Crossbar, r: int, c: int, pulse: PulseSpec) -> DisturbRepor
     return write_cells(xbar, [r], [c], [pulse.amplitude], pulse.scheme)
 
 
-def _stack(xbars: list[Crossbar], rngs: list | None) -> tuple:
-    """Shared device model, each array's c2c generator and the flat cell bounds of a stack."""
+def _stack(xbars: list[Crossbar]) -> tuple:
+    """Shared device model and the flat cell bounds of a stack."""
     model = (xbars[0].params, xbars[0].scheme, xbars[0].vp.sigma_c2c)
     if any((x.params, x.scheme, x.vp.sigma_c2c) != model for x in xbars):
         raise ValueError("stacked arrays must share device parameters, scheme and sigma_c2c")
-    rngs = [x._c2c_rng if r is None else r
-            for x, r in zip(xbars, rngs or [None] * len(xbars), strict=True)]
-    return (*model, rngs, np.cumsum([0] + [x.w.size for x in xbars]))
+    return (*model, np.cumsum([0] + [x.w.size for x in xbars]))
 
 
-def _segments(rngs: list, bounds: np.ndarray, idx: np.ndarray) -> list:
-    """(generator, count) of each array with cells among the ascending stacked indices idx."""
-    return [(g, n) for g, n in zip(rngs, np.diff(np.searchsorted(idx, bounds))) if n]
+def _jitter(xbars: list[Crossbar], sigma: float, bounds: np.ndarray, idx: np.ndarray):
+    """Jitter of the ascending stacked cells idx, each array's from its own stream, or None."""
+    if sigma == 0:
+        return None
+    counts = np.diff(np.searchsorted(idx, bounds))
+    return np.concatenate([truncated_normal(x._c2c_rng, sigma, n)
+                           for x, n in zip(xbars, counts) if n])
 
 
-def program_open_loop(
-    xbar: Crossbar, target: np.ndarray, rng: np.random.Generator | None = None
-) -> Crossbar:
+def program_open_loop(xbar: Crossbar, target: np.ndarray) -> Crossbar:
     """Pulse every cell from the HRS toward the staircase level nearest its target.
 
     A cell whose nearest noiseless level is k receives k potentiating pulses
-    at ``v_set_full``, each through the pulse kernel with the array's
-    cycle-to-cycle noise drawn from ``rng`` (default: the array's own stream).
+    at ``v_set_full``, each through the pulse kernel with cycle-to-cycle
+    jitter drawn from the array's own stream.
     """
-    program_open_loop_stack([xbar], [target], [rng])
+    program_open_loop_stack([xbar], [target])
     return xbar
 
 
-def program_open_loop_stack(xbars: list[Crossbar], targets: list,
-                            rngs: list | None = None) -> None:
+def program_open_loop_stack(xbars: list[Crossbar], targets: list) -> None:
     """program_open_loop on arrays sharing one device model, in one pass over all their cells.
 
     Each pulse is one kernel call over every cell still owed one; each array
-    draws for its own segment from its own generator (``rngs``, default its
-    stream), so states and streams equal programming one array at a time.
+    draws the jitter of its own segment from its own stream, so states and
+    streams equal programming one array at a time.
     """
-    p, scheme, sigma, rngs, bounds = _stack(xbars, rngs)
+    p, scheme, sigma, bounds = _stack(xbars)
     t_norm = np.concatenate([x._normalized_targets(t)[0].ravel()
                              for x, t in zip(xbars, targets, strict=True)])
     levels = level_table(p.nu_for(scheme, Direction.POTENTIATE), Direction.POTENTIATE, p.n_levels)
@@ -282,19 +277,14 @@ def program_open_loop_stack(xbars: list[Crossbar], targets: list,
     idx = np.flatnonzero(k)  # cells still owed a pulse, ascending flat index
     for s in range(1, int(k.max()) + 1):
         idx = idx[k[idx] >= s]
-        w[idx] = pulse_response(w[idx], p.v_set_full, scheme, p, sigma,
-                                _segments(rngs, bounds, idx))
+        w[idx] = pulse_response(w[idx], p.v_set_full, scheme, p,
+                                _jitter(xbars, sigma, bounds, idx))
     for x, lo, hi in zip(xbars, bounds, bounds[1:]):
         x.w[:] = w[lo:hi].reshape(x.w.shape)
 
 
-def program_write_verify(
-    xbar: Crossbar,
-    target: np.ndarray,
-    tol: float = 0.05,
-    max_iters: int = 200,
-    rng: np.random.Generator | None = None,
-) -> WriteVerifyReport:
+def program_write_verify(xbar: Crossbar, target: np.ndarray, tol: float = 0.05,
+                         max_iters: int = 200) -> WriteVerifyReport:
     """Closed-loop programming: pulse toward the target, re-read, repeat.
 
     Each unconverged cell takes one full-amplitude pulse toward its target
@@ -302,21 +292,20 @@ def program_write_verify(
     measured conductance is within ``tol`` relative or its iteration budget is
     exhausted (reported, not fatal).
     """
-    return program_write_verify_stack([xbar], [target], tol, max_iters, [rng])[0]
+    return program_write_verify_stack([xbar], [target], tol, max_iters)[0]
 
 
 def program_write_verify_stack(xbars: list[Crossbar], targets: list, tol: float = 0.05,
-                               max_iters: int = 200,
-                               rngs: list | None = None) -> list[WriteVerifyReport]:
+                               max_iters: int = 200) -> list[WriteVerifyReport]:
     """program_write_verify on arrays sharing one device model, in one pass over all their cells.
 
-    Each array keeps its own generator (``rngs``, default its stream), drawing
-    for its own segment of every pulse, its own stall detection and its own
-    report, so everything equals programming one array at a time.
+    Each array draws the jitter of its own segment of every pulse from its
+    own stream, and keeps its own stall detection and its own report, so
+    everything equals programming one array at a time.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    p, scheme, sigma, rngs, bounds = _stack(xbars, rngs)
+    p, scheme, sigma, bounds = _stack(xbars)
     normalized = [x._normalized_targets(t) for x, t in zip(xbars, targets, strict=True)]
     warnings = [[f"{c} target(s) outside the device span were clipped"] if c else []
                 for _, c in normalized]
@@ -346,8 +335,8 @@ def program_write_verify_stack(xbars: list[Crossbar], targets: list, tol: float 
         after = before.copy()
         for amplitude, mask in ((p.v_set_full, g < tg), (p.v_reset_full, g >= tg)):
             if mask.any():
-                after[mask] = pulse_response(before[mask], amplitude, scheme, p, sigma,
-                                             _segments(rngs, bounds, idx[mask]))
+                after[mask] = pulse_response(before[mask], amplitude, scheme, p,
+                                             _jitter(xbars, sigma, bounds, idx[mask]))
         moved = np.bincount(owner[before != after], minlength=len(xbars))
         stalled = (moved == 0) & (np.bincount(owner, minlength=len(xbars)) > 0)
         for i in np.flatnonzero(stalled):

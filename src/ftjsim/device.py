@@ -4,9 +4,9 @@ The normalized state variable w runs from 0 (high-resistive) to 1
 (low-resistive).  Pulse programming advances a discrete level counter on a
 saturating-exponential staircase; the ramp protocols are represented by that
 counter, not by pulse-level switching kinetics.  ``pulse_response`` is the one
-array kernel of that law, cycle-to-cycle noise included; the single-device
-and crossbar operations all call it.  ``dc_response`` is the one kernel of
-the DC write law; traces and loops are read in one conduction call each.
+array kernel of that law, a pure one: each caller draws its cycle-to-cycle
+jitter from its own stream and passes it in.  ``dc_response`` is the one kernel
+of the DC write law; traces and loops are read in one conduction call each.
 """
 
 from __future__ import annotations
@@ -214,28 +214,22 @@ def truncated_normal(rng: np.random.Generator, sigma: float, size: int) -> np.nd
     return out
 
 
-def pulse_response(w, amplitude: float, scheme: UpdateScheme, params: DeviceParams,
-                   sigma_c2c: float = 0.0, rng: np.random.Generator | Sequence | None = None):
+def pulse_response(w, amplitude: float, scheme: UpdateScheme, params: DeviceParams, eps=None):
     """State after one write pulse of the given signed amplitude, for scalars and arrays.
 
     Below the voltage threshold ``w`` itself is returned, so the no-op is
     exact.  Otherwise negative amplitudes potentiate and positive ones
-    depress by one staircase level; with ``sigma_c2c`` > 0 the increment is
-    scaled by 1 + a truncated-normal draw per element, in element order, and
-    the result clamped to [0, 1].  ``rng`` is a Generator, or (Generator,
-    count) segments covering w in order, each drawing as if pulsed alone.
+    depress by one staircase level.  ``eps`` is the relative cycle-to-cycle
+    jitter, one per element of w: the increment is scaled by 1 + eps and the
+    result clamped to [0, 1].  None is the noiseless step.
     """
     if abs(amplitude) < params.v_pulse_threshold:
         return w
     direction = Direction.POTENTIATE if amplitude < 0 else Direction.DEPRESS
     stepped = step_weight(w, params.nu_for(scheme, direction), direction, params.n_levels)
-    if sigma_c2c == 0:
+    if eps is None:
         return stepped
-    if rng is None:
-        raise ValueError("cycle-to-cycle noise needs a random generator")
-    segments = [(rng, np.size(w))] if isinstance(rng, np.random.Generator) else rng
-    eps = np.concatenate([truncated_normal(g, sigma_c2c, n) for g, n in segments])
-    out = np.clip(w + (stepped - w) * (1.0 + eps.reshape(np.shape(w))), 0.0, 1.0)
+    out = np.clip(w + (stepped - w) * (1.0 + eps), 0.0, 1.0)
     return float(out) if np.ndim(w) == 0 else out
 
 
@@ -268,18 +262,22 @@ def run_sequence(
     """Potentiation then depression staircase, read at +0.2 V after each pulse.
 
     Both branches include their count-0 (pre-pulse) read.  Every pulse goes
-    through pulse_response with the given cycle-to-cycle noise, in order;
-    the whole trace is then read at once.  Returns it and the final state.
+    through pulse_response, in order, with its own jitter drawn from ``rng``
+    when ``sigma_c2c`` is not 0; the whole trace is then read at once.
+    Returns it and the final state.
     """
     if not (0 <= n_pot <= params.n_levels and 0 <= n_dep <= params.n_levels):
         raise ValueError(f"pulse counts must lie in [0, {params.n_levels}]")
+    if sigma_c2c and rng is None:
+        raise ValueError("cycle-to-cycle noise needs a random generator")
     labels, ws, w = [], [], state.w
     for direction, amplitude, n in (("potentiation", params.v_set_full, n_pot),
                                     ("depression", params.v_reset_full, n_dep)):
         labels += [(i, direction) for i in range(n + 1)]
         ws.append(w)
         for _ in range(n):
-            w = pulse_response(w, amplitude, scheme, params, sigma_c2c, rng)
+            eps = truncated_normal(rng, sigma_c2c, 1)[0] if sigma_c2c else None
+            w = pulse_response(w, amplitude, scheme, params, eps)
             ws.append(w)
     r = _read_trace(state, np.array(ws), PULSE_READ_VOLTAGE, params).tolist()
     points = [TracePoint(i, d, PULSE_READ_VOLTAGE / ri, ri) for (i, d), ri in zip(labels, r)]

@@ -1,10 +1,11 @@
 """Variability parameters, device-to-device dispersion and retention.
 
-Cycle-to-cycle noise is applied per pulse by ``device.pulse_response`` with
-``device.truncated_normal`` draws and the ``sigma_c2c`` held here.  All
-randomness is driven by numpy Generators.  ``sample_endpoint_arrays`` takes
-one draw in device order from the generator it is handed, so device i's
-endpoints depend only on the seed and on i, never on how many are sampled.
+Cycle-to-cycle jitter is data: each caller draws it from its own stream with
+``device.truncated_normal`` at the ``sigma_c2c`` held here, and hands it to the
+pure ``device.pulse_response``.  All randomness is driven by numpy Generators.
+``sample_endpoint_arrays`` takes one draw in
+device order from the generator it is handed, so device i's endpoints depend
+only on the seed and on i, never on how many are sampled.
 """
 
 from __future__ import annotations

@@ -118,8 +118,8 @@ class TestBranchFreeLaw:
             assert (shape_factor(np.linspace(0.0, p.v_pf_min, 1000), t, p) == 1.0).all()
 
 
-@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf],
-                         ids=["zero", "negative", "nan", "inf"])
+@pytest.mark.parametrize("t", [0.0, -1.0, math.nan, math.inf, 1.0],
+                         ids=["zero", "negative", "nan", "inf", "one_kelvin"])
 @pytest.mark.parametrize("call", [
     lambda t: current(0.5, 1e-8, t, P),
     lambda t: shape_factor(0.5, t, P),

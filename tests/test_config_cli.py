@@ -96,6 +96,7 @@ class TestCliContracts:
     @pytest.mark.parametrize("command", [("xbar", "--writes", "-5"), ("infer", "--seeds", "0"),
                                          ("pulse", "--pot", "999"), ("pulse", "--dep", "-1"),
                                          ("iv", "--temps", "nan"), ("iv", "--temps", "inf"),
+                                         ("iv", "--temps", "1"),
                                          ("infer", "--hidden", "abc"),
                                          ("infer", "--dataset", "no_such_dataset.csv"),
                                          ("infer", "--hidden", "8,0")])
@@ -139,10 +140,12 @@ class TestCliContracts:
         ("device", {"area": True}),
         ("device", {"nu_p": "1.9"}),
         ("scheme", "single"),
+        ("output_dir", 5),
     ], ids=["on_off", "nan_sigma_c2c", "nan_area", "subthreshold_v_set_full", "bias_kind",
             "nan_e_a", "nan_beta", "float_n_levels", "bool_seed", "bool_variability_seed",
             "float_rows", "bool_cols", "inf_g_lrs_ref", "huge_int_t_ref", "nan_v_write_pot",
-            "nan_hzo_thickness", "inf_drift", "bool_area", "string_nu_p", "scheme_single"])
+            "nan_hzo_thickness", "inf_drift", "bool_area", "string_nu_p", "scheme_single",
+            "int_output_dir"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, section, values):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({section: values}))
@@ -150,6 +153,15 @@ class TestCliContracts:
         err = capsys.readouterr().err
         assert err.startswith("ftjsim: config-error:")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("out", ["file", "file/sub"])
+    def test_out_naming_a_file_exits_2(self, tmp_path, capsys, out):
+        (tmp_path / "file").write_text("kept\n")
+        assert run_cli("--out", tmp_path / out, "iv") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ftjsim: config-error: cannot create output directory")
+        assert len(err.strip().splitlines()) == 1
+        assert (tmp_path / "file").read_text() == "kept\n"
 
     @pytest.mark.parametrize("command, section, values", [
         ("bench", "conduction", {"g_lrs_ref": math.inf}),

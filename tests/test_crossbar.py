@@ -29,6 +29,7 @@ from ftjsim.device import (
     UpdateScheme,
     apply_pulse,
     pulse_response,
+    truncated_normal,
     update_curve,
 )
 from ftjsim.errors import ConfigError, ConvergenceError
@@ -70,6 +71,12 @@ def dep_pulse(params=PARAMS):
     return PulseSpec(params.v_reset_full, params.t_width_ref, UpdateScheme.AMPLITUDE_RAMP)
 
 
+def jitter(xbar, mask):
+    """The array's jitter for the cells of mask, in C order, from its own stream."""
+    sigma = xbar.vp.sigma_c2c
+    return truncated_normal(xbar._c2c_rng, sigma, int(mask.sum())) if sigma else None
+
+
 def full_mask_open_loop(xbar, target):
     """Reference copy of the earlier open-loop loop, which masked the full array per pulse."""
     t_norm, _ = xbar._normalized_targets(target)
@@ -81,8 +88,7 @@ def full_mask_open_loop(xbar, target):
     w = np.zeros_like(xbar.w)
     for s in range(1, int(k.max()) + 1):
         mask = k >= s
-        w[mask] = pulse_response(w[mask], p.v_set_full, xbar.scheme, p, xbar.vp.sigma_c2c,
-                                 xbar._c2c_rng)
+        w[mask] = pulse_response(w[mask], p.v_set_full, xbar.scheme, p, jitter(xbar, mask))
     xbar.w[:] = w
 
 
@@ -104,7 +110,7 @@ def full_mask_write_verify(xbar, target, tol=0.05, max_iters=200):
                                 (p.v_reset_full, active & (g >= target_g))):
             if mask.any():
                 xbar.w[mask] = pulse_response(xbar.w[mask], amplitude, xbar.scheme, p,
-                                              xbar.vp.sigma_c2c, xbar._c2c_rng)
+                                              jitter(xbar, mask))
         if np.array_equal(before, xbar.w):
             warnings.append("programming stalled at a saturated level before convergence")
             break

@@ -30,6 +30,7 @@ from ftjsim.device import (
     read_trace_csv,
     run_sequence,
     step_weight,
+    truncated_normal,
     update_curve,
     update_curve_inverse,
     write_energy,
@@ -101,24 +102,6 @@ class TestLevelTable:
         assert np.array_equal(step_weight(table[:-1], PARAMS.nu_p, POT, PARAMS.n_levels),
                               table[1:])
         assert step_weight(table[-1], PARAMS.nu_p, POT, PARAMS.n_levels) == 1.0
-
-
-class TestSegmentedDraws:
-    def test_segments_draw_as_separate_calls(self):
-        w = np.linspace(0.0, 0.9, 8)
-        got_rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
-        want_rngs = [np.random.default_rng(s) for s in (1, 2, 3)]
-        got = pulse_response(w, PARAMS.v_set_full, UpdateScheme.AMPLITUDE_RAMP, PARAMS, 0.3,
-                             list(zip(got_rngs, (3, 0, 5))))
-        want = np.concatenate([
-            pulse_response(w[:3], PARAMS.v_set_full, UpdateScheme.AMPLITUDE_RAMP, PARAMS, 0.3,
-                           want_rngs[0]),
-            pulse_response(w[3:], PARAMS.v_set_full, UpdateScheme.AMPLITUDE_RAMP, PARAMS, 0.3,
-                           want_rngs[2]),
-        ])
-        assert got.tobytes() == want.tobytes()
-        for a, b in zip(got_rngs, want_rngs):
-            assert a.bit_generator.state == b.bit_generator.state
 
 
 class TestApplyPulse:
@@ -235,6 +218,11 @@ class TestRunSequence:
         with pytest.raises(ValueError):
             run_sequence(DeviceState.fresh(PARAMS), UpdateScheme.AMPLITUDE_RAMP,
                          PARAMS.n_levels + 1, 0, PARAMS)
+
+    def test_noise_without_generator_rejected(self):
+        with pytest.raises(ValueError, match="random generator"):
+            run_sequence(DeviceState.fresh(PARAMS), UpdateScheme.AMPLITUDE_RAMP, 5, 5, PARAMS,
+                         sigma_c2c=0.1)
 
     def test_trace_csv_round_trip(self, tmp_path):
         trace, _ = run_sequence(DeviceState.fresh(PARAMS), UpdateScheme.AMPLITUDE_RAMP,
@@ -378,15 +366,18 @@ def reference_run_sequence(state, scheme, n_pot, n_dep, params, sigma_c2c=0.0, r
         r = read_resistance(state, PULSE_READ_VOLTAGE, t_ref, params)
         return TracePoint(count, direction, PULSE_READ_VOLTAGE / r, r)
 
+    def jitter():
+        return truncated_normal(rng, sigma_c2c, 1)[0] if sigma_c2c else None
+
     points = [read(0, "potentiation")]
     for i in range(1, n_pot + 1):
         state = replace(state, w=pulse_response(state.w, params.v_set_full, scheme, params,
-                                                sigma_c2c, rng))
+                                                jitter()))
         points.append(read(i, "potentiation"))
     points.append(read(0, "depression"))
     for i in range(1, n_dep + 1):
         state = replace(state, w=pulse_response(state.w, params.v_reset_full, scheme, params,
-                                                sigma_c2c, rng))
+                                                jitter()))
         points.append(read(i, "depression"))
     return points, state
 
