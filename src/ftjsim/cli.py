@@ -8,7 +8,6 @@ byte-identical files.
 from __future__ import annotations
 
 import argparse
-import csv
 import sys
 from dataclasses import replace
 from pathlib import Path
@@ -29,15 +28,9 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, FitError
+from .table import read_table, write_table
 
 IV_CSV_HEADER = ("voltage_V", "temperature_K", "state", "current_A", "resistance_ohm")
-
-
-def _write_csv(path: Path, header: tuple, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
 
 
 def _fmt(x: float) -> str:
@@ -76,7 +69,7 @@ def cmd_iv(config: SimConfig, out: Path, temps: list[float]) -> None:
             i = cnd.current(grid, g, t, params.conduction)
             rows += [[_fmt(v), _fmt(t), name, _fmt(c), _fmt(v / c)]
                      for v, c in zip(grid, i.tolist())]
-    _write_csv(out / "iv_sweep.csv", IV_CSV_HEADER, rows)
+    write_table(out / "iv_sweep.csv", IV_CSV_HEADER, rows)
     print(f"wrote {out / 'iv_sweep.csv'} ({len(rows)} rows)")
 
 
@@ -136,26 +129,23 @@ def cmd_fit(config: SimConfig, out: Path, files: list[str]) -> None:
     """Extract model parameters from sweep and trace CSV files."""
     if not files:
         raise ConfigError("fit requires at least one input file")
+    loaders = {cnd.SweepRecord.CSV_HEADER: (cnd.SweepRecord.from_csv, _fit_sweep_file),
+               dev.TRACE_CSV_HEADER: (dev.read_trace_csv, _fit_trace_file)}
     rows: list = []
     for name in files:
         path = Path(name)
         try:
-            with open(path, newline="") as fh:
-                header = tuple(next(csv.reader(fh)))
-        except (OSError, StopIteration) as exc:
-            raise FitError(f"cannot read {path}: {exc}") from exc
-        if header == cnd.SweepRecord.CSV_HEADER:
-            load, fit = cnd.SweepRecord.from_csv, _fit_sweep_file
-        elif header == dev.TRACE_CSV_HEADER:
-            load, fit = dev.read_trace_csv, _fit_trace_file
-        else:
-            raise FitError(f"{path}: unrecognized header {header!r}")
-        try:
+            header = read_table(path)[0]
+            if header not in loaders:
+                raise FitError(f"{path}: unrecognized header {header!r}")
+            load, fit = loaders[header]
             data = load(path)
-        except (ValueError, IndexError) as exc:  # a non-numeric cell or a short row
+        except OSError as exc:
+            raise FitError(f"cannot read {path}: {exc}") from exc
+        except ValueError as exc:  # a format fault, a non-numeric cell or a non-finite value
             raise FitError(f"{path}: malformed row: {exc}") from exc
         fit(config, path, data, rows)
-    _write_csv(out / "fit_report.csv", ("file", "model", "parameter", "value"), rows)
+    write_table(out / "fit_report.csv", ("file", "model", "parameter", "value"), rows)
     for row in rows:
         print(" ".join(str(c) for c in row))
     print(f"wrote {out / 'fit_report.csv'}")
@@ -172,7 +162,7 @@ def cmd_xbar(config: SimConfig, out: Path, n_writes: int) -> None:
     t_norm = rng.uniform(0.3, 0.95, size=xbar.w.shape)
     target = params.g_hrs + t_norm * (params.g_lrs - params.g_hrs)
     report = xb.program_write_verify(xbar, target, tol=0.05)
-    _write_csv(out / "xbar_program.csv", ("metric", "value"), [
+    write_table(out / "xbar_program.csv", ("metric", "value"), [
         ["rows", xbar.rows],
         ["cols", xbar.cols],
         ["converged_fraction", _fmt(report.converged_fraction)],
@@ -184,8 +174,8 @@ def cmd_xbar(config: SimConfig, out: Path, n_writes: int) -> None:
     # One analog read with a random input vector.
     v_in = config.crossbar.bias.v_read * rng.uniform(-1.0, 1.0, size=xbar.rows)
     currents = xb.read_vmm(xbar, v_in)
-    _write_csv(out / "xbar_read.csv", ("col", "current_A"),
-               [[j, _fmt(i)] for j, i in enumerate(currents)])
+    write_table(out / "xbar_read.csv", ("col", "current_A"),
+                [[j, _fmt(i)] for j, i in enumerate(currents)])
 
     # Random single-cell writes under the half-bias scheme, drawn one by one, applied in order.
     bias = config.crossbar.bias
@@ -198,7 +188,7 @@ def cmd_xbar(config: SimConfig, out: Path, n_writes: int) -> None:
         amps.append(bias.v_write_pot if rng.random() < 0.5 else bias.v_write_dep)
     disturbed = xb.write_cells(xbar, rows, cols, amps, config.scheme).disturbed
     sneak = xb.sneak_ratio(xbar, xbar.rows // 2, xbar.cols // 2, 0.5)
-    _write_csv(out / "xbar_disturb.csv", ("metric", "value"), [
+    write_table(out / "xbar_disturb.csv", ("metric", "value"), [
         ["writes", n_writes],
         ["disturbed_cells", disturbed],
         ["sneak_ratio_at_0.5V", _fmt(sneak)],
@@ -213,7 +203,7 @@ def cmd_infer(config: SimConfig, out: Path, dataset: str | None, n_seeds: int,
     if dataset:
         try:
             x, y = inf.load_dataset_csv(dataset)
-        except (OSError, StopIteration, ValueError) as exc:
+        except (OSError, ValueError) as exc:
             raise ConfigError(f"cannot read --dataset {dataset}: {exc}") from exc
     else:
         x, y = inf.make_blobs_dataset()
@@ -236,9 +226,9 @@ def cmd_infer(config: SimConfig, out: Path, dataset: str | None, n_seeds: int,
         print(f"seed {s}: analog {report.analog_accuracy:.4f} "
               f"baseline {report.baseline_accuracy:.4f} "
               f"degradation {report.degradation_points:+.2f} points")
-    _write_csv(out / "infer_report.csv",
-               ("seed", "analog_accuracy", "baseline_accuracy", "degradation_points",
-                *per_class_header), rows)
+    write_table(out / "infer_report.csv",
+                ("seed", "analog_accuracy", "baseline_accuracy", "degradation_points",
+                 *per_class_header), rows)
     print(f"wrote {out / 'infer_report.csv'}")
 
 
@@ -290,7 +280,7 @@ def cmd_bench(config: SimConfig, out: Path) -> None:
         ("nonlinearity_ratio_0.5V", _fmt(cnd.nonlinearity_ratio(0.5, t_ref, p)), "dimensionless"),
         ("area", f"{params.area:g}", "um^2"),
     ]
-    _write_csv(out / "bench.csv", ("metric", "value", "unit"), rows)
+    write_table(out / "bench.csv", ("metric", "value", "unit"), rows)
     width = max(len(r[0]) for r in rows)
     for name, value, unit in rows:
         print(f"{name:<{width}}  {value} {unit}".rstrip())

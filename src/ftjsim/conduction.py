@@ -8,7 +8,6 @@ ratio is temperature independent; every temperature must keep both factors finit
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ConvergenceError, FitError
+from .table import read_table, write_table
 
 K_B_EV = 8.617333262e-5  # Boltzmann constant, eV/K
 
@@ -95,26 +95,17 @@ class SweepRecord:
         return SweepRecord(self.voltage[mask], self.current_density[mask], self.temperature[mask])
 
     def to_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(self.CSV_HEADER)
-            for v, j, t in zip(self.voltage, self.current_density, self.temperature):
-                writer.writerow([f"{v:.17g}", f"{j:.17g}", f"{t:.17g}"])
+        write_table(path, self.CSV_HEADER, ([f"{v:.17g}", f"{j:.17g}", f"{t:.17g}"]
+                    for v, j, t in zip(self.voltage, self.current_density, self.temperature)))
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SweepRecord":
-        with open(path, newline="") as fh:
-            reader = csv.reader(fh)
-            header = tuple(next(reader))
-            if header != cls.CSV_HEADER:
-                raise ValueError(f"unexpected sweep header {header!r}, want {cls.CSV_HEADER!r}")
-            rows = [tuple(float(x) for x in row) for row in reader if row]
-        if any(len(row) != len(cls.CSV_HEADER) for row in rows):
-            raise ValueError(f"every row needs {len(cls.CSV_HEADER)} cells, one per header column")
+        header, rows = read_table(path)
+        if header != cls.CSV_HEADER:
+            raise ValueError(f"unexpected sweep header {header!r}, want {cls.CSV_HEADER!r}")
         if not rows:
             raise ValueError(f"no samples in {path}")
-        v, j, t = (np.array(col) for col in zip(*rows))
-        return cls(v, j, t)
+        return cls(*np.array(rows, dtype=float).T)
 
 
 def _finite(name: str, x) -> None:
@@ -317,8 +308,14 @@ _ANCHOR_NOTE = (
 
 def _linear_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
     """OLS slope, intercept and R^2 of y on x."""
-    if np.ptp(x) == 0:
-        raise FitError("singular regression: all abscissa values identical")
+    with np.errstate(over="ignore", invalid="ignore"):  # an x out of range fails below
+        if np.ptp(x) == 0:
+            raise FitError("singular regression: all abscissa values identical")
+        sum_sq = x @ x
+    # polyfit divides x by its norm: a norm that overflows or underflows breaks the solve.
+    if not (np.finfo(float).tiny <= sum_sq < np.inf):
+        raise FitError(f"regression abscissae out of floating-point range: sum of squares "
+                       f"{sum_sq:.3g}")
     slope, intercept = np.polyfit(x, y, 1)
     resid = y - (slope * x + intercept)
     ss_tot = float(np.sum((y - y.mean()) ** 2))
@@ -341,10 +338,14 @@ def _log_conductance_samples(data: SweepRecord) -> tuple[np.ndarray, np.ndarray,
     inverse = inverse.ravel()  # numpy 2.0 returns a column for axis-wise unique
     j_avg = np.zeros(len(uniq))
     counts = np.bincount(inverse, minlength=len(uniq))
-    np.add.at(j_avg, inverse, j)
-    j_avg /= counts
     t_u, v_u = uniq[:, 0], uniq[:, 1]
-    return v_u, np.log(j_avg / v_u), t_u
+    with np.errstate(over="ignore", divide="ignore"):  # a non-finite ln(J/V) is raised below
+        np.add.at(j_avg, inverse, j)
+        j_avg /= counts
+        y = np.log(j_avg / v_u)
+    if not np.isfinite(y).all():
+        raise FitError("ln(J/V) must be finite; a sample's J/V overflows or underflows")
+    return v_u, y, t_u
 
 
 def fit_ohmic(data: SweepRecord, residual_threshold: float = 0.05) -> OhmicFit:
@@ -373,7 +374,8 @@ def fit_ohmic(data: SweepRecord, residual_threshold: float = 0.05) -> OhmicFit:
             f"regime violation: ln(J/V) varies by {max_resid:.3g} within a temperature "
             f"(threshold {residual_threshold:.3g}); data may extend beyond the Ohmic regime"
         )
-    x = 1.0 / (K_B_EV * temps)
+    with np.errstate(over="ignore", divide="ignore"):  # a non-finite 1/kT fails _linear_fit
+        x = 1.0 / (K_B_EV * temps)
     slope, intercept, r2 = _linear_fit(x, np.array(means))
     return OhmicFit(
         e_a=-slope,
@@ -413,7 +415,8 @@ def fit_poole_frenkel(data: SweepRecord) -> PooleFrenkelFit:
         intercepts.append(intercept)
         if r2 < 0.9:
             warnings.append(f"poor sqrt(V) linearity at {temp} K (R^2 = {r2:.3f})")
-    x = 1.0 / (K_B_EV * temps)
+    with np.errstate(over="ignore", divide="ignore"):  # a non-finite 1/kT fails _linear_fit
+        x = 1.0 / (K_B_EV * temps)
     slope_b, ln_c, r2_b = _linear_fit(x, np.array(intercepts))
     return PooleFrenkelFit(
         phi_b=-slope_b,

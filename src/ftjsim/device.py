@@ -11,7 +11,6 @@ of the DC write law; traces and loops are read in one conduction call each.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from enum import Enum
 from functools import lru_cache
@@ -22,6 +21,7 @@ import numpy as np
 
 from .conduction import ConductionParams, current
 from .errors import FitError
+from .table import read_table, write_table
 
 PULSE_READ_VOLTAGE = 0.2  # V, read bias after programming pulses
 DC_READ_VOLTAGE = 0.3     # V, read bias along the DC write loop
@@ -89,6 +89,9 @@ class DeviceParams:
         for name in ("nu_p", "nu_d", "area", "t_width_ref"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
+        if not (self.g_hrs > 0 and self.g_lrs < np.inf):
+            raise ValueError(f"endpoint conductances must be finite and > 0, got "
+                             f"g_hrs {self.g_hrs} and g_lrs {self.g_lrs}")
         # A pulse-class threshold below a coercive voltage or below half of a
         # full write amplitude would break the half-select no-op contract.
         if not (self.v_pulse_threshold > max(abs(self.v_c_set), self.v_c_reset)):
@@ -285,22 +288,13 @@ def run_sequence(
 
 
 def write_trace_csv(path: str | Path, points: Sequence[TracePoint]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_CSV_HEADER)
-        for p in points:
-            writer.writerow([p.count, p.direction, f"{p.conductance:.12e}", f"{p.resistance:.12e}"])
+    write_table(path, TRACE_CSV_HEADER, ([c, d, f"{g:.12e}", f"{r:.12e}"] for c, d, g, r in points))
 
 
 def read_trace_csv(path: str | Path) -> list[TracePoint]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = tuple(next(reader))
-        if header != TRACE_CSV_HEADER:
-            raise ValueError(f"unexpected trace header {header!r}")
-        rows = [r for r in reader if r]
-    if any(len(r) != len(header) for r in rows):
-        raise ValueError(f"every row needs {len(header)} cells, one per header column")
+    header, rows = read_table(path)
+    if header != TRACE_CSV_HEADER:
+        raise ValueError(f"unexpected trace header {header!r}")
     points = [TracePoint(int(r[0]), r[1], float(r[2]), float(r[3])) for r in rows]
     if any(p.direction not in TRACE_DIRECTIONS for p in points):
         raise ValueError(f"every direction must be one of {TRACE_DIRECTIONS}")

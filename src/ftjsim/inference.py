@@ -8,7 +8,6 @@ against the floating-point forward pass of the same weights.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -19,6 +18,7 @@ from .crossbar import (BiasScheme, Crossbar, program_open_loop_stack, program_wr
                        read_vmm)
 from .device import DeviceParams, UpdateScheme
 from .errors import ConfigError
+from .table import read_table
 from .variability import VariabilityParams, derive_seed
 
 
@@ -185,25 +185,21 @@ def make_blobs_dataset(
 
 
 def load_dataset_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header[-1] != DATASET_LABEL_COLUMN or not header[0].startswith("feature_"):
-            raise ValueError(f"unexpected dataset header {header!r}")
-        rows = [row for row in reader if row]
+    header, rows = read_table(path)
+    if header[-1] != DATASET_LABEL_COLUMN or not header[0].startswith("feature_"):
+        raise ValueError(f"unexpected dataset header {header!r}")
     if not rows:
         raise ValueError("no rows")
-    if any(len(r) != len(header) for r in rows):
-        raise ValueError(f"every row needs {len(header)} cells, one per header column")
-    x = np.array([[float(v) for v in row[:-1]] for row in rows])
+    x = np.array([row[:-1] for row in rows], dtype=float)
     y = np.array([int(row[-1]) for row in rows])
     if not np.isfinite(x).all():
         raise ValueError("non-finite feature")
-    if y.min() < 0:
-        raise ValueError(f"label {y.min()} outside 0..{y.max()}")
-    missing = np.setdiff1d(np.arange(y.max() + 1), y)
-    if missing.size:
-        raise ValueError(f"label {missing[0]} in 0..{y.max()} has no sample")
+    labels = np.unique(y)
+    if labels[0] < 0:
+        raise ValueError(f"label {labels[0]} outside 0..{labels[-1]}")
+    gaps = np.flatnonzero(labels != np.arange(labels.size))
+    if gaps.size:
+        raise ValueError(f"label {gaps[0]} in 0..{labels[-1]} has no sample")
     return x, y
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .device import DeviceParams, DeviceState
+from .device import TRUNCATION_SIGMAS, DeviceParams, DeviceState
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,9 @@ class VariabilityParams:
         for name in ("sigma_c2c", "sigma_d2d_hrs", "sigma_d2d_lrs"):
             if not (getattr(self, name) >= 0):
                 raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not math.isfinite(TRUNCATION_SIGMAS * self.sigma_c2c):
+            raise ValueError(f"sigma_c2c must keep its {TRUNCATION_SIGMAS:g}-sigma truncation "
+                             f"bound finite, got {self.sigma_c2c}")
         if not (0 <= self.seed < 2**64):
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
 

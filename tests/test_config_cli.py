@@ -141,11 +141,14 @@ class TestCliContracts:
         ("device", {"nu_p": "1.9"}),
         ("scheme", "single"),
         ("output_dir", 5),
+        ("variability", {"sigma_c2c": 1e308}),
+        ("conduction", {"g_lrs_ref": 1e300, "area_ref": 1e-10}),
+        ("conduction", {"g_lrs_ref": 1e-300, "area_ref": 1e300}),
     ], ids=["on_off", "nan_sigma_c2c", "nan_area", "subthreshold_v_set_full", "bias_kind",
             "nan_e_a", "nan_beta", "float_n_levels", "bool_seed", "bool_variability_seed",
             "float_rows", "bool_cols", "inf_g_lrs_ref", "huge_int_t_ref", "nan_v_write_pot",
             "nan_hzo_thickness", "inf_drift", "bool_area", "string_nu_p", "scheme_single",
-            "int_output_dir"])
+            "int_output_dir", "huge_sigma_c2c", "overflowing_g_lrs", "underflowing_g_hrs"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, section, values):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({section: values}))
@@ -178,9 +181,16 @@ class TestCliContracts:
         assert len(err.strip().splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
-    def test_fit_failure_exits_3(self, tmp_path, capsys):
-        sweep = tmp_path / "one_temp.csv"
-        synthetic_pf_sweep(np.linspace(0.01, 0.1, 5), [300.0], phi_b=0.15, beta=0.0).to_csv(sweep)
+    @pytest.mark.parametrize("temps, row", [
+        ([300.0], ""), ([300.0, 320.0], "5e-324,1e-9,300.0\n"),
+        ([300.0, 320.0], "0.05,1e-9,5e-324\n"), ([1e300, 1.5e300], ""),
+    ], ids=["one_temperature", "overflowing_j_over_v", "subnormal_temperature",
+            "huge_temperatures"])
+    def test_fit_failure_exits_3(self, tmp_path, capsys, temps, row):
+        sweep = tmp_path / "sweep.csv"
+        synthetic_pf_sweep(np.linspace(0.01, 0.1, 5), temps, phi_b=0.15, beta=0.0).to_csv(sweep)
+        with open(sweep, "a") as fh:
+            fh.write(row)
         assert run_cli("--out", tmp_path, "fit", sweep) == 3
         assert capsys.readouterr().err.startswith("ftjsim: fit-error:")
 
@@ -191,10 +201,11 @@ class TestCliContracts:
         ("sweep", "0.05,nan,300.0"), ("sweep", "0.05,inf,300.0"), ("sweep", "0.05,1e-9,inf"),
         ("sweep", "0.05,1e-9,nan"), ("trace", "1,potentiation,nan,1e9"),
         ("trace", "1,potentiation,1e-9,inf"), ("trace", "1,sideways,1e-9,1e9"),
+        ("sweep", "0.05," + "1" * 140_000 + ",300.0"),
     ], ids=["sweep_non_numeric", "sweep_short_row", "trace_non_numeric", "trace_short_row",
             "sweep_long_row", "trace_long_row", "sweep_nan_current", "sweep_inf_current",
             "sweep_inf_temperature", "sweep_nan_temperature", "trace_nan_conductance",
-            "trace_inf_resistance", "trace_sideways_direction"])
+            "trace_inf_resistance", "trace_sideways_direction", "sweep_over_long_cell"])
     def test_malformed_fit_file_exits_3(self, tmp_path, capsys, kind, row):
         path = tmp_path / f"{kind}.csv"
         if kind == "sweep":
@@ -224,7 +235,10 @@ class TestCliContracts:
         ("no_rows", "no rows"), ("nan_feature", "non-finite feature"),
         ("negative_label", "label -1 outside 0..3"), ("huge_features", "training diverged"),
         ("long_rows", "every row needs 17 cells"), ("label_gap", "label 1 in 0..6 has no sample"),
-    ], ids=["no_rows", "nan_feature", "negative_label", "huge_features", "long_rows", "label_gap"])
+        ("huge_label", "label 4 in 0..1099511627776 has no sample"),
+        ("blank_lines_only", "no header row"), ("not_utf8", "not a well-formed UTF-8 CSV file"),
+    ], ids=["no_rows", "nan_feature", "negative_label", "huge_features", "long_rows", "label_gap",
+            "huge_label", "blank_lines_only", "not_utf8"])
     def test_bad_dataset_exits_2(self, tmp_path, capsys, save_dataset_csv, case, message):
         x, y = make_blobs_dataset(n_samples=64)
         if case == "no_rows":
@@ -237,11 +251,17 @@ class TestCliContracts:
             x = 100.0 * x
         elif case == "label_gap":  # labels {0, 2, 4, 6} would make a 7-output network
             y = 2 * y
+        elif case == "huge_label":  # must not allocate one entry per label value
+            y[0] = 2**40
         path = tmp_path / "data.csv"
         save_dataset_csv(path, x, y)
         if case == "long_rows":  # the appended cell would otherwise be read as the label
             lines = path.read_text().splitlines()
             path.write_text("\n".join(lines[:1] + [line + ",7" for line in lines[1:]]) + "\n")
+        elif case == "blank_lines_only":
+            path.write_text("\n\n")
+        elif case == "not_utf8":
+            path.write_bytes(path.read_bytes() + b"0.5,\xff\n")
         assert run_cli("--out", tmp_path / "out", "infer", "--dataset", path, "--seeds", 1) == 2
         err = capsys.readouterr().err
         assert err.startswith("ftjsim: config-error:") and message in err
