@@ -129,17 +129,17 @@ def cmd_fit(config: SimConfig, out: Path, files: list[str]) -> None:
     """Extract model parameters from sweep and trace CSV files."""
     if not files:
         raise ConfigError("fit requires at least one input file")
-    loaders = {cnd.SweepRecord.CSV_HEADER: (cnd.SweepRecord.from_csv, _fit_sweep_file),
-               dev.TRACE_CSV_HEADER: (dev.read_trace_csv, _fit_trace_file)}
+    loaders = {cnd.SweepRecord.CSV_HEADER: (cnd.SweepRecord.from_table, _fit_sweep_file),
+               dev.TRACE_CSV_HEADER: (dev.trace_from_table, _fit_trace_file)}
     rows: list = []
     for name in files:
         path = Path(name)
         try:
-            header = read_table(path)[0]
+            header, body = read_table(path)
             if header not in loaders:
                 raise FitError(f"{path}: unrecognized header {header!r}")
             load, fit = loaders[header]
-            data = load(path)
+            data = load(header, body)
         except OSError as exc:
             raise FitError(f"cannot read {path}: {exc}") from exc
         except ValueError as exc:  # a format fault, a non-numeric cell or a non-finite value

@@ -100,11 +100,15 @@ class SweepRecord:
 
     @classmethod
     def from_csv(cls, path: str | Path) -> "SweepRecord":
-        header, rows = read_table(path)
+        return cls.from_table(*read_table(path))
+
+    @classmethod
+    def from_table(cls, header: tuple, rows: list) -> "SweepRecord":
+        """The sweep in a table ``read_table`` returned."""
         if header != cls.CSV_HEADER:
             raise ValueError(f"unexpected sweep header {header!r}, want {cls.CSV_HEADER!r}")
         if not rows:
-            raise ValueError(f"no samples in {path}")
+            raise ValueError("no samples")
         return cls(*np.array(rows, dtype=float).T)
 
 

@@ -26,6 +26,11 @@ from .table import read_table, write_table
 PULSE_READ_VOLTAGE = 0.2  # V, read bias after programming pulses
 DC_READ_VOLTAGE = 0.3     # V, read bias along the DC write loop
 TRUNCATION_SIGMAS = 3.0   # cycle-to-cycle jitter is resampled beyond this
+NU_BOUNDS = (1e-9, 1e9)   # search range of a fitted staircase shape nu
+SIGMA0_MIN = 1e-9         # least staircase amplitude a fit returns
+_FIT_GRID = 65            # ln(nu) points per round of the fit's grid search
+_FIT_ROUNDS = 10          # grid rounds; after the first each is 64 times narrower
+_FIT_ULPS = 8             # floating-point neighbours searched around the fitted values
 
 
 class UpdateScheme(Enum):
@@ -292,7 +297,11 @@ def write_trace_csv(path: str | Path, points: Sequence[TracePoint]) -> None:
 
 
 def read_trace_csv(path: str | Path) -> list[TracePoint]:
-    header, rows = read_table(path)
+    return trace_from_table(*read_table(path))
+
+
+def trace_from_table(header: tuple, rows: list) -> list[TracePoint]:
+    """The trace in a table ``read_table`` returned."""
     if header != TRACE_CSV_HEADER:
         raise ValueError(f"unexpected trace header {header!r}")
     points = [TracePoint(int(r[0]), r[1], float(r[2]), float(r[3])) for r in rows]
@@ -314,22 +323,52 @@ class UpdateCurveFit:
     warnings: tuple = ()
 
 
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.einsum("ij,ij->i", a, b)
+
+
+def _saturation(x: np.ndarray, nu) -> np.ndarray:
+    """f = 1 - exp(-nu x), one row per nu: the staircase family is sigma0 * f."""
+    return -np.expm1(-np.multiply.outer(nu, x))
+
+
+def _amplitude(f: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least-squares sigma0 of each row of f against y, f.y / f.f, held at its bound."""
+    return np.maximum(f @ y / _rowdot(f, f), SIGMA0_MIN)
+
+
+def _slopes(x: np.ndarray, y: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """A positive multiple of -dphi/d(ln nu) at each ln nu in t, phi the least sum of squares.
+
+    The nu column of the Jacobian is made orthogonal to f first, so the rounding
+    of the residual along f does not reach the sign near the optimum.
+    """
+    f = _saturation(x, np.exp(t))
+    j = x * (1.0 - f)
+    j -= (_rowdot(j, f) / _rowdot(f, f))[:, None] * f
+    return _rowdot(j, y - _amplitude(f, y)[:, None] * f)
+
+
 def fit_update_curve(counts: Sequence[float], conductances: Sequence[float]) -> UpdateCurveFit:
     """Least-squares fit of one staircase branch to the saturating exponential.
 
     Counts are normalized by their maximum and conductances by the branch
-    extremes.  A non-monotone branch degrades the fit and is reported as a
-    warning, not an error.
+    extremes.  The fit is a variable projection: at a given nu the best sigma0
+    is f.y / f.f with f = 1 - exp(-nu x), so only ln nu is searched, on a
+    coarse-to-fine grid inside ``NU_BOUNDS``: the residual picks the basin, the
+    sign of its analytic derivative brackets the optimum to the last bits, and
+    the floating-point neighbours of (sigma0, nu) with the least computed
+    residual are returned.  A non-monotone branch and a nu on its search bound
+    are reported as warnings, not errors.
     """
-    # Imported here, its only use: scipy.optimize dominates the package import.
-    from scipy.optimize import curve_fit
-
     counts = np.asarray(counts, dtype=float)
     g = np.asarray(conductances, dtype=float)
     if counts.size != g.size or counts.size < 5:
         raise FitError(f"need >= 5 (count, conductance) points, got {counts.size}")
     if np.ptp(counts) == 0 or np.ptp(g) == 0:
         raise FitError("degenerate trace: counts or conductances are all equal")
+    if counts.min() < 0:
+        raise FitError(f"pulse counts must be >= 0, got {counts.min():g}")
 
     warnings: list[str] = []
     order = np.argsort(counts)
@@ -342,18 +381,35 @@ def fit_update_curve(counts: Sequence[float], conductances: Sequence[float]) -> 
     if np.any(np.diff(y) < -1e-12):
         warnings.append("non-monotone trace; fit quality may be degraded")
 
-    def family(xv, sigma0, nu):
-        return sigma0 * -np.expm1(-nu * xv)
+    # The first round keeps the neighbours of the least residual on the whole range,
+    # each later one the grid step where the residual stops falling.
+    bounds = np.log(NU_BOUNDS)
+    t = np.linspace(*bounds, _FIT_GRID)
+    f = _saturation(x, np.exp(t))
+    r = y - _amplitude(f, y)[:, None] * f
+    k = int(np.argmin(_rowdot(r, r)))
+    lo, hi = t[max(k - 1, 0)], t[min(k + 1, _FIT_GRID - 1)]
+    for _ in range(_FIT_ROUNDS - 1):
+        t = np.linspace(lo, hi, _FIT_GRID)
+        rises = _slopes(x, y, t) <= 0
+        i = int(np.argmax(rises)) if rises.any() else _FIT_GRID
+        lo, hi = (lo, lo) if i == 0 else (hi, hi) if i == _FIT_GRID else (t[i - 1], t[i])
+    if lo in bounds:
+        warnings.append(f"nu at its search bound {np.exp(lo):g}; "
+                        "the saturating exponential cannot follow this branch")
 
-    popt, _ = curve_fit(
-        family, x, y, p0=(1.0, 1.0),
-        bounds=([1e-9, 1e-9], [np.inf, np.inf]),
-        xtol=1e-14, ftol=1e-14, gtol=1e-14, maxfev=20000,
-    )
-    sigma0, nu = float(popt[0]), float(popt[1])
-    rms = float(np.sqrt(np.mean((family(x, sigma0, nu) - y) ** 2)))
-    return UpdateCurveFit(sigma0=sigma0, nu=nu, direction=direction,
-                          rms_residual=rms, warnings=tuple(warnings))
+    # The rounding of f and of sigma0 * f sets the residual of an exact staircase:
+    # search a few floating-point neighbours of (nu, sigma0) for the least one.
+    nu = float(np.clip(np.exp(lo), *NU_BOUNDS))
+    ulps = np.arange(-_FIT_ULPS, _FIT_ULPS + 1)
+    nus = np.clip(nu + ulps * np.spacing(nu), *NU_BOUNDS)
+    f = _saturation(x, nus)
+    sigma0 = _amplitude(f, y)[:, None]
+    sigma0 = np.maximum(sigma0 + ulps * np.spacing(sigma0), SIGMA0_MIN)
+    sq = np.mean((sigma0[:, :, None] * f[:, None, :] - y) ** 2, axis=-1)
+    i, j = np.unravel_index(np.argmin(sq), sq.shape)
+    return UpdateCurveFit(sigma0=float(sigma0[i, j]), nu=float(nus[i]), direction=direction,
+                          rms_residual=float(np.sqrt(sq[i, j])), warnings=tuple(warnings))
 
 
 def dc_response(w, v_write, params: DeviceParams):

@@ -191,16 +191,19 @@ def load_dataset_csv(path: str | Path) -> tuple[np.ndarray, np.ndarray]:
     if not rows:
         raise ValueError("no rows")
     x = np.array([row[:-1] for row in rows], dtype=float)
-    y = np.array([int(row[-1]) for row in rows])
+    labels = [int(row[-1]) for row in rows]
     if not np.isfinite(x).all():
         raise ValueError("non-finite feature")
-    labels = np.unique(y)
-    if labels[0] < 0:
-        raise ValueError(f"label {labels[0]} outside 0..{labels[-1]}")
-    gaps = np.flatnonzero(labels != np.arange(labels.size))
-    if gaps.size:
-        raise ValueError(f"label {gaps[0]} in 0..{labels[-1]} has no sample")
-    return x, y
+    low, high = min(labels), max(labels)
+    if low < 0:
+        raise ValueError(f"label {low} outside 0..{high}")
+    # Labels 0..high without a gap need high < len(labels): any larger label leaves
+    # a gap below len(labels), so only that range is searched, in Python integers.
+    present = set(labels)
+    gap = next((k for k in range(min(high + 1, len(labels))) if k not in present), None)
+    if gap is not None:
+        raise ValueError(f"label {gap} in 0..{high} has no sample")
+    return x, np.array(labels)
 
 
 def train_mlp(

@@ -11,6 +11,10 @@ import numpy as np
 import pytest
 
 import ftjsim
+from ftjsim import cli, table
+from ftjsim import conduction as cnd
+from ftjsim import device as dev
+from ftjsim import inference as inf
 from ftjsim.cli import main
 from ftjsim.conduction import K_B_EV, synthetic_pf_sweep
 from ftjsim.config import SimConfig, apply_master_seed, config_from_dict, default_config_text, load_config
@@ -80,14 +84,61 @@ class TestCliContracts:
         assert err.startswith("ftjsim: config-error:")
         assert len(err.strip().splitlines()) == 1
 
-    def test_cli_import_leaves_out_scipy_optimize(self):
-        # scipy.optimize is loaded only by the fitters that use it.
+    def test_no_command_imports_scipy(self, tmp_path):
+        # scipy is a test dependency only: one fresh interpreter runs every command,
+        # fit on a trace and on a sweep included, and no scipy module may be loaded.
+        raw = json.loads(default_config_text())
+        raw["crossbar"]["rows"] = raw["crossbar"]["cols"] = 8
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps(raw))
+        sweep = tmp_path / "sweep.csv"
+        synthetic_pf_sweep(np.linspace(0.2, 0.3, 9), [300.0, 340.0], phi_b=0.15,
+                           beta=0.4).to_csv(sweep)
+        out = tmp_path / "out"
+        commands = [["iv"], ["pulse"], ["bench"], ["fit", str(out / "pulse_trace.csv"), str(sweep)],
+                    ["xbar", "--writes", "50"], ["infer", "--seeds", "1", "--hidden", "8"]]
+        code = ("import json, sys\nfrom ftjsim.cli import main\n"
+                f"codes = [main(['--config', {str(cfg)!r}, '--out', {str(out)!r}, *c]) "
+                f"for c in {commands!r}]\n"
+                "print(json.dumps([codes, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))")
         src = str(Path(ftjsim.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        code = "import sys, ftjsim.cli; print('scipy.optimize' in sys.modules)"
         result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                                 text=True, check=True)
-        assert result.stdout.strip() == "False"
+        codes, scipy_modules = json.loads(result.stdout.strip().splitlines()[-1])
+        assert codes == [0] * len(commands)
+        assert scipy_modules == []
+
+    def test_fit_reads_each_file_once(self, tmp_path, monkeypatch):
+        assert run_cli("--out", tmp_path, "pulse") == 0
+        trace, sweep = tmp_path / "pulse_trace.csv", tmp_path / "sweep.csv"
+        synthetic_pf_sweep(np.linspace(0.2, 0.3, 9), [300.0, 340.0], phi_b=0.15,
+                           beta=0.4).to_csv(sweep)
+        reads = []
+        for module in (table, cli, cnd, dev, inf):  # every module holding read_table
+            monkeypatch.setattr(module, "read_table",
+                                lambda path, read=module.read_table: reads.append(path) or read(path))
+        assert run_cli("--out", tmp_path, "fit", trace, sweep) == 0
+        assert sorted(reads) == [trace, sweep]
+
+    def test_negative_pulse_count_exits_3(self, tmp_path, capsys):
+        # Counts up to 0 would normalize by 0; the fit refuses any count below 0.
+        trace = tmp_path / "trace.csv"
+        trace.write_text(",".join(TRACE_CSV_HEADER) + "\n" + "".join(
+            f"{c},potentiation,{g},{1 / g}\n" for c, g in zip(range(-4, 1), [1, 2, 3, 4, 5])))
+        assert run_cli("--out", tmp_path, "fit", trace) == 3
+        err = capsys.readouterr().err
+        assert err == "ftjsim: fit-error: pulse counts must be >= 0, got -4\n"
+
+    def test_unsaturating_branch_reports_warning_row(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(",".join(TRACE_CSV_HEADER) + "\n" + "".join(
+            f"{c},depression,{g},{1 / g}\n" for c, g in [(2, 1.0)] * 3 + [(5, 0.5)] * 3))
+        assert run_cli("--out", tmp_path, "fit", trace) == 0
+        rows = (tmp_path / "fit_report.csv").read_text().strip().splitlines()
+        assert ("trace.csv,update_depression,warning,"
+                "nu at its search bound 1e-09; the saturating exponential cannot follow "
+                "this branch") in rows
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         assert run_cli("--seed", -5, "--out", tmp_path, "iv") == 2
@@ -237,8 +288,10 @@ class TestCliContracts:
         ("long_rows", "every row needs 17 cells"), ("label_gap", "label 1 in 0..6 has no sample"),
         ("huge_label", "label 4 in 0..1099511627776 has no sample"),
         ("blank_lines_only", "no header row"), ("not_utf8", "not a well-formed UTF-8 CSV file"),
+        ("label_2_63", "label 4 in 0..9223372036854775808 has no sample"),
+        ("label_2_64", "label 4 in 0..18446744073709551616 has no sample"),
     ], ids=["no_rows", "nan_feature", "negative_label", "huge_features", "long_rows", "label_gap",
-            "huge_label", "blank_lines_only", "not_utf8"])
+            "huge_label", "blank_lines_only", "not_utf8", "label_2_63", "label_2_64"])
     def test_bad_dataset_exits_2(self, tmp_path, capsys, save_dataset_csv, case, message):
         x, y = make_blobs_dataset(n_samples=64)
         if case == "no_rows":
@@ -253,6 +306,9 @@ class TestCliContracts:
             y = 2 * y
         elif case == "huge_label":  # must not allocate one entry per label value
             y[0] = 2**40
+        elif case in ("label_2_63", "label_2_64"):  # past int64 and uint64: printed exactly
+            y = y.astype(object)
+            y[0] = 2 ** int(case[-2:])
         path = tmp_path / "data.csv"
         save_dataset_csv(path, x, y)
         if case == "long_rows":  # the appended cell would otherwise be read as the label

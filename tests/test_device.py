@@ -1,16 +1,19 @@
 """Device state-machine tests: update staircase, DC loop, read, energy, area."""
 
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import curve_fit
 
 from ftjsim.conduction import K_B_EV, current
 from ftjsim.device import (
     DC_READ_VOLTAGE,
+    NU_BOUNDS,
     PULSE_READ_VOLTAGE,
     DeviceParams,
     DeviceState,
@@ -254,27 +257,92 @@ class TestFitUpdateCurve:
         assert fit.nu == pytest.approx(0.01, rel=1e-3)
 
     def test_noisy_recovery_statistics(self):
-        rng = np.random.default_rng(17)
-        errs = []
-        for _ in range(100):
-            counts = np.arange(51)
-            g = update_curve(counts / 50, 1.9, POT)
-            steps = np.diff(g) * (1 + 0.10 * rng.standard_normal(50))
-            noisy = np.clip(np.concatenate([[0.0], np.cumsum(steps)]), 0, None)
-            fit = fit_update_curve(counts, noisy)
-            errs.append(abs(fit.nu / 1.9 - 1))
+        errs = [abs(fit_update_curve(counts, g).nu / 1.9 - 1) for counts, g in noisy_traces()]
         assert np.mean(errs) < 0.25
 
     def test_non_monotone_warns_without_failing(self):
-        counts = np.arange(10)
-        g = update_curve(counts / 9, 1.9, POT)
-        g[4], g[5] = g[5], g[4]
-        fit = fit_update_curve(counts, g)
+        fit = fit_update_curve(*non_monotone_trace())
         assert any("non-monotone" in w for w in fit.warnings)
 
     def test_too_few_points_raises(self):
         with pytest.raises(FitError):
             fit_update_curve([0, 1, 2], [0.0, 0.5, 1.0])
+
+    def test_unsaturating_branch_is_bounded_and_warned(self):
+        # No saturating exponential follows a branch that holds only counts 2 and 5:
+        # nu runs to its lower search bound, quickly, and the fit says so.
+        start = time.perf_counter()
+        fit = fit_update_curve([2, 2, 2, 5, 5, 5], [1, 1, 1, 0.5, 0.5, 0.5])
+        assert time.perf_counter() - start < 0.5
+        assert fit.nu == pytest.approx(NU_BOUNDS[0], rel=1e-12)
+        assert fit.warnings == ("nu at its search bound 1e-09; "
+                                "the saturating exponential cannot follow this branch",)
+
+    @pytest.mark.parametrize("case", ["noise_free", "noisy", "non_monotone"])
+    def test_never_worse_than_curve_fit(self, case):
+        traces = {"noise_free": noise_free_branches, "noisy": noisy_traces,
+                  "non_monotone": lambda: [non_monotone_trace()]}[case]()
+        for counts, g in traces:
+            fit = fit_update_curve(counts, g)
+            nu, rms = reference_fit(counts, g)
+            assert fit.rms_residual <= rms * (1 + 1e-12)
+            if case == "noise_free":
+                assert fit.nu == pytest.approx(nu, rel=1e-6)
+
+
+def noise_free_branches():
+    """(counts, conductances) of both noiseless branches at nu = 0.5, 1.9 and 4.3."""
+    branches = []
+    for nu in (0.5, 1.9, 4.3):
+        params = DeviceParams(nu_p=nu, nu_d=nu)
+        trace, _ = run_sequence(DeviceState.fresh(params), UpdateScheme.AMPLITUDE_RAMP,
+                                50, 50, params)
+        for direction in ("potentiation", "depression"):
+            branch = [pt for pt in trace if pt.direction == direction]
+            branches.append(([pt.count for pt in branch], [pt.conductance for pt in branch]))
+    return branches
+
+
+def noisy_traces():
+    """100 potentiation staircases at nu = 1.9 with 10 % relative noise on every step."""
+    rng = np.random.default_rng(17)
+    traces = []
+    for _ in range(100):
+        counts = np.arange(51)
+        g = update_curve(counts / 50, 1.9, POT)
+        steps = np.diff(g) * (1 + 0.10 * rng.standard_normal(50))
+        traces.append((counts, np.clip(np.concatenate([[0.0], np.cumsum(steps)]), 0, None)))
+    return traces
+
+
+def non_monotone_trace():
+    counts = np.arange(10)
+    g = update_curve(counts / 9, 1.9, POT)
+    g[4], g[5] = g[5], g[4]
+    return counts, g
+
+
+def reference_fit(counts, conductances):
+    """(nu, rms residual) of the scipy curve_fit call the package made before its
+    variable-projection fit, on the same normalization."""
+    counts = np.asarray(counts, dtype=float)
+    g = np.asarray(conductances, dtype=float)
+    order = np.argsort(counts)
+    counts, g = counts[order], g[order]
+    x = counts / counts.max()
+    g_norm = (g - g.min()) / (g.max() - g.min())
+    y = g_norm if g[-1] >= g[0] else 1.0 - g_norm
+
+    def family(xv, sigma0, nu):
+        return sigma0 * -np.expm1(-nu * xv)
+
+    popt, _ = curve_fit(
+        family, x, y, p0=(1.0, 1.0),
+        bounds=([1e-9, 1e-9], [np.inf, np.inf]),
+        xtol=1e-14, ftol=1e-14, gtol=1e-14, maxfev=20000,
+    )
+    sigma0, nu = float(popt[0]), float(popt[1])
+    return nu, float(np.sqrt(np.mean((family(x, sigma0, nu) - y) ** 2)))
 
 
 class TestDcWrite:
