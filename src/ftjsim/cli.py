@@ -177,15 +177,13 @@ def cmd_xbar(config: SimConfig, out: Path, n_writes: int) -> None:
     write_table(out / "xbar_read.csv", ("col", "current_A"),
                 [[j, _fmt(i)] for j, i in enumerate(currents)])
 
-    # Random single-cell writes under the half-bias scheme, drawn one by one, applied in order.
+    # Random single-cell writes under the half-bias scheme, drawn as arrays, applied in order.
     bias = config.crossbar.bias
     for amp in (bias.v_write_pot, bias.v_write_dep):
         dev.PulseSpec(amp, params.t_width_ref, config.scheme)
-    rows, cols, amps = [], [], []
-    for _ in range(n_writes):
-        rows.append(int(rng.integers(xbar.rows)))
-        cols.append(int(rng.integers(xbar.cols)))
-        amps.append(bias.v_write_pot if rng.random() < 0.5 else bias.v_write_dep)
+    rows = rng.integers(xbar.rows, size=n_writes)
+    cols = rng.integers(xbar.cols, size=n_writes)
+    amps = np.where(rng.random(n_writes) < 0.5, bias.v_write_pot, bias.v_write_dep)
     disturbed = xb.write_cells(xbar, rows, cols, amps, config.scheme).disturbed
     sneak = xb.sneak_ratio(xbar, xbar.rows // 2, xbar.cols // 2, 0.5)
     write_table(out / "xbar_disturb.csv", ("metric", "value"), [

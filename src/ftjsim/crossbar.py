@@ -3,9 +3,10 @@
 Cell state is held as dense arrays (one entry per junction) so reads and
 programming vectorize.  Every state update, from a half-select write to a
 programming loop, applies the one pulse kernel ``device.pulse_response`` to
-the cells a pulse reaches; programming hands it jitter drawn from each array's
-own stream, and half-select writes are noiseless.  ``write_cells`` applies a
-sequence of half-bias single-cell writes in a few array passes: a write whose
+the cells a pulse reaches, with cycle-to-cycle jitter drawn from each array's
+own stream.  ``write_cells`` applies a sequence of half-bias single-cell
+writes, drawn by the caller as three arrays, in a few array passes: each write
+takes one jitter draw for its selected cell, in write order, and a write whose
 half amplitude stays below the pulse threshold changes only its own cell, so
 such writes commute across cells.  Wires are ideal (no line resistance) and
 unselected lines are grounded during reads.  The sneak metric solves all
@@ -137,12 +138,12 @@ class Crossbar:
 
     def snapshot_csv(self, path: str | Path) -> None:
         """One CSV line per cell, row-major, with CRLF endings as csv.writer writes them."""
-        g = self.conductances()
+        cells = np.stack((self.w, self.conductances()), -1)
+        line = "".join(f"@,{c},%.12e,%.12e\r\n" for c in range(self.cols))  # @: the row
         with open(path, "w", newline="") as fh:
             fh.write(",".join(SNAPSHOT_CSV_HEADER) + "\r\n")
-            for r, (w_row, g_row) in enumerate(zip(self.w, g)):
-                fh.write("".join("%d,%d,%.12e,%.12e\r\n" % (r, c, w, gc)
-                                 for c, (w, gc) in enumerate(zip(w_row.tolist(), g_row.tolist()))))
+            for r, row in enumerate(cells):
+                fh.write(line.replace("@", str(r)) % tuple(row.ravel().tolist()))
 
     def _normalized_targets(self, target: np.ndarray) -> tuple[np.ndarray, int]:
         """Targets mapped to w-space, clipped to the per-device span."""
@@ -164,12 +165,16 @@ class Crossbar:
         return clipped
 
 
-def _write_own_cells(xbar: Crossbar, r, c, amps, scheme: UpdateScheme) -> None:
-    """Apply writes that each change only their own cell, in order per cell.
+def _write_own_cells(xbar: Crossbar, part: slice, r, c, amps, eps,
+                     scheme: UpdateScheme) -> None:
+    """Apply the writes in ``part``, each changing only its own cell, in order per cell.
 
     Such writes commute across cells, so pass j applies every cell's j-th
-    write at once, one kernel call per distinct amplitude.
+    write at once, one kernel call per distinct amplitude; ``eps`` holds each
+    write's jitter, or is None.
     """
+    r, c, amps = r[part], c[part], amps[part]
+    eps = None if eps is None else eps[part]
     cell = r * xbar.cols + c
     order = np.argsort(cell, kind="stable")
     first = np.flatnonzero(np.r_[True, np.diff(cell[order]) != 0])
@@ -180,7 +185,7 @@ def _write_own_cells(xbar: Crossbar, r, c, amps, scheme: UpdateScheme) -> None:
         for amp in dict.fromkeys(amps[batch].tolist()):
             sel = batch[amps[batch] == amp]
             xbar.w[r[sel], c[sel]] = pulse_response(xbar.w[r[sel], c[sel]], amp, scheme,
-                                                    xbar.params)
+                                                    xbar.params, None if eps is None else eps[sel])
 
 
 def write_cells(xbar: Crossbar, rows, cols, amplitudes, scheme: UpdateScheme) -> DisturbReport:
@@ -188,11 +193,14 @@ def write_cells(xbar: Crossbar, rows, cols, amplitudes, scheme: UpdateScheme) ->
 
     Write i pulses cell (rows[i], cols[i]) at amplitudes[i]: the selected cell
     sees the full amplitude and every other cell on its row or column half of
-    it, all through the same noiseless pulse response, in place.  A write whose
-    half amplitude is below the pulse threshold changes only its own cell, so
-    runs of such writes go through a few array passes; a write whose half
-    amplitude reaches the threshold is applied alone, in order.  Every cell is
-    bounds-checked before any changes.
+    it, all through the same pulse response, in place.  Before any write, one
+    jitter per write is drawn in write order from the array's c2c stream
+    (nothing at sigma_c2c = 0); write i scales its selected cell's step by
+    1 + jitter i, and the half-selected cells of an over-driven write step
+    without jitter.  A write whose half amplitude is below the pulse threshold
+    changes only its own cell, so runs of such writes go through a few array
+    passes; a write whose half amplitude reaches the threshold is applied
+    alone, in order.  Every cell is bounds-checked before any changes.
     """
     r, c, amps = np.asarray(rows), np.asarray(cols), np.asarray(amplitudes, dtype=float)
     if not (r.ndim == c.ndim == amps.ndim == 1 and r.size == c.size == amps.size):
@@ -203,13 +211,14 @@ def write_cells(xbar: Crossbar, rows, cols, amplitudes, scheme: UpdateScheme) ->
         raise IndexError(f"cell ({r[i]}, {c[i]}) out of bounds for {xbar.rows}x{xbar.cols}")
     if not np.isfinite(amps).all():
         raise ValueError("write amplitudes must be finite")
-    p, w = xbar.params, xbar.w
+    p, w, sigma = xbar.params, xbar.w, xbar.vp.sigma_c2c
+    eps = truncated_normal(xbar._c2c_rng, sigma, amps.size) if sigma else None
     disturbed = lo = 0
     for i in np.flatnonzero(np.abs(amps / 2) >= p.v_pulse_threshold):
-        _write_own_cells(xbar, r[lo:i], c[lo:i], amps[lo:i], scheme)
+        _write_own_cells(xbar, slice(lo, i), r, c, amps, eps, scheme)
         ri, ci, amp = int(r[i]), int(c[i]), float(amps[i])
         row, col = w[ri, :], w[:, ci]
-        selected = pulse_response(row[ci], amp, scheme, p)
+        selected = pulse_response(row[ci], amp, scheme, p, None if eps is None else eps[i])
         new_row = pulse_response(row, amp / 2, scheme, p)
         new_col = pulse_response(col, amp / 2, scheme, p)
         # The selected cell lies on both lines but is not half-selected.
@@ -218,7 +227,7 @@ def write_cells(xbar: Crossbar, rows, cols, amplitudes, scheme: UpdateScheme) ->
         row[:], col[:] = new_row, new_col
         row[ci] = selected
         lo = i + 1
-    _write_own_cells(xbar, r[lo:], c[lo:], amps[lo:], scheme)
+    _write_own_cells(xbar, slice(lo, None), r, c, amps, eps, scheme)
     return DisturbReport(disturbed=disturbed)
 
 
@@ -243,6 +252,8 @@ def _jitter(xbars: list[Crossbar], sigma: float, bounds: np.ndarray, idx: np.nda
     """Jitter of the ascending stacked cells idx, each array's from its own stream, or None."""
     if sigma == 0:
         return None
+    if len(xbars) == 1:
+        return truncated_normal(xbars[0]._c2c_rng, sigma, idx.size)
     counts = np.diff(np.searchsorted(idx, bounds))
     return np.concatenate([truncated_normal(x._c2c_rng, sigma, n)
                            for x, n in zip(xbars, counts) if n])
@@ -312,37 +323,48 @@ def program_write_verify_stack(xbars: list[Crossbar], targets: list, tol: float 
     # Measured conductance at the read bias is the state conductance times a
     # state-independent factor, so verification compares in state space.
     # Only unfinished cells are carried, as ascending flat indices with their
-    # owning array: a cell within tol is never pulsed again, so it stays
-    # finished, and an array stops once a pulse moves none of its cells.
+    # states: a cell within tol is never pulsed again, so it stays finished,
+    # and an array stops once a pulse moves none of its cells.  A cell's state
+    # and pulse count are written back when it leaves.
     g_hrs = np.concatenate([x.g_hrs.ravel() for x in xbars])
     span = np.concatenate([(x.g_lrs - x.g_hrs).ravel() for x in xbars])
     target_g = g_hrs + np.concatenate([t.ravel() for t, _ in normalized]) * span
     w = np.concatenate([x.w.ravel() for x in xbars])
-    iters = np.zeros(w.size, dtype=int)
-    idx, owner = np.arange(w.size), np.repeat(np.arange(len(xbars)), np.diff(bounds))
-    running = np.ones(len(xbars), dtype=bool)
-    g_a, span_a, tg = g_hrs, span, target_g
+    iters = np.full(w.size, max(max_iters, 0))
+    idx, w_a, g_a, span_a, tg = np.arange(w.size), w, g_hrs, span, target_g
 
-    for _ in range(max_iters):
-        before = w[idx]
-        g = g_a + before * span_a
-        keep = (np.abs(g - tg) / tg > tol) & running[owner]
-        idx, owner, before, g, g_a, span_a, tg = (
-            a[keep] for a in (idx, owner, before, g, g_a, span_a, tg))
-        if not idx.size:
-            break
-        iters[idx] += 1
-        after = before.copy()
-        for amplitude, mask in ((p.v_set_full, g < tg), (p.v_reset_full, g >= tg)):
+    def leave(gone: np.ndarray, pulses: int) -> None:
+        w[idx[gone]], iters[idx[gone]] = w_a[gone], pulses
+
+    for it in range(max_iters):
+        g = g_a + w_a * span_a
+        keep = np.abs(g - tg) / tg > tol
+        if not keep.all():
+            leave(~keep, it)
+            idx, w_a, g, g_a, span_a, tg = (a[keep] for a in (idx, w_a, g, g_a, span_a, tg))
+            if not idx.size:
+                break
+        after = w_a.copy()
+        up = g < tg
+        for amplitude, mask in ((p.v_set_full, up), (p.v_reset_full, ~up)):
             if mask.any():
-                after[mask] = pulse_response(before[mask], amplitude, scheme, p,
+                after[mask] = pulse_response(w_a[mask], amplitude, scheme, p,
                                              _jitter(xbars, sigma, bounds, idx[mask]))
-        moved = np.bincount(owner[before != after], minlength=len(xbars))
-        stalled = (moved == 0) & (np.bincount(owner, minlength=len(xbars)) > 0)
-        for i in np.flatnonzero(stalled):
-            warnings[i].append("programming stalled at a saturated level before convergence")
-        running &= ~stalled
-        w[idx] = np.where(running[owner], after, before)
+        starts = np.searchsorted(idx, bounds)
+        live = np.flatnonzero(starts[1:] > starts[:-1])
+        stalled = live[~np.logical_or.reduceat(w_a != after, starts[live])]
+        if stalled.size:
+            stuck = np.zeros(idx.size, dtype=bool)
+            for i in stalled:
+                warnings[i].append("programming stalled at a saturated level before convergence")
+                stuck[starts[i]:starts[i + 1]] = True
+            leave(stuck, it + 1)
+            idx, after, g_a, span_a, tg = (a[~stuck] for a in (idx, after, g_a, span_a, tg))
+            if not idx.size:
+                break
+        w_a = after
+    else:
+        w[idx] = w_a
 
     converged = np.abs(g_hrs + w * span - target_g) / target_g <= tol
     for x, lo, hi in zip(xbars, bounds, bounds[1:]):
@@ -369,10 +391,14 @@ def read_vmm(xbar: Crossbar, x: np.ndarray, t: float | None = None,
         raise ValueError(f"input length {x.shape[-1]} != rows {xbar.rows}")
     if neg is not None and neg.w.shape != xbar.w.shape:
         raise ValueError(f"pair shapes differ: {xbar.w.shape} and {neg.w.shape}")
-    if np.any(np.abs(x) > V_READ_SWEEP_MAX):
-        raise ValueError(f"read voltages must satisfy |v| <= {V_READ_SWEEP_MAX} V")
+    v_abs = np.abs(x)
+    v_max = v_abs.max(initial=0.0)
+    if not v_max <= V_READ_SWEEP_MAX:
+        raise ValueError(f"read voltages must be finite with |v| <= {V_READ_SWEEP_MAX} V")
     p = xbar.params.conduction
-    eff = x * activation_factor(t, p) * shape_factor(np.abs(x), t, p)
+    eff = x * activation_factor(t, p)
+    if v_max > p.v_pf_min:  # the field factor is exactly 1 up to its onset
+        eff *= shape_factor(v_abs, t, p)
     i = eff @ xbar.conductances()
     return i if neg is None else i - eff @ neg.conductances()
 

@@ -215,10 +215,10 @@ def truncated_normal(rng: np.random.Generator, sigma: float, size: int) -> np.nd
         return np.zeros(size)
     out = rng.normal(0.0, sigma, size)
     bound = TRUNCATION_SIGMAS * sigma
-    bad = np.abs(out) > bound
-    while bad.any():
-        out[bad] = rng.normal(0.0, sigma, int(bad.sum()))
-        bad = np.abs(out) > bound
+    bad = (np.abs(out) > bound).nonzero()[0]
+    while bad.size:  # only a resampled element can be out of bounds again
+        out[bad] = rng.normal(0.0, sigma, bad.size)
+        bad = bad[np.abs(out[bad]) > bound]
     return out
 
 
@@ -358,8 +358,9 @@ def fit_update_curve(counts: Sequence[float], conductances: Sequence[float]) -> 
     coarse-to-fine grid inside ``NU_BOUNDS``: the residual picks the basin, the
     sign of its analytic derivative brackets the optimum to the last bits, and
     the floating-point neighbours of (sigma0, nu) with the least computed
-    residual are returned.  A non-monotone branch and a nu on its search bound
-    are reported as warnings, not errors.
+    residual are returned.  A non-monotone branch, a nu on its search bound and
+    a branch already saturated at its first positive count are reported as
+    warnings, not errors.
     """
     counts = np.asarray(counts, dtype=float)
     g = np.asarray(conductances, dtype=float)
@@ -408,6 +409,9 @@ def fit_update_curve(counts: Sequence[float], conductances: Sequence[float]) -> 
     sigma0 = np.maximum(sigma0 + ulps * np.spacing(sigma0), SIGMA0_MIN)
     sq = np.mean((sigma0[:, :, None] * f[:, None, :] - y) ** 2, axis=-1)
     i, j = np.unravel_index(np.argmin(sq), sq.shape)
+    if -np.expm1(-nus[i] * x[x > 0][0]) == 1.0:  # past here every larger nu fits as well
+        warnings.append(f"branch saturated by its first pulse count; nu {nus[i]:g} fits "
+                        "and so does any larger nu")
     return UpdateCurveFit(sigma0=float(sigma0[i, j]), nu=float(nus[i]), direction=direction,
                           rms_residual=float(np.sqrt(sq[i, j])), warnings=tuple(warnings))
 

@@ -12,15 +12,18 @@ import pytest
 
 import ftjsim
 from ftjsim import cli, table
+from ftjsim import crossbar as xb
 from ftjsim import conduction as cnd
 from ftjsim import device as dev
 from ftjsim import inference as inf
 from ftjsim.cli import main
 from ftjsim.conduction import K_B_EV, synthetic_pf_sweep
-from ftjsim.config import SimConfig, apply_master_seed, config_from_dict, default_config_text, load_config
+from ftjsim.config import (STREAM_WORKLOAD, SimConfig, apply_master_seed, config_from_dict,
+                           default_config_text, load_config)
 from ftjsim.device import TRACE_CSV_HEADER
 from ftjsim.errors import ConfigError
 from ftjsim.inference import make_blobs_dataset
+from ftjsim.variability import derive_seed
 
 
 def run_cli(*args):
@@ -139,6 +142,16 @@ class TestCliContracts:
         assert ("trace.csv,update_depression,warning,"
                 "nu at its search bound 1e-09; the saturating exponential cannot follow "
                 "this branch") in rows
+
+    def test_saturated_branch_reports_warning_row(self, tmp_path):
+        trace = tmp_path / "trace.csv"
+        trace.write_text(",".join(TRACE_CSV_HEADER) + "\n" + "".join(
+            f"{c},potentiation,{g},{1 / g}\n" for c, g in zip(range(11), [1.0] + [2.0] * 10)))
+        assert run_cli("--out", tmp_path, "fit", trace) == 0
+        rows = (tmp_path / "fit_report.csv").read_text().strip().splitlines()
+        assert [r for r in rows if ",warning," in r] == [
+            "trace.csv,update_potentiation,warning,branch saturated by its first pulse count; "
+            "nu 374.299 fits and so does any larger nu"]
 
     def test_negative_seed_exits_2(self, tmp_path, capsys):
         assert run_cli("--seed", -5, "--out", tmp_path, "iv") == 2
@@ -392,6 +405,28 @@ class TestCliContracts:
         assert (tmp_path / "xbar_read.csv").exists()
         snapshot = (tmp_path / "xbar_snapshot.csv").read_text().strip().splitlines()
         assert snapshot[0] == "row,col,w,g_S" and len(snapshot) == 1 + 64
+
+    def test_xbar_writes_are_three_array_draws(self, tmp_path, monkeypatch):
+        # After the target and input draws, the workload stream gives the rows,
+        # the columns and the amplitude coin of all writes, each in one array draw.
+        cfg = tmp_path / "small.json"
+        raw = json.loads(default_config_text())
+        raw["crossbar"]["rows"], raw["crossbar"]["cols"] = 6, 9
+        cfg.write_text(json.dumps(raw))
+        seen = []
+        monkeypatch.setattr(xb, "write_cells", lambda xbar, *writes, apply=xb.write_cells:
+                            seen.append(writes) or apply(xbar, *writes))
+        assert run_cli("--config", cfg, "--seed", 777, "--out", tmp_path,
+                       "xbar", "--writes", "300") == 0
+        (rows, cols, amps, _), = seen
+        rng = np.random.default_rng(derive_seed(777, STREAM_WORKLOAD))
+        rng.uniform(0.3, 0.95, size=(6, 9))  # programming targets
+        rng.uniform(-1.0, 1.0, size=6)       # read input
+        bias = load_config(cfg).crossbar.bias
+        assert np.array_equal(rows, rng.integers(6, size=300))
+        assert np.array_equal(cols, rng.integers(9, size=300))
+        assert np.array_equal(amps, np.where(rng.random(300) < 0.5, bias.v_write_pot,
+                                             bias.v_write_dep))
 
     def test_infer_report(self, tmp_path):
         assert run_cli("--out", tmp_path, "infer", "--seeds", "2", "--hidden", "8") == 0

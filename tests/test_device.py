@@ -278,6 +278,16 @@ class TestFitUpdateCurve:
         assert fit.warnings == ("nu at its search bound 1e-09; "
                                 "the saturating exponential cannot follow this branch",)
 
+    @pytest.mark.parametrize("rising", [True, False])
+    def test_saturated_branch_is_warned(self, rising):
+        # A branch at its last level from its first count fits every nu past
+        # about 37 per normalized count equally: the returned nu is not a measurement.
+        g = [0.0] + [1.0] * 10
+        fit = fit_update_curve(range(11), g if rising else [1.0 - v for v in g])
+        assert fit.rms_residual == 0.0
+        assert fit.warnings == (f"branch saturated by its first pulse count; nu {fit.nu:g} "
+                                "fits and so does any larger nu",)
+
     @pytest.mark.parametrize("case", ["noise_free", "noisy", "non_monotone"])
     def test_never_worse_than_curve_fit(self, case):
         traces = {"noise_free": noise_free_branches, "noisy": noisy_traces,

@@ -50,6 +50,21 @@ class TestPulseResponse:
         assert stream(np.random.default_rng(99), 5) == stream(np.random.default_rng(99), 5)
         assert stream(np.random.default_rng(7), 100) == stream(np.random.default_rng(7), 100)
 
+    @pytest.mark.parametrize("size", [1, 7, 1000])
+    def test_truncated_normal_equals_whole_array_resampling(self, size):
+        def reference(rng, sigma, n):
+            """Reference copy of the earlier loop, which re-tested the whole array per round."""
+            out = rng.normal(0.0, sigma, n)
+            bad = np.abs(out) > 3 * sigma
+            while bad.any():
+                out[bad] = rng.normal(0.0, sigma, int(bad.sum()))
+                bad = np.abs(out) > 3 * sigma
+            return out
+        for seed in range(30):
+            a, b = np.random.default_rng(seed), np.random.default_rng(seed)
+            assert np.array_equal(truncated_normal(a, 0.2, size), reference(b, 0.2, size))
+            assert a.bit_generator.state == b.bit_generator.state
+
     def test_clamped_to_unit_interval(self):
         rng = np.random.default_rng(4)
         for w0, amp, bound in ((0.0, PARAMS.v_set_full, 0.0), (1.0, PARAMS.v_reset_full, 1.0)):
