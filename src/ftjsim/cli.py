@@ -81,7 +81,7 @@ def cmd_pulse(config: SimConfig, out: Path, n_pot: int | None, n_dep: int | None
     if not (0 <= n_pot <= params.n_levels and 0 <= n_dep <= params.n_levels):
         raise ConfigError(f"--pot and --dep must lie in [0, n_levels = {params.n_levels}], "
                           f"got {n_pot} and {n_dep}")
-    trace, _ = dev.run_sequence(dev.DeviceState.fresh(params), config.scheme, n_pot, n_dep,
+    trace, _ = dev.run_sequence(dev.DeviceState.fresh(params), n_pot, n_dep,
                                 params, config.variability.sigma_c2c,
                                 np.random.default_rng(config.variability.seed))
     dev.write_trace_csv(out / "pulse_trace.csv", trace)
@@ -154,8 +154,7 @@ def cmd_fit(config: SimConfig, out: Path, files: list[str]) -> None:
 def cmd_xbar(config: SimConfig, out: Path, n_writes: int) -> None:
     """Program, read and disturb-count a crossbar of the configured geometry."""
     params = config.device
-    xbar = xb.Crossbar.create(config.crossbar.rows, config.crossbar.cols, params,
-                              config.variability, config.crossbar.bias, config.scheme)
+    xbar = xb.Crossbar.create(config.crossbar.rows, config.crossbar.cols, params, config.variability)
     rng = np.random.default_rng(var.derive_seed(config.seed, STREAM_WORKLOAD))
 
     # Closed-loop programming of a random mid-range pattern.
@@ -179,12 +178,10 @@ def cmd_xbar(config: SimConfig, out: Path, n_writes: int) -> None:
 
     # Random single-cell writes under the half-bias scheme, drawn as arrays, applied in order.
     bias = config.crossbar.bias
-    for amp in (bias.v_write_pot, bias.v_write_dep):
-        dev.PulseSpec(amp, params.t_width_ref, config.scheme)
     rows = rng.integers(xbar.rows, size=n_writes)
     cols = rng.integers(xbar.cols, size=n_writes)
     amps = np.where(rng.random(n_writes) < 0.5, bias.v_write_pot, bias.v_write_dep)
-    disturbed = xb.write_cells(xbar, rows, cols, amps, config.scheme).disturbed
+    disturbed = xb.write_cells(xbar, rows, cols, amps).disturbed
     sneak = xb.sneak_ratio(xbar, xbar.rows // 2, xbar.cols // 2, 0.5)
     write_table(out / "xbar_disturb.csv", ("metric", "value"), [
         ["writes", n_writes],
@@ -216,7 +213,7 @@ def cmd_infer(config: SimConfig, out: Path, dataset: str | None, n_seeds: int,
     per_class_header = [f"class_{k}_analog" for k in range(n_classes)]
     for s in range(n_seeds):
         vp = replace(config.variability, seed=var.derive_seed(config.seed, STREAM_EVAL_BASE + s))
-        net = inf.program_network(weights, config.device, vp, mode=mode, scheme=config.scheme)
+        net = inf.program_network(weights, config.device, vp, mode=mode)
         report = inf.evaluate(net, x, y, weights)
         rows.append([s, _fmt(report.analog_accuracy), _fmt(report.baseline_accuracy),
                      _fmt(report.degradation_points)]
@@ -242,8 +239,8 @@ def cmd_bench(config: SimConfig, out: Path) -> None:
     i_hrs = cnd.current(0.1, hrs.conductance, t_ref, p)
     r_on = dev.read_resistance(lrs, 0.1, t_ref, params)
 
-    trace, _ = dev.run_sequence(dev.DeviceState.fresh(params), config.scheme,
-                                params.n_levels, params.n_levels, params)
+    trace, _ = dev.run_sequence(dev.DeviceState.fresh(params), params.n_levels,
+                                params.n_levels, params)
     pot = [pt for pt in trace if pt.direction == "potentiation"]
     dep = [pt for pt in trace if pt.direction == "depression"]
     nu_p = dev.fit_update_curve([pt.count for pt in pot], [pt.conductance for pt in pot]).nu

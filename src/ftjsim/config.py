@@ -50,7 +50,6 @@ class SimConfig:
     device: DeviceParams = DeviceParams()
     variability: VariabilityParams = VariabilityParams()
     crossbar: CrossbarConfig = CrossbarConfig()
-    scheme: UpdateScheme = UpdateScheme.AMPLITUDE_RAMP
 
     def __post_init__(self) -> None:
         if self.schema_version != SCHEMA_VERSION:
@@ -68,7 +67,7 @@ class SimConfig:
             "schema_version": self.schema_version,
             "seed": self.seed,
             "output_dir": self.output_dir,
-            "scheme": self.scheme.value,
+            "scheme": dev.pop("scheme").value,
             "conduction": conduction,
             "device": dev,
             "variability": dataclasses.asdict(self.variability),
@@ -91,10 +90,14 @@ def _check_float(value, name: str) -> None:
 
 
 def _build(cls, section: dict, name: str, **extra):
-    """Instantiate a parameter dataclass from one JSON section, strictly."""
+    """Instantiate a parameter dataclass from one JSON section, strictly.
+
+    The fields in ``extra`` come from elsewhere in the file, so the section
+    may not name them.
+    """
     if not isinstance(section, dict):
         raise ConfigError(f"section '{name}' must be an object")
-    fields = {f.name: f for f in dataclasses.fields(cls)}
+    fields = {f.name: f for f in dataclasses.fields(cls) if f.name not in extra}
     unknown = sorted(set(section) - set(fields))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in section '{name}'")
@@ -117,18 +120,18 @@ def config_from_dict(raw: dict) -> SimConfig:
     if unknown:
         raise ConfigError(f"unknown top-level key(s) {unknown}")
 
+    try:
+        scheme = UpdateScheme(raw.get("scheme", UpdateScheme.AMPLITUDE_RAMP.value))
+    except ValueError as exc:
+        raise ConfigError(f"scheme: {exc}") from exc
     conduction = _build(ConductionParams, raw.get("conduction", {}), "conduction")
-    device = _build(DeviceParams, raw.get("device", {}), "device", conduction=conduction)
+    device = _build(DeviceParams, raw.get("device", {}), "device",
+                    conduction=conduction, scheme=scheme)
     variability = _build(VariabilityParams, raw.get("variability", {}), "variability")
 
     xbar_raw = dict(raw.get("crossbar", {}))
     bias = _build(BiasScheme, xbar_raw.pop("bias", {}), "crossbar.bias")
     crossbar = _build(CrossbarConfig, xbar_raw, "crossbar", bias=bias)
-
-    try:
-        scheme = UpdateScheme(raw.get("scheme", UpdateScheme.AMPLITUDE_RAMP.value))
-    except ValueError as exc:
-        raise ConfigError(f"scheme: {exc}") from exc
 
     top = {key: raw.get(key, default) for key, default in
            (("schema_version", SCHEMA_VERSION), ("seed", 12345))}
@@ -141,7 +144,6 @@ def config_from_dict(raw: dict) -> SimConfig:
             device=device,
             variability=variability,
             crossbar=crossbar,
-            scheme=scheme,
         )
     except (TypeError, ValueError) as exc:
         raise ConfigError(str(exc)) from exc

@@ -23,8 +23,7 @@ import numpy as np
 
 from .conduction import (V_READ_SWEEP_MAX, activation_factor, current, differential_conductance,
                          shape_factor, voltage_at_current)
-from .device import (DeviceParams, Direction, PulseSpec, UpdateScheme, level_table, pulse_response,
-                     truncated_normal)
+from .device import DeviceParams, Direction, PulseSpec, level_table, pulse_response, truncated_normal
 from .errors import ConfigError, ConvergenceError
 from .variability import VariabilityParams, sample_endpoint_arrays
 
@@ -71,7 +70,7 @@ class WriteVerifyReport:
 
 
 class Crossbar:
-    """rows x cols array of junctions plus its bias scheme and noise model."""
+    """rows x cols array of junctions plus its device and noise model."""
 
     def __init__(
         self,
@@ -80,8 +79,6 @@ class Crossbar:
         g_lrs: np.ndarray,
         params: DeviceParams,
         vp: VariabilityParams,
-        bias: BiasScheme,
-        scheme: UpdateScheme,
         c2c_rng: np.random.Generator,
     ):
         if w.ndim != 2 or w.shape != g_hrs.shape or w.shape != g_lrs.shape:
@@ -93,8 +90,6 @@ class Crossbar:
         self.g_lrs = g_lrs
         self.params = params
         self.vp = vp
-        self.bias = bias
-        self.scheme = scheme
         self._c2c_rng = c2c_rng
 
     @property
@@ -106,19 +101,10 @@ class Crossbar:
         return self.w.shape[1]
 
     @classmethod
-    def create(
-        cls,
-        rows: int,
-        cols: int,
-        params: DeviceParams,
-        vp: VariabilityParams,
-        bias: BiasScheme = BiasScheme(),
-        scheme: UpdateScheme = UpdateScheme.AMPLITUDE_RAMP,
-    ) -> "Crossbar":
+    def create(cls, rows: int, cols: int, params: DeviceParams, vp: VariabilityParams) -> "Crossbar":
         """Sample a fresh array; endpoints come from the population model."""
         if rows < 1 or cols < 1:
             raise ValueError("array dimensions must be >= 1")
-        bias.validate_against(params)
         d2d_ss, c2c_ss = np.random.SeedSequence(vp.seed).spawn(2)
         g_hrs, g_lrs = sample_endpoint_arrays(rows * cols, params, vp, np.random.default_rng(d2d_ss))
         return cls(
@@ -127,8 +113,6 @@ class Crossbar:
             g_lrs=g_lrs.reshape(rows, cols),
             params=params,
             vp=vp,
-            bias=bias,
-            scheme=scheme,
             c2c_rng=np.random.default_rng(c2c_ss),
         )
 
@@ -165,8 +149,7 @@ class Crossbar:
         return clipped
 
 
-def _write_own_cells(xbar: Crossbar, part: slice, r, c, amps, eps,
-                     scheme: UpdateScheme) -> None:
+def _write_own_cells(xbar: Crossbar, part: slice, r, c, amps, eps) -> None:
     """Apply the writes in ``part``, each changing only its own cell, in order per cell.
 
     Such writes commute across cells, so pass j applies every cell's j-th
@@ -184,11 +167,11 @@ def _write_own_cells(xbar: Crossbar, part: slice, r, c, amps, eps,
         batch = np.flatnonzero(rank == j)
         for amp in dict.fromkeys(amps[batch].tolist()):
             sel = batch[amps[batch] == amp]
-            xbar.w[r[sel], c[sel]] = pulse_response(xbar.w[r[sel], c[sel]], amp, scheme,
-                                                    xbar.params, None if eps is None else eps[sel])
+            xbar.w[r[sel], c[sel]] = pulse_response(xbar.w[r[sel], c[sel]], amp, xbar.params,
+                                                    None if eps is None else eps[sel])
 
 
-def write_cells(xbar: Crossbar, rows, cols, amplitudes, scheme: UpdateScheme) -> DisturbReport:
+def write_cells(xbar: Crossbar, rows, cols, amplitudes) -> DisturbReport:
     """Apply single-cell writes under the half-bias scheme in order; report half-select fallout.
 
     Write i pulses cell (rows[i], cols[i]) at amplitudes[i]: the selected cell
@@ -215,19 +198,19 @@ def write_cells(xbar: Crossbar, rows, cols, amplitudes, scheme: UpdateScheme) ->
     eps = truncated_normal(xbar._c2c_rng, sigma, amps.size) if sigma else None
     disturbed = lo = 0
     for i in np.flatnonzero(np.abs(amps / 2) >= p.v_pulse_threshold):
-        _write_own_cells(xbar, slice(lo, i), r, c, amps, eps, scheme)
+        _write_own_cells(xbar, slice(lo, i), r, c, amps, eps)
         ri, ci, amp = int(r[i]), int(c[i]), float(amps[i])
         row, col = w[ri, :], w[:, ci]
-        selected = pulse_response(row[ci], amp, scheme, p, None if eps is None else eps[i])
-        new_row = pulse_response(row, amp / 2, scheme, p)
-        new_col = pulse_response(col, amp / 2, scheme, p)
+        selected = pulse_response(row[ci], amp, p, None if eps is None else eps[i])
+        new_row = pulse_response(row, amp / 2, p)
+        new_col = pulse_response(col, amp / 2, p)
         # The selected cell lies on both lines but is not half-selected.
         disturbed += int(np.count_nonzero(new_row != row) + np.count_nonzero(new_col != col)
                          - 2 * (new_row[ci] != row[ci]))
         row[:], col[:] = new_row, new_col
         row[ci] = selected
         lo = i + 1
-    _write_own_cells(xbar, slice(lo, None), r, c, amps, eps, scheme)
+    _write_own_cells(xbar, slice(lo, None), r, c, amps, eps)
     return DisturbReport(disturbed=disturbed)
 
 
@@ -237,14 +220,14 @@ def write_cell(xbar: Crossbar, r: int, c: int, pulse: PulseSpec) -> DisturbRepor
     The one-write view of ``write_cells``: the selected cell sees the full
     amplitude, every other cell on its row or column half of it.
     """
-    return write_cells(xbar, [r], [c], [pulse.amplitude], pulse.scheme)
+    return write_cells(xbar, [r], [c], [pulse.amplitude])
 
 
 def _stack(xbars: list[Crossbar]) -> tuple:
     """Shared device model and the flat cell bounds of a stack."""
-    model = (xbars[0].params, xbars[0].scheme, xbars[0].vp.sigma_c2c)
-    if any((x.params, x.scheme, x.vp.sigma_c2c) != model for x in xbars):
-        raise ValueError("stacked arrays must share device parameters, scheme and sigma_c2c")
+    model = (xbars[0].params, xbars[0].vp.sigma_c2c)
+    if any((x.params, x.vp.sigma_c2c) != model for x in xbars):
+        raise ValueError("stacked arrays must share device parameters and sigma_c2c")
     return (*model, np.cumsum([0] + [x.w.size for x in xbars]))
 
 
@@ -277,10 +260,10 @@ def program_open_loop_stack(xbars: list[Crossbar], targets: list) -> None:
     draws the jitter of its own segment from its own stream, so states and
     streams equal programming one array at a time.
     """
-    p, scheme, sigma, bounds = _stack(xbars)
+    p, sigma, bounds = _stack(xbars)
     t_norm = np.concatenate([x._normalized_targets(t)[0].ravel()
                              for x, t in zip(xbars, targets, strict=True)])
-    levels = level_table(p.nu_for(scheme, Direction.POTENTIATE), Direction.POTENTIATE, p.n_levels)
+    levels = level_table(p.nu_for(Direction.POTENTIATE), Direction.POTENTIATE, p.n_levels)
     idx = np.clip(np.searchsorted(levels, t_norm), 1, len(levels) - 1)
     k = np.where((t_norm - levels[idx - 1]) <= (levels[idx] - t_norm), idx - 1, idx)
 
@@ -288,8 +271,7 @@ def program_open_loop_stack(xbars: list[Crossbar], targets: list) -> None:
     idx = np.flatnonzero(k)  # cells still owed a pulse, ascending flat index
     for s in range(1, int(k.max()) + 1):
         idx = idx[k[idx] >= s]
-        w[idx] = pulse_response(w[idx], p.v_set_full, scheme, p,
-                                _jitter(xbars, sigma, bounds, idx))
+        w[idx] = pulse_response(w[idx], p.v_set_full, p, _jitter(xbars, sigma, bounds, idx))
     for x, lo, hi in zip(xbars, bounds, bounds[1:]):
         x.w[:] = w[lo:hi].reshape(x.w.shape)
 
@@ -316,7 +298,9 @@ def program_write_verify_stack(xbars: list[Crossbar], targets: list, tol: float 
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
-    p, scheme, sigma, bounds = _stack(xbars)
+    if max_iters < 0:
+        raise ValueError(f"max_iters must be >= 0, got {max_iters}")
+    p, sigma, bounds = _stack(xbars)
     normalized = [x._normalized_targets(t) for x, t in zip(xbars, targets, strict=True)]
     warnings = [[f"{c} target(s) outside the device span were clipped"] if c else []
                 for _, c in normalized]
@@ -330,7 +314,7 @@ def program_write_verify_stack(xbars: list[Crossbar], targets: list, tol: float 
     span = np.concatenate([(x.g_lrs - x.g_hrs).ravel() for x in xbars])
     target_g = g_hrs + np.concatenate([t.ravel() for t, _ in normalized]) * span
     w = np.concatenate([x.w.ravel() for x in xbars])
-    iters = np.full(w.size, max(max_iters, 0))
+    iters = np.full(w.size, max_iters)
     idx, w_a, g_a, span_a, tg = np.arange(w.size), w, g_hrs, span, target_g
 
     def leave(gone: np.ndarray, pulses: int) -> None:
@@ -348,7 +332,7 @@ def program_write_verify_stack(xbars: list[Crossbar], targets: list, tol: float 
         up = g < tg
         for amplitude, mask in ((p.v_set_full, up), (p.v_reset_full, ~up)):
             if mask.any():
-                after[mask] = pulse_response(w_a[mask], amplitude, scheme, p,
+                after[mask] = pulse_response(w_a[mask], amplitude, p,
                                              _jitter(xbars, sigma, bounds, idx[mask]))
         starts = np.searchsorted(idx, bounds)
         live = np.flatnonzero(starts[1:] > starts[:-1])

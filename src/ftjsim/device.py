@@ -34,7 +34,7 @@ _FIT_ULPS = 8             # floating-point neighbours searched around the fitted
 
 
 class UpdateScheme(Enum):
-    """Programming scheme a pulse belongs to."""
+    """Programming scheme of a device's write pulses."""
 
     AMPLITUDE_RAMP = "amplitude_ramp"  # constant width, stepped amplitude
     WIDTH_RAMP = "width_ramp"          # constant amplitude, stepped width
@@ -47,11 +47,10 @@ class Direction(Enum):
 
 @dataclass(frozen=True)
 class PulseSpec:
-    """One write stimulus: signed amplitude, width and owning scheme."""
+    """One write stimulus: signed amplitude and width."""
 
     amplitude: float          # V, negative potentiates (top electrode negative)
     width: float              # s
-    scheme: UpdateScheme = UpdateScheme.AMPLITUDE_RAMP
 
     def __post_init__(self) -> None:
         if not (np.isfinite(self.amplitude) and np.isfinite(self.width)):
@@ -66,8 +65,9 @@ class DeviceParams:
 
     ``nu_p``/``nu_d`` are the staircase shape parameters of the
     amplitude-ramp scheme; the width-ramp scheme swaps them (its sharp
-    direction is the opposite one).  Endpoint conductances derive from the
-    conduction record scaled linearly by ``area``.
+    direction is the opposite one).  ``scheme`` is the one place the update
+    scheme is set; every pulse reads it through ``nu_for``.  Endpoint
+    conductances derive from the conduction record scaled linearly by ``area``.
     """
 
     conduction: ConductionParams = ConductionParams()
@@ -82,8 +82,11 @@ class DeviceParams:
     v_pulse_threshold: float = 1.3  # V, minimum |amplitude| that moves state
     t_width_ref: float = 50e-6     # s, reference pulse width
     hzo_thickness_nm: float = 10.0  # reporting only (coercive field)
+    scheme: UpdateScheme = UpdateScheme.AMPLITUDE_RAMP
 
     def __post_init__(self) -> None:
+        if not isinstance(self.scheme, UpdateScheme):
+            raise ValueError(f"scheme must be an UpdateScheme, got {self.scheme!r}")
         if not (self.v_set_full <= self.v_c_set < 0 < self.v_c_reset <= self.v_reset_full):
             raise ValueError(
                 "require v_set_full <= v_c_set < 0 < v_c_reset <= v_reset_full, got "
@@ -129,8 +132,9 @@ class DeviceParams:
     def g_hrs(self) -> float:
         return self.g_lrs / self.conduction.on_off
 
-    def nu_for(self, scheme: UpdateScheme, direction: Direction) -> float:
-        if scheme is UpdateScheme.WIDTH_RAMP:
+    def nu_for(self, direction: Direction) -> float:
+        """Staircase shape of one direction under this device's update scheme."""
+        if self.scheme is UpdateScheme.WIDTH_RAMP:
             return self.nu_d if direction is Direction.POTENTIATE else self.nu_p
         return self.nu_p if direction is Direction.POTENTIATE else self.nu_d
 
@@ -222,7 +226,7 @@ def truncated_normal(rng: np.random.Generator, sigma: float, size: int) -> np.nd
     return out
 
 
-def pulse_response(w, amplitude: float, scheme: UpdateScheme, params: DeviceParams, eps=None):
+def pulse_response(w, amplitude: float, params: DeviceParams, eps=None):
     """State after one write pulse of the given signed amplitude, for scalars and arrays.
 
     Below the voltage threshold ``w`` itself is returned, so the no-op is
@@ -234,7 +238,7 @@ def pulse_response(w, amplitude: float, scheme: UpdateScheme, params: DevicePara
     if abs(amplitude) < params.v_pulse_threshold:
         return w
     direction = Direction.POTENTIATE if amplitude < 0 else Direction.DEPRESS
-    stepped = step_weight(w, params.nu_for(scheme, direction), direction, params.n_levels)
+    stepped = step_weight(w, params.nu_for(direction), direction, params.n_levels)
     if eps is None:
         return stepped
     out = np.clip(w + (stepped - w) * (1.0 + eps), 0.0, 1.0)
@@ -243,7 +247,7 @@ def pulse_response(w, amplitude: float, scheme: UpdateScheme, params: DevicePara
 
 def apply_pulse(state: DeviceState, pulse: PulseSpec, params: DeviceParams) -> DeviceState:
     """Noiseless pulse_response on one device; a sub-threshold pulse returns ``state`` itself."""
-    w = pulse_response(state.w, pulse.amplitude, pulse.scheme, params)
+    w = pulse_response(state.w, pulse.amplitude, params)
     return state if w is state.w else replace(state, w=w)
 
 
@@ -260,7 +264,6 @@ TRACE_DIRECTIONS = ("potentiation", "depression")
 
 def run_sequence(
     state: DeviceState,
-    scheme: UpdateScheme,
     n_pot: int,
     n_dep: int,
     params: DeviceParams,
@@ -285,7 +288,7 @@ def run_sequence(
         ws.append(w)
         for _ in range(n):
             eps = truncated_normal(rng, sigma_c2c, 1)[0] if sigma_c2c else None
-            w = pulse_response(w, amplitude, scheme, params, eps)
+            w = pulse_response(w, amplitude, params, eps)
             ws.append(w)
     r = _read_trace(state, np.array(ws), PULSE_READ_VOLTAGE, params).tolist()
     points = [TracePoint(i, d, PULSE_READ_VOLTAGE / ri, ri) for (i, d), ri in zip(labels, r)]

@@ -14,9 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .crossbar import (BiasScheme, Crossbar, program_open_loop_stack, program_write_verify_stack,
-                       read_vmm)
-from .device import DeviceParams, UpdateScheme
+from .crossbar import Crossbar, program_open_loop_stack, program_write_verify_stack, read_vmm
+from .device import DeviceParams
 from .errors import ConfigError
 from .table import read_table
 from .variability import VariabilityParams, derive_seed
@@ -125,7 +124,6 @@ def program_network(
     vp: VariabilityParams,
     mode: str = "open_loop",
     v_read: float = 0.1,
-    scheme: UpdateScheme = UpdateScheme.AMPLITUDE_RAMP,
     tol: float = 0.05,
     max_iters: int = 200,
 ) -> AnalogNetwork:
@@ -139,12 +137,11 @@ def program_network(
     """
     if mode not in ("continuous", "open_loop", "write_verify"):
         raise ValueError(f"unknown programming mode {mode!r}")
-    bias = BiasScheme(v_write_pot=params.v_set_full, v_write_dep=params.v_reset_full)
     layers, xbars, targets = [], [], []
     for li, w in enumerate(weights):
         g_pos, g_neg, mapping = map_weights(w, params, v_read=v_read)
         halves = [Crossbar.create(w.shape[0], w.shape[1], params,
-                                  replace(vp, seed=derive_seed(vp.seed, 2 * li + hi)), bias, scheme)
+                                  replace(vp, seed=derive_seed(vp.seed, 2 * li + hi)))
                   for hi in range(2)]
         layers.append(AnalogLayer(pos=halves[0], neg=halves[1], mapping=mapping))
         xbars += halves

@@ -22,7 +22,6 @@ from ftjsim.device import (
     DeviceParams,
     DeviceState,
     PulseSpec,
-    UpdateScheme,
     extract_memory_window,
     fit_update_curve,
     hysteresis_loop,
@@ -124,8 +123,7 @@ def test_07_update_curve_round_trip():
     worst = 0.0
     for nu in (0.5, 1.9, 4.3):
         params = DeviceParams(nu_p=nu, nu_d=nu)
-        trace, _ = run_sequence(DeviceState.fresh(params), UpdateScheme.AMPLITUDE_RAMP,
-                                50, 50, params)
+        trace, _ = run_sequence(DeviceState.fresh(params), 50, 50, params)
         for direction in ("potentiation", "depression"):
             branch = [pt for pt in trace if pt.direction == direction]
             fit = fit_update_curve([pt.count for pt in branch],
@@ -146,10 +144,10 @@ def test_08_half_select_immunity():
     for _ in range(10_000):
         r, c = int(rng.integers(64)), int(rng.integers(64))
         amp = PARAMS.v_set_full if rng.random() < 0.5 else PARAMS.v_reset_full
-        pulse = PulseSpec(amp, PARAMS.t_width_ref, UpdateScheme.AMPLITUDE_RAMP)
+        pulse = PulseSpec(amp, PARAMS.t_width_ref)
         write_cell(xbar, r, c, pulse)
         eps = truncated_normal(shadow_c2c, xbar.vp.sigma_c2c, 1)[0]
-        shadow[r, c] = pulse_response(float(shadow[r, c]), amp, pulse.scheme, PARAMS, eps)
+        shadow[r, c] = pulse_response(float(shadow[r, c]), amp, PARAMS, eps)
     ok = np.array_equal(xbar.w, shadow)
     check("8 half-select immunity", ok,
           "10000 random writes on 64x64: unselected cells bit-identical" if ok

@@ -20,7 +20,7 @@ from ftjsim.cli import main
 from ftjsim.conduction import K_B_EV, synthetic_pf_sweep
 from ftjsim.config import (STREAM_WORKLOAD, SimConfig, apply_master_seed, config_from_dict,
                            default_config_text, load_config)
-from ftjsim.device import TRACE_CSV_HEADER
+from ftjsim.device import TRACE_CSV_HEADER, UpdateScheme
 from ftjsim.errors import ConfigError
 from ftjsim.inference import make_blobs_dataset
 from ftjsim.variability import derive_seed
@@ -57,6 +57,16 @@ class TestConfig:
     def test_unknown_section_key_rejected(self):
         with pytest.raises(ConfigError, match="unknown key"):
             config_from_dict({"conduction": {"g_lrs_ref": 1e-8, "typo_key": 2}})
+        # A key that another part of the file sets is unknown inside this section.
+        for key, value in (("conduction", {}), ("scheme", "width_ramp")):
+            with pytest.raises(ConfigError) as exc:
+                config_from_dict({"device": {key: value}})
+            assert str(exc.value) == f"unknown key(s) ['{key}'] in section 'device'"
+
+    def test_scheme_is_a_device_parameter(self):
+        config = config_from_dict({"scheme": "width_ramp"})
+        assert config.device.scheme is UpdateScheme.WIDTH_RAMP
+        assert config.to_dict() == {**SimConfig().to_dict(), "scheme": "width_ramp"}
 
     def test_invariant_violation_rejected(self):
         with pytest.raises(ConfigError, match="conduction"):
@@ -204,6 +214,8 @@ class TestCliContracts:
         ("device", {"area": True}),
         ("device", {"nu_p": "1.9"}),
         ("scheme", "single"),
+        ("device", {"conduction": {}}),
+        ("device", {"scheme": "width_ramp"}),
         ("output_dir", 5),
         ("variability", {"sigma_c2c": 1e308}),
         ("conduction", {"g_lrs_ref": 1e300, "area_ref": 1e-10}),
@@ -212,6 +224,7 @@ class TestCliContracts:
             "nan_e_a", "nan_beta", "float_n_levels", "bool_seed", "bool_variability_seed",
             "float_rows", "bool_cols", "inf_g_lrs_ref", "huge_int_t_ref", "nan_v_write_pot",
             "nan_hzo_thickness", "inf_drift", "bool_area", "string_nu_p", "scheme_single",
+            "device_conduction", "device_scheme",
             "int_output_dir", "huge_sigma_c2c", "overflowing_g_lrs", "underflowing_g_hrs"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, section, values):
         bad = tmp_path / "bad.json"
@@ -418,7 +431,7 @@ class TestCliContracts:
                             seen.append(writes) or apply(xbar, *writes))
         assert run_cli("--config", cfg, "--seed", 777, "--out", tmp_path,
                        "xbar", "--writes", "300") == 0
-        (rows, cols, amps, _), = seen
+        (rows, cols, amps), = seen
         rng = np.random.default_rng(derive_seed(777, STREAM_WORKLOAD))
         rng.uniform(0.3, 0.95, size=(6, 9))  # programming targets
         rng.uniform(-1.0, 1.0, size=6)       # read input
@@ -488,12 +501,19 @@ class TestCliContracts:
 
     def test_config_scheme_selection_swaps_shapes(self, tmp_path):
         raw = json.loads(default_config_text())
+        raw["crossbar"]["rows"] = raw["crossbar"]["cols"] = 8
+        swapped = json.loads(json.dumps(raw))
+        swapped["device"]["nu_p"], swapped["device"]["nu_d"] = (raw["device"]["nu_d"],
+                                                                raw["device"]["nu_p"])
         raw["scheme"] = "width_ramp"
-        raw["variability"]["sigma_c2c"] = 0.0
-        cfg = tmp_path / "width.json"
-        cfg.write_text(json.dumps(raw))
-        assert run_cli("--config", cfg, "--out", tmp_path, "pulse") == 0
-        assert run_cli("--config", cfg, "--out", tmp_path, "fit",
+        quiet = json.loads(json.dumps(raw))
+        quiet["variability"]["sigma_c2c"] = 0.0
+        cfg = {}
+        for name, body in (("width", raw), ("swapped", swapped), ("quiet", quiet)):
+            cfg[name] = tmp_path / f"{name}.json"
+            cfg[name].write_text(json.dumps(body))
+        assert run_cli("--config", cfg["quiet"], "--out", tmp_path, "pulse") == 0
+        assert run_cli("--config", cfg["quiet"], "--out", tmp_path, "fit",
                        tmp_path / "pulse_trace.csv") == 0
         values = {}
         for line in (tmp_path / "fit_report.csv").read_text().strip().splitlines()[1:]:
@@ -502,3 +522,15 @@ class TestCliContracts:
         # Width-ramp staircases use the opposite sharpness per direction.
         assert float(values[("update_potentiation", "nu")]) == pytest.approx(4.3, rel=1e-6)
         assert float(values[("update_depression", "nu")]) == pytest.approx(1.9, rel=1e-6)
+        # With noise, every write path under the width ramp equals the amplitude
+        # ramp with nu_p and nu_d swapped, file for file and byte for byte.
+        infer = ("infer", "--hidden", "8", "--seeds", "2", "--mode")
+        for i, command in enumerate((("pulse",), ("xbar",), (*infer, "open_loop"),
+                                     (*infer, "write_verify"))):
+            width, amp = tmp_path / f"width{i}", tmp_path / f"swapped{i}"
+            assert run_cli("--config", cfg["width"], "--out", width, *command) == 0
+            assert run_cli("--config", cfg["swapped"], "--out", amp, *command) == 0
+            names = sorted(p.name for p in width.iterdir())
+            assert names and names == sorted(p.name for p in amp.iterdir())
+            for name in names:
+                assert (width / name).read_bytes() == (amp / name).read_bytes(), (command, name)

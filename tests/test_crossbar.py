@@ -2,6 +2,7 @@
 
 import csv
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -64,11 +65,11 @@ def per_device_spawn_sampler(n, params, vp, rng):
 
 
 def pot_pulse(params=PARAMS):
-    return PulseSpec(params.v_set_full, params.t_width_ref, UpdateScheme.AMPLITUDE_RAMP)
+    return PulseSpec(params.v_set_full, params.t_width_ref)
 
 
 def dep_pulse(params=PARAMS):
-    return PulseSpec(params.v_reset_full, params.t_width_ref, UpdateScheme.AMPLITUDE_RAMP)
+    return PulseSpec(params.v_reset_full, params.t_width_ref)
 
 
 def jitter(xbar, mask):
@@ -81,14 +82,14 @@ def full_mask_open_loop(xbar, target):
     """Reference copy of the earlier open-loop loop, which masked the full array per pulse."""
     t_norm, _ = xbar._normalized_targets(target)
     p, n = xbar.params, xbar.params.n_levels
-    levels = update_curve(np.arange(n + 1) / n, p.nu_for(xbar.scheme, Direction.POTENTIATE),
+    levels = update_curve(np.arange(n + 1) / n, p.nu_for(Direction.POTENTIATE),
                           Direction.POTENTIATE)
     idx = np.clip(np.searchsorted(levels, t_norm), 1, len(levels) - 1)
     k = np.where((t_norm - levels[idx - 1]) <= (levels[idx] - t_norm), idx - 1, idx)
     w = np.zeros_like(xbar.w)
     for s in range(1, int(k.max()) + 1):
         mask = k >= s
-        w[mask] = pulse_response(w[mask], p.v_set_full, xbar.scheme, p, jitter(xbar, mask))
+        w[mask] = pulse_response(w[mask], p.v_set_full, p, jitter(xbar, mask))
     xbar.w[:] = w
 
 
@@ -109,8 +110,7 @@ def full_mask_write_verify(xbar, target, tol=0.05, max_iters=200):
         for amplitude, mask in ((p.v_set_full, active & (g < target_g)),
                                 (p.v_reset_full, active & (g >= target_g))):
             if mask.any():
-                xbar.w[mask] = pulse_response(xbar.w[mask], amplitude, xbar.scheme, p,
-                                              jitter(xbar, mask))
+                xbar.w[mask] = pulse_response(xbar.w[mask], amplitude, p, jitter(xbar, mask))
         if np.array_equal(before, xbar.w):
             warnings.append("programming stalled at a saturated level before convergence")
             break
@@ -219,10 +219,10 @@ class TestWriteCell:
         # 3.0 V write -> 1.5 V half-select above the 1.3 V threshold.
         xbar = make_xbar(6, 5)
         xbar.w[:] = 0.5  # mid-state so every neighbor has room to move
-        report = write_cell(xbar, 2, 2, PulseSpec(3.0, 50e-6, UpdateScheme.AMPLITUDE_RAMP))
+        report = write_cell(xbar, 2, 2, PulseSpec(3.0, 50e-6))
         assert report.disturbed == 6 + 5 - 2
         # Every cell on the two lines, the selected one included, moved exactly one step.
-        one_step = pulse_response(0.5, 3.0, UpdateScheme.AMPLITUDE_RAMP, PARAMS)
+        one_step = pulse_response(0.5, 3.0, PARAMS)
         on_lines = np.zeros((6, 5), dtype=bool)
         on_lines[2, :] = on_lines[:, 2] = True
         np.testing.assert_array_equal(xbar.w, np.where(on_lines, one_step, 0.5))
@@ -240,11 +240,11 @@ def reference_write_cell(xbar, r, c, pulse, eps=None):
     if not (0 <= r < xbar.rows and 0 <= c < xbar.cols):
         raise IndexError(f"cell ({r}, {c}) out of bounds for {xbar.rows}x{xbar.cols}")
     p, row, col = xbar.params, xbar.w[r, :], xbar.w[:, c]
-    selected = pulse_response(row[c], pulse.amplitude, pulse.scheme, p, eps)
-    new_row = pulse_response(row, pulse.amplitude / 2, pulse.scheme, p)
+    selected = pulse_response(row[c], pulse.amplitude, p, eps)
+    new_row = pulse_response(row, pulse.amplitude / 2, p)
     disturbed = 0
     if new_row is not row:
-        new_col = pulse_response(col, pulse.amplitude / 2, pulse.scheme, p)
+        new_col = pulse_response(col, pulse.amplitude / 2, p)
         disturbed = int(np.count_nonzero(new_row != row) + np.count_nonzero(new_col != col)
                         - 2 * (new_row[c] != row[c]))
         row[:], col[:] = new_row, new_col
@@ -265,23 +265,24 @@ class TestWriteCells:
         vp = VariabilityParams(sigma_c2c=sigma, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0, seed=7)
         rng = np.random.default_rng(seed)
         rows, cols = (int(n) for n in rng.integers(1, 9, size=2))
-        scheme = (UpdateScheme.AMPLITUDE_RAMP, UpdateScheme.WIDTH_RAMP)[seed % 2]
+        params = replace(PARAMS, scheme=(UpdateScheme.AMPLITUDE_RAMP,
+                                         UpdateScheme.WIDTH_RAMP)[seed % 2])
         n = int(rng.integers(0, 201))
         # Alternate cases keep over-driven writes rare, so long sub-threshold runs occur.
         weights = (0.3, 0.3, 0.3, 0.05, 0.05) if seed % 4 < 2 else None
         r = rng.integers(rows, size=n)
         c = rng.integers(cols, size=n)
         amps = rng.choice(WRITE_AMPLITUDES, size=n, p=weights)
-        batched = make_xbar(rows, cols, vp=vp)
+        batched = make_xbar(rows, cols, vp=vp, params=params)
         batched.w[:] = rng.random((rows, cols))
-        sequential = make_xbar(rows, cols, vp=vp)
+        sequential = make_xbar(rows, cols, vp=vp, params=params)
         sequential.w[:] = batched.w
         # One jitter per write, in write order, from the array's own stream.
         eps = truncated_normal(sequential._c2c_rng, sigma, n) if sigma else [None] * n
         expected = sum(reference_write_cell(sequential, int(ri), int(ci),
-                                            PulseSpec(a, 50e-6, scheme), e)
+                                            PulseSpec(a, 50e-6), e)
                        for ri, ci, a, e in zip(r, c, amps, eps))
-        report = write_cells(batched, r, c, amps, scheme)
+        report = write_cells(batched, r, c, amps)
         assert np.array_equal(batched.w, sequential.w)
         assert report.disturbed == expected
         TestActiveSetProgramming.assert_same(batched, sequential)
@@ -292,7 +293,7 @@ class TestWriteCells:
         for bad in ((4, 0), (0, 4), (-1, 2)):
             r, c = [0, 1, 2, bad[0], 3], [0, 1, 2, bad[1], 3]
             with pytest.raises(IndexError):
-                write_cells(xbar, r, c, [-1.6, 3.0, 2.4, -1.6, -1.6], UpdateScheme.AMPLITUDE_RAMP)
+                write_cells(xbar, r, c, [-1.6, 3.0, 2.4, -1.6, -1.6])
             assert np.all(xbar.w == 0.5)
 
     @pytest.mark.parametrize("rows, cols, amps", [
@@ -303,7 +304,7 @@ class TestWriteCells:
     ])
     def test_ragged_inputs_rejected(self, rows, cols, amps):
         with pytest.raises(ValueError):
-            write_cells(make_xbar(2, 2), rows, cols, amps, UpdateScheme.AMPLITUDE_RAMP)
+            write_cells(make_xbar(2, 2), rows, cols, amps)
 
 
 class TestBiasScheme:
@@ -352,7 +353,7 @@ class TestProgramOpenLoop:
         t_norm = np.random.default_rng(8).uniform(0, 1, size=(6, 6))
         t_norm[0, :2] = 0.0, 1.0
         program_open_loop(xbar, PARAMS.g_hrs + t_norm * (PARAMS.g_lrs - PARAMS.g_hrs))
-        pulse = PulseSpec(PARAMS.v_set_full, PARAMS.t_width_ref, UpdateScheme.AMPLITUDE_RAMP)
+        pulse = PulseSpec(PARAMS.v_set_full, PARAMS.t_width_ref)
         for (r, c), t in np.ndenumerate(t_norm):
             state = DeviceState.fresh(PARAMS)
             for _ in range(int(np.argmin(np.abs(levels - t)))):
@@ -412,6 +413,23 @@ class TestProgramWriteVerify:
         target = PARAMS.g_hrs + t_norm * span
         report = program_write_verify(xbar, target, tol=0.05, max_iters=200)
         assert report.converged_fraction >= 0.90
+
+    @pytest.mark.parametrize("max_iters", [-1, -3])
+    def test_negative_budget_rejected(self, max_iters):
+        xbar = make_xbar(4, 4)
+        target = np.full((4, 4), PARAMS.g_hrs + 0.5 * (PARAMS.g_lrs - PARAMS.g_hrs))
+        with pytest.raises(ValueError, match="max_iters"):
+            program_write_verify(xbar, target, max_iters=max_iters)
+        assert np.array_equal(xbar.w, np.zeros((4, 4)))
+
+    def test_zero_budget_sends_no_pulse(self):
+        a, b = make_xbar(4, 4, vp=NOISY), make_xbar(4, 4, vp=NOISY)
+        target = np.full((4, 4), PARAMS.g_hrs + 0.5 * (PARAMS.g_lrs - PARAMS.g_hrs))
+        report = program_write_verify(a, target, max_iters=0)
+        assert report == full_mask_write_verify(b, target, max_iters=0)
+        assert report.converged_fraction == 0.0 and report.max_iterations == 0
+        TestActiveSetProgramming.assert_same(a, b)
+        assert np.array_equal(a.w, np.zeros((4, 4)))
 
 
 class TestActiveSetProgramming:
@@ -479,8 +497,8 @@ class TestStackedProgramming:
         xbars = [make_xbar(rows, cols, vp=vp)
                  for (rows, cols), vp in zip(((16, 64), (64, 64), (64, 4)), vps)]
         g = np.full((8, 8), PARAMS.g_hrs)
-        xbars.append(Crossbar(np.full((8, 8), 0.01), 2 * g, g, PARAMS, vps[3], BiasScheme(),
-                              UpdateScheme.AMPLITUDE_RAMP, np.random.default_rng(14)))
+        xbars.append(Crossbar(np.full((8, 8), 0.01), 2 * g, g, PARAMS, vps[3],
+                              np.random.default_rng(14)))
         targets = [weight_like_targets(16, 64, seed=5)[0], weight_like_targets(64, 64, seed=6)[1],
                    xbars[2].g_hrs.copy(), 1.5 * g]
         return xbars, targets

@@ -46,12 +46,12 @@ POT = Direction.POTENTIATE
 DEP = Direction.DEPRESS
 
 
-def full_pot_pulse(scheme=UpdateScheme.AMPLITUDE_RAMP):
-    return PulseSpec(PARAMS.v_set_full, PARAMS.t_width_ref, scheme)
+def full_pot_pulse():
+    return PulseSpec(PARAMS.v_set_full, PARAMS.t_width_ref)
 
 
-def full_dep_pulse(scheme=UpdateScheme.AMPLITUDE_RAMP):
-    return PulseSpec(PARAMS.v_reset_full, PARAMS.t_width_ref, scheme)
+def full_dep_pulse():
+    return PulseSpec(PARAMS.v_reset_full, PARAMS.t_width_ref)
 
 
 class TestUpdateCurve:
@@ -92,7 +92,7 @@ class TestLevelTable:
     @pytest.mark.parametrize("direction", [POT, DEP])
     @pytest.mark.parametrize("scheme", [UpdateScheme.AMPLITUDE_RAMP, UpdateScheme.WIDTH_RAMP])
     def test_equals_update_curve_bit_for_bit(self, scheme, direction, n_levels):
-        nu = PARAMS.nu_for(scheme, direction)
+        nu = replace(PARAMS, scheme=scheme).nu_for(direction)
         table = level_table(nu, direction, n_levels)
         k = np.arange(n_levels + 1)
         assert table.tobytes() == update_curve(k / n_levels, nu, direction).tobytes()
@@ -153,7 +153,8 @@ class TestApplyPulse:
 
     def test_width_ramp_swaps_shapes(self):
         state = DeviceState.fresh(PARAMS, w=0.0)
-        widthed = apply_pulse(state, full_pot_pulse(UpdateScheme.WIDTH_RAMP), PARAMS)
+        widthed = apply_pulse(state, full_pot_pulse(),
+                              replace(PARAMS, scheme=UpdateScheme.WIDTH_RAMP))
         assert widthed.w == pytest.approx(update_curve(1 / 50, 4.3, POT), rel=1e-12)
 
     def test_rejects_nonfinite(self):
@@ -174,19 +175,18 @@ class TestApplyPulse:
 class TestRunSequence:
     def test_full_loop_closes(self):
         start = DeviceState.fresh(PARAMS, w=0.0)
-        trace, final = run_sequence(start, UpdateScheme.AMPLITUDE_RAMP,
-                                    PARAMS.n_levels, PARAMS.n_levels, PARAMS)
+        trace, final = run_sequence(start, PARAMS.n_levels, PARAMS.n_levels, PARAMS)
         assert final.w == start.w
         assert final.conductance == pytest.approx(start.conductance, rel=1e-12)
 
     def test_trace_extremes_give_on_off(self):
-        trace, _ = run_sequence(DeviceState.fresh(PARAMS), UpdateScheme.AMPLITUDE_RAMP,
+        trace, _ = run_sequence(DeviceState.fresh(PARAMS),
                                 PARAMS.n_levels, PARAMS.n_levels, PARAMS)
         g = np.array([pt.conductance for pt in trace])
         assert g.max() / g.min() == pytest.approx(PARAMS.conduction.on_off, rel=1e-12)
 
     def test_round_trip_nu_recovery(self):
-        trace, _ = run_sequence(DeviceState.fresh(PARAMS), UpdateScheme.AMPLITUDE_RAMP,
+        trace, _ = run_sequence(DeviceState.fresh(PARAMS),
                                 PARAMS.n_levels, PARAMS.n_levels, PARAMS)
         pot = [pt for pt in trace if pt.direction == "potentiation"]
         dep = [pt for pt in trace if pt.direction == "depression"]
@@ -197,11 +197,10 @@ class TestRunSequence:
         assert fit_p.direction is POT and fit_d.direction is DEP
 
     def test_noise_perturbs_and_clamps(self):
-        trace, final = run_sequence(DeviceState.fresh(PARAMS), UpdateScheme.AMPLITUDE_RAMP,
+        trace, final = run_sequence(DeviceState.fresh(PARAMS),
                                     50, 50, PARAMS, sigma_c2c=0.3, rng=np.random.default_rng(5))
         assert 0.0 <= final.w <= 1.0
-        noiseless, _ = run_sequence(DeviceState.fresh(PARAMS), UpdateScheme.AMPLITUDE_RAMP,
-                                    50, 50, PARAMS)
+        noiseless, _ = run_sequence(DeviceState.fresh(PARAMS), 50, 50, PARAMS)
         assert any(a.conductance != b.conductance for a, b in zip(trace, noiseless))
 
     def test_noisy_staircase_is_unbiased(self):
@@ -210,7 +209,7 @@ class TestRunSequence:
         errs = []
         for s in range(30):
             rng = np.random.default_rng(1000 + s)
-            trace, _ = run_sequence(DeviceState.fresh(PARAMS), UpdateScheme.AMPLITUDE_RAMP,
+            trace, _ = run_sequence(DeviceState.fresh(PARAMS),
                                     50, 0, PARAMS, sigma_c2c=0.10, rng=rng)
             pot = [pt for pt in trace if pt.direction == "potentiation"]
             fit = fit_update_curve([pt.count for pt in pot], [pt.conductance for pt in pot])
@@ -219,17 +218,15 @@ class TestRunSequence:
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):
-            run_sequence(DeviceState.fresh(PARAMS), UpdateScheme.AMPLITUDE_RAMP,
-                         PARAMS.n_levels + 1, 0, PARAMS)
+            run_sequence(DeviceState.fresh(PARAMS), PARAMS.n_levels + 1, 0, PARAMS)
 
     def test_noise_without_generator_rejected(self):
         with pytest.raises(ValueError, match="random generator"):
-            run_sequence(DeviceState.fresh(PARAMS), UpdateScheme.AMPLITUDE_RAMP, 5, 5, PARAMS,
+            run_sequence(DeviceState.fresh(PARAMS), 5, 5, PARAMS,
                          sigma_c2c=0.1)
 
     def test_trace_csv_round_trip(self, tmp_path):
-        trace, _ = run_sequence(DeviceState.fresh(PARAMS), UpdateScheme.AMPLITUDE_RAMP,
-                                10, 10, PARAMS)
+        trace, _ = run_sequence(DeviceState.fresh(PARAMS), 10, 10, PARAMS)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
         back = read_trace_csv(path)
@@ -242,8 +239,7 @@ class TestFitUpdateCurve:
     @pytest.mark.parametrize("nu", [0.5, 1.9, 4.3])
     def test_noise_free_recovery(self, nu):
         params = DeviceParams(nu_p=nu, nu_d=nu)
-        trace, _ = run_sequence(DeviceState.fresh(params), UpdateScheme.AMPLITUDE_RAMP,
-                                50, 0, params)
+        trace, _ = run_sequence(DeviceState.fresh(params), 50, 0, params)
         pot = [pt for pt in trace if pt.direction == "potentiation"]
         fit = fit_update_curve([pt.count for pt in pot], [pt.conductance for pt in pot])
         assert fit.nu == pytest.approx(nu, rel=1e-4)  # well inside the 0.1 % requirement
@@ -305,8 +301,7 @@ def noise_free_branches():
     branches = []
     for nu in (0.5, 1.9, 4.3):
         params = DeviceParams(nu_p=nu, nu_d=nu)
-        trace, _ = run_sequence(DeviceState.fresh(params), UpdateScheme.AMPLITUDE_RAMP,
-                                50, 50, params)
+        trace, _ = run_sequence(DeviceState.fresh(params), 50, 50, params)
         for direction in ("potentiation", "depression"):
             branch = [pt for pt in trace if pt.direction == direction]
             branches.append(([pt.count for pt in branch], [pt.conductance for pt in branch]))
@@ -436,7 +431,7 @@ def reference_hysteresis_loop(params, v_min, v_max, n_steps):
     return r_up, r_down
 
 
-def reference_run_sequence(state, scheme, n_pot, n_dep, params, sigma_c2c=0.0, rng=None):
+def reference_run_sequence(state, n_pot, n_dep, params, sigma_c2c=0.0, rng=None):
     """run_sequence with one read_resistance call after every pulse."""
     t_ref = params.conduction.t_ref
 
@@ -449,13 +444,11 @@ def reference_run_sequence(state, scheme, n_pot, n_dep, params, sigma_c2c=0.0, r
 
     points = [read(0, "potentiation")]
     for i in range(1, n_pot + 1):
-        state = replace(state, w=pulse_response(state.w, params.v_set_full, scheme, params,
-                                                jitter()))
+        state = replace(state, w=pulse_response(state.w, params.v_set_full, params, jitter()))
         points.append(read(i, "potentiation"))
     points.append(read(0, "depression"))
     for i in range(1, n_dep + 1):
-        state = replace(state, w=pulse_response(state.w, params.v_reset_full, scheme, params,
-                                                jitter()))
+        state = replace(state, w=pulse_response(state.w, params.v_reset_full, params, jitter()))
         points.append(read(i, "depression"))
     return points, state
 
@@ -499,9 +492,10 @@ class TestArrayKernelEquivalence:
     @pytest.mark.parametrize("scheme", [UpdateScheme.AMPLITUDE_RAMP, UpdateScheme.WIDTH_RAMP])
     def test_run_sequence_equals_pulse_by_pulse(self, sigma_c2c, n_pot, n_dep, scheme):
         start = DeviceState(w=0.3, g_hrs_dev=1.1e-9, g_lrs_dev=0.9e-8)
+        params = replace(PARAMS, scheme=scheme)
         got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
-        got, got_final = run_sequence(start, scheme, n_pot, n_dep, PARAMS, sigma_c2c, got_rng)
-        want, want_final = reference_run_sequence(start, scheme, n_pot, n_dep, PARAMS,
+        got, got_final = run_sequence(start, n_pot, n_dep, params, sigma_c2c, got_rng)
+        want, want_final = reference_run_sequence(start, n_pot, n_dep, params,
                                                   sigma_c2c, want_rng)
         assert got == want
         assert got_final == want_final
@@ -598,3 +592,9 @@ class TestParamsValidation:
             DeviceState(w=1.2, g_hrs_dev=1e-9, g_lrs_dev=1e-8)
         with pytest.raises(ValueError):
             DeviceState(w=0.5, g_hrs_dev=1e-8, g_lrs_dev=1e-9)
+
+    @pytest.mark.parametrize("scheme", ["width_ramp", "amplitude_ramp", None])
+    def test_scheme_must_be_an_update_scheme(self, scheme):
+        # A plain string would otherwise fall through nu_for to the amplitude-ramp shapes.
+        with pytest.raises(ValueError, match="scheme"):
+            DeviceParams(scheme=scheme)

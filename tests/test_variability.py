@@ -1,6 +1,7 @@
 """Noise, dispersion and retention tests, including the distribution checks."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,8 +13,6 @@ from ftjsim.variability import VariabilityParams, apply_retention, derive_seed, 
 
 PARAMS = DeviceParams()
 VP = VariabilityParams()
-AMP = UpdateScheme.AMPLITUDE_RAMP
-WIDTH = UpdateScheme.WIDTH_RAMP
 POT = Direction.POTENTIATE
 
 
@@ -21,29 +20,29 @@ class TestPulseResponse:
     def test_zero_sigma_equals_noiseless_step(self):
         w = np.random.default_rng(1).uniform(0, 1, 200)
         for amp, direction in ((PARAMS.v_set_full, POT), (PARAMS.v_reset_full, Direction.DEPRESS)):
-            nu = PARAMS.nu_for(AMP, direction)
-            np.testing.assert_array_equal(pulse_response(w, amp, AMP, PARAMS, None),
+            nu = PARAMS.nu_for(direction)
+            np.testing.assert_array_equal(pulse_response(w, amp, PARAMS, None),
                                           step_weight(w, nu, direction, PARAMS.n_levels))
         rng = np.random.default_rng(0)
         before = rng.bit_generator.state
         assert truncated_normal(rng, 0.0, 200).tolist() == [0.0] * 200
         assert rng.bit_generator.state == before  # at sigma 0 nothing is drawn
-        nu = PARAMS.nu_for(AMP, POT)
-        assert pulse_response(0.3, PARAMS.v_set_full, AMP, PARAMS) == step_weight(
+        nu = PARAMS.nu_for(POT)
+        assert pulse_response(0.3, PARAMS.v_set_full, PARAMS) == step_weight(
             0.3, nu, POT, PARAMS.n_levels)
 
     def test_empirical_std_in_window(self):
         rng = np.random.default_rng(VP.seed)
         w = np.full(10_000, 0.5)
-        dw = pulse_response(w, PARAMS.v_set_full, AMP, PARAMS) - w
+        dw = pulse_response(w, PARAMS.v_set_full, PARAMS) - w
         eps = truncated_normal(rng, VP.sigma_c2c, w.size)
-        noisy = pulse_response(w, PARAMS.v_set_full, AMP, PARAMS, eps)
+        noisy = pulse_response(w, PARAMS.v_set_full, PARAMS, eps)
         sigma = np.std((noisy - w) / dw - 1.0)
         assert 0.095 <= sigma <= 0.105
 
     def test_same_seed_same_stream(self):
         def stream(rng, n):
-            return [pulse_response(0.4, PARAMS.v_set_full, AMP, PARAMS,
+            return [pulse_response(0.4, PARAMS.v_set_full, PARAMS,
                                    truncated_normal(rng, VP.sigma_c2c, 1)[0])
                     for _ in range(n)]
         # Fresh generators per draw: every element reproduces.
@@ -69,7 +68,7 @@ class TestPulseResponse:
         rng = np.random.default_rng(4)
         for w0, amp, bound in ((0.0, PARAMS.v_set_full, 0.0), (1.0, PARAMS.v_reset_full, 1.0)):
             # sigma 1: jitter below -1 reverses the step past the endpoint.
-            out = pulse_response(np.full(1000, w0), amp, AMP, PARAMS,
+            out = pulse_response(np.full(1000, w0), amp, PARAMS,
                                  truncated_normal(rng, 1.0, 1000))
             assert np.all((out >= 0.0) & (out <= 1.0))
             assert np.any(out == bound)
@@ -78,15 +77,16 @@ class TestPulseResponse:
         w = np.linspace(0, 1, 11)
         eps = truncated_normal(np.random.default_rng(5), VP.sigma_c2c, w.size)
         for amp in (-1.2999, 1.2, 0.0):
-            assert pulse_response(w, amp, AMP, PARAMS, eps) is w
-            assert pulse_response(0.37, amp, AMP, PARAMS, eps[0]) == 0.37
+            assert pulse_response(w, amp, PARAMS, eps) is w
+            assert pulse_response(0.37, amp, PARAMS, eps[0]) == 0.37
 
-    @pytest.mark.parametrize("scheme", [AMP, WIDTH])
+    @pytest.mark.parametrize("scheme", [UpdateScheme.AMPLITUDE_RAMP, UpdateScheme.WIDTH_RAMP])
     @pytest.mark.parametrize("amp", [PARAMS.v_set_full, PARAMS.v_reset_full])
     def test_array_equals_scalar_calls(self, scheme, amp):
+        params = replace(PARAMS, scheme=scheme)
         w = np.concatenate([np.linspace(0, 1, 51), np.random.default_rng(6).uniform(0, 1, 200)])
-        out = pulse_response(w, amp, scheme, PARAMS)
-        expected = np.array([pulse_response(float(x), amp, scheme, PARAMS) for x in w])
+        out = pulse_response(w, amp, params)
+        expected = np.array([pulse_response(float(x), amp, params) for x in w])
         np.testing.assert_array_equal(out, expected)
 
     def test_truncation_bound(self):
