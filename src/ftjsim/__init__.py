@@ -15,7 +15,6 @@ from .conduction import (
     shape_factor,
 )
 from .crossbar import (
-    BiasScheme,
     Crossbar,
     program_open_loop,
     program_write_verify,
@@ -24,7 +23,7 @@ from .crossbar import (
     write_cell,
     write_cells,
 )
-from .config import SimConfig, load_config
+from .config import BiasScheme, SimConfig, load_config
 from .device import (
     DeviceParams,
     DeviceState,
@@ -44,6 +43,6 @@ from .device import (
 )
 from .errors import ConfigError, FitError
 from .inference import AnalogNetwork, MLPSpec, WeightMapping, evaluate, map_weights, program_network
-from .variability import VariabilityParams, apply_retention
+from .variability import VariabilityParams
 
 __version__ = "0.1.0"

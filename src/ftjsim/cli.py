@@ -1,8 +1,8 @@
 """Command-line interface: sweeps, pulse traces, fits, array workloads, reports.
 
-Exit codes: 0 success, 2 configuration error, 3 fit failure.  All outputs are
-CSV with header rows and SI units; identical config and seed give
-byte-identical files.
+Exit codes: 0 success, 2 configuration error, 3 fit failure, 4 a solver that
+did not converge.  All outputs are CSV with header rows and SI units; identical
+config and seed give byte-identical files.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from .config import (
     apply_master_seed,
     load_config,
 )
-from .errors import ConfigError, FitError
+from .errors import ConfigError, ConvergenceError, FitError
 from .table import read_table, write_table
 
 IV_CSV_HEADER = ("voltage_V", "temperature_K", "state", "current_A", "resistance_ohm")
@@ -364,6 +364,9 @@ def main(argv: list[str] | None = None) -> int:
     except FitError as exc:
         print(f"ftjsim: fit-error: {exc}", file=sys.stderr)
         return 3
+    except ConvergenceError as exc:
+        print(f"ftjsim: convergence-error: {exc}", file=sys.stderr)
+        return 4
     return 0
 
 

@@ -10,13 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
 from .errors import ConvergenceError, FitError
-from .table import read_table, write_table
 
 K_B_EV = 8.617333262e-5  # Boltzmann constant, eV/K
 
@@ -93,14 +90,6 @@ class SweepRecord:
         """Keep samples with v_min <= |V| <= v_max."""
         mask = (np.abs(self.voltage) >= v_min) & (np.abs(self.voltage) <= v_max)
         return SweepRecord(self.voltage[mask], self.current_density[mask], self.temperature[mask])
-
-    def to_csv(self, path: str | Path) -> None:
-        write_table(path, self.CSV_HEADER, ([f"{v:.17g}", f"{j:.17g}", f"{t:.17g}"]
-                    for v, j, t in zip(self.voltage, self.current_density, self.temperature)))
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "SweepRecord":
-        return cls.from_table(*read_table(path))
 
     @classmethod
     def from_table(cls, header: tuple, rows: list) -> "SweepRecord":
@@ -245,34 +234,6 @@ def nonlinearity_ratio(v: float, t: float, p: ConductionParams) -> float:
     if not v / 2 > 0:  # a subnormal v halves to 0
         raise ValueError(f"nonlinearity_ratio requires v / 2 > 0, got v = {v}")
     return current(v, 1.0, t, p) / current(v / 2, 1.0, t, p)
-
-
-# ---------------------------------------------------------------------------
-# Synthetic sweep generators (closed-loop counterparts of the fitters below)
-
-
-def synthetic_pf_sweep(
-    voltages: Sequence[float],
-    temperatures: Sequence[float],
-    phi_b: float,
-    beta: float,
-    ln_prefactor: float = 0.0,
-    noise: float = 0.0,
-    rng: np.random.Generator | None = None,
-) -> SweepRecord:
-    """Textbook field-enhanced data J = exp(ln_prefactor) * V * exp((beta*sqrt(V) - phi_b)/kT).
-
-    ``beta = 0`` with ``phi_b = e_a`` gives Ohmic data J ~ V exp(-e_a/kT).
-    ``noise`` is the relative std of multiplicative Gaussian noise on J.
-    """
-    vv, tt = np.meshgrid(np.asarray(voltages, float), np.asarray(temperatures, float))
-    vv, tt = vv.ravel(), tt.ravel()
-    j = np.exp(ln_prefactor) * vv * np.exp((beta * np.sqrt(vv) - phi_b) / (K_B_EV * tt))
-    if noise > 0:
-        if rng is None:
-            raise ValueError("rng required when noise > 0")
-        j = j * (1.0 + noise * rng.standard_normal(j.size))
-    return SweepRecord(vv, j, tt)
 
 
 # ---------------------------------------------------------------------------

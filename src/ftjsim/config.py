@@ -13,11 +13,9 @@ import json
 import numbers
 import sys
 from dataclasses import dataclass, replace
-from importlib import resources
 from pathlib import Path
 
-from .conduction import ConductionParams
-from .crossbar import BiasScheme
+from .conduction import V_READ_SWEEP_MAX, ConductionParams
 from .device import DeviceParams, UpdateScheme
 from .errors import ConfigError
 from .variability import VariabilityParams, derive_seed
@@ -29,6 +27,22 @@ STREAM_VARIABILITY = 0   # device noise / population sampling
 STREAM_WORKLOAD = 1      # workload generation (targets, inputs, write order)
 STREAM_TRAINING = 2      # float-baseline weight initialization
 STREAM_EVAL_BASE = 16    # + replica index, one per Monte-Carlo seed
+
+
+@dataclass(frozen=True)
+class BiasScheme:
+    """Write rails (+V/2 on the selected row, -V/2 on the selected column) and read bias."""
+
+    v_write_pot: float = -1.6
+    v_write_dep: float = 2.4
+    v_read: float = 0.2
+
+    def __post_init__(self) -> None:
+        if not (self.v_write_pot < 0 < self.v_write_dep):  # negative amplitudes potentiate
+            raise ConfigError(f"require v_write_pot < 0 < v_write_dep, got "
+                              f"{self.v_write_pot} and {self.v_write_dep}")
+        if self.v_read <= 0 or self.v_read > V_READ_SWEEP_MAX:
+            raise ConfigError(f"v_read must lie in (0, {V_READ_SWEEP_MAX}] V, got {self.v_read}")
 
 
 @dataclass(frozen=True)
@@ -58,7 +72,15 @@ class SimConfig:
             raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
-        self.crossbar.bias.validate_against(self.device)
+        # Half-select levels must sit below the pulse threshold.
+        bias, threshold = self.crossbar.bias, self.device.v_pulse_threshold
+        for name, v in (("v_write_pot", bias.v_write_pot), ("v_write_dep", bias.v_write_dep)):
+            if abs(v) / 2 >= threshold:
+                raise ConfigError(f"half-select level |{name}|/2 = {abs(v) / 2} V reaches the "
+                                  f"pulse threshold {threshold} V; unselected cells would disturb")
+        # The variability stream is a child of the master seed, never set on its own.
+        object.__setattr__(self, "variability", replace(
+            self.variability, seed=derive_seed(self.seed, STREAM_VARIABILITY)))
 
     def to_dict(self) -> dict:
         dev = dataclasses.asdict(self.device)
@@ -70,7 +92,8 @@ class SimConfig:
             "scheme": dev.pop("scheme").value,
             "conduction": conduction,
             "device": dev,
-            "variability": dataclasses.asdict(self.variability),
+            "variability": {k: v for k, v in dataclasses.asdict(self.variability).items()
+                            if k != "seed"},
             "crossbar": {"rows": self.crossbar.rows, "cols": self.crossbar.cols,
                          "bias": dataclasses.asdict(self.crossbar.bias)},
         }
@@ -127,7 +150,8 @@ def config_from_dict(raw: dict) -> SimConfig:
     conduction = _build(ConductionParams, raw.get("conduction", {}), "conduction")
     device = _build(DeviceParams, raw.get("device", {}), "device",
                     conduction=conduction, scheme=scheme)
-    variability = _build(VariabilityParams, raw.get("variability", {}), "variability")
+    # seed=0 stands in for the stream seed SimConfig derives from the master seed.
+    variability = _build(VariabilityParams, raw.get("variability", {}), "variability", seed=0)
 
     xbar_raw = dict(raw.get("crossbar", {}))
     bias = _build(BiasScheme, xbar_raw.pop("bias", {}), "crossbar.bias")
@@ -164,14 +188,8 @@ def load_config(path: str | Path | None = None) -> SimConfig:
     return config_from_dict(raw)
 
 
-def default_config_text() -> str:
-    """The defaults file shipped with the package."""
-    return resources.files("ftjsim").joinpath("data/defaults.json").read_text()
-
-
 def apply_master_seed(config: SimConfig, master_seed: int) -> SimConfig:
     """Reseed every stream of a config from one top-level seed."""
     if not (0 <= master_seed < 2**64):
         raise ConfigError(f"seed must be an unsigned 64-bit integer, got {master_seed}")
-    vp = replace(config.variability, seed=derive_seed(master_seed, STREAM_VARIABILITY))
-    return replace(config, seed=master_seed, variability=vp)
+    return replace(config, seed=master_seed)

@@ -24,35 +24,10 @@ import numpy as np
 from .conduction import (V_READ_SWEEP_MAX, activation_factor, current, differential_conductance,
                          shape_factor, voltage_at_current)
 from .device import DeviceParams, Direction, PulseSpec, level_table, pulse_response, truncated_normal
-from .errors import ConfigError, ConvergenceError
+from .errors import ConvergenceError
 from .variability import VariabilityParams, sample_endpoint_arrays
 
 SNAPSHOT_CSV_HEADER = ("row", "col", "w", "g_S")
-
-
-@dataclass(frozen=True)
-class BiasScheme:
-    """Write rails (+V/2 on the selected row, -V/2 on the selected column) and read bias."""
-
-    kind: str = "vhalf"  # the only scheme: half the write amplitude on each selected line
-    v_write_pot: float = -1.6
-    v_write_dep: float = 2.4
-    v_read: float = 0.2
-
-    def __post_init__(self) -> None:
-        if self.kind != "vhalf":
-            raise ConfigError(f"unsupported bias scheme {self.kind!r}; only 'vhalf' exists")
-        if self.v_read <= 0 or self.v_read > V_READ_SWEEP_MAX:
-            raise ConfigError(f"v_read must lie in (0, {V_READ_SWEEP_MAX}] V, got {self.v_read}")
-
-    def validate_against(self, params: DeviceParams) -> None:
-        """Half-select levels must sit below the pulse threshold."""
-        for name, v in (("v_write_pot", self.v_write_pot), ("v_write_dep", self.v_write_dep)):
-            if abs(v) / 2 >= params.v_pulse_threshold:
-                raise ConfigError(
-                    f"half-select level |{name}|/2 = {abs(v) / 2} V reaches the pulse "
-                    f"threshold {params.v_pulse_threshold} V; unselected cells would disturb"
-                )
 
 
 @dataclass
@@ -446,5 +421,6 @@ def sneak_ratio(xbar: Crossbar, r: int, c: int, v_read: float, t: float | None =
     rows, cols = np.arange(xbar.rows) != r, np.arange(xbar.cols) != c
     # Path (r2, c2) runs through cells (r, c2), (r2, c2) and (r2, c).
     legs = np.broadcast_arrays(g[r, cols][None, :], g[np.ix_(rows, cols)], g[rows, c][:, None])
-    i_paths, _, _ = _solve_series_paths(np.stack(legs).reshape(3, -1), v_read, t, p)
+    with np.errstate(over="ignore"):  # a path that overflows stays unconverged and is reported
+        i_paths, _, _ = _solve_series_paths(np.stack(legs).reshape(3, -1), v_read, t, p)
     return i_selected / float(i_paths.max())

@@ -21,7 +21,7 @@ import numpy as np
 
 from .conduction import ConductionParams, current
 from .errors import FitError
-from .table import read_table, write_table
+from .table import write_table
 
 PULSE_READ_VOLTAGE = 0.2  # V, read bias after programming pulses
 DC_READ_VOLTAGE = 0.3     # V, read bias along the DC write loop
@@ -94,7 +94,7 @@ class DeviceParams:
             )
         if self.n_levels < 2:
             raise ValueError(f"n_levels must be >= 2, got {self.n_levels}")
-        for name in ("nu_p", "nu_d", "area", "t_width_ref"):
+        for name in ("nu_p", "nu_d", "area", "t_width_ref", "hzo_thickness_nm"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
         if not (self.g_hrs > 0 and self.g_lrs < np.inf):
@@ -297,10 +297,6 @@ def run_sequence(
 
 def write_trace_csv(path: str | Path, points: Sequence[TracePoint]) -> None:
     write_table(path, TRACE_CSV_HEADER, ([c, d, f"{g:.12e}", f"{r:.12e}"] for c, d, g, r in points))
-
-
-def read_trace_csv(path: str | Path) -> list[TracePoint]:
-    return trace_from_table(*read_table(path))
 
 
 def trace_from_table(header: tuple, rows: list) -> list[TracePoint]:

@@ -1,21 +1,22 @@
-"""Variability parameters, device-to-device dispersion and retention.
+"""Variability parameters and device-to-device dispersion.
 
 Cycle-to-cycle jitter is data: each caller draws it from its own stream with
 ``device.truncated_normal`` at the ``sigma_c2c`` held here, and hands it to the
 pure ``device.pulse_response``.  All randomness is driven by numpy Generators.
-``sample_endpoint_arrays`` takes one draw in
-device order from the generator it is handed, so device i's endpoints depend
-only on the seed and on i, never on how many are sampled.
+``SimConfig`` sets ``VariabilityParams.seed`` to a child of its master seed, so
+no config file names it.  ``sample_endpoint_arrays`` takes one draw in device
+order from the generator it is handed, so device i's endpoints depend only on
+the seed and on i, never on how many are sampled.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
-from .device import TRUNCATION_SIGMAS, DeviceParams, DeviceState
+from .device import TRUNCATION_SIGMAS, DeviceParams
 
 
 @dataclass(frozen=True)
@@ -23,7 +24,6 @@ class VariabilityParams:
     sigma_c2c: float = 0.10        # relative std of each pulse's state increment
     sigma_d2d_hrs: float = 0.10    # std of ln(HRS conductance) across devices
     sigma_d2d_lrs: float = 0.10    # std of ln(LRS conductance) across devices
-    drift_per_decade: float = 0.0  # relative conductance loss per decade of seconds
     seed: int = 12345
 
     def __post_init__(self) -> None:
@@ -54,25 +54,6 @@ def sample_endpoint_arrays(
     if inverted.any():
         g_hrs[inverted], g_lrs[inverted] = g_lrs[inverted].copy(), g_hrs[inverted].copy()
     return g_hrs, g_lrs
-
-
-def apply_retention(state: DeviceState, elapsed_s: float, vp: VariabilityParams) -> DeviceState:
-    """Conductance after a storage interval.
-
-    Default drift is zero (the devices are retention-stable on the modeled
-    timescales), so this is the identity.  With a nonzero rate the state
-    conductance loses ``drift_per_decade`` per decade of seconds beyond 1 s,
-    clamped at the endpoints.
-    """
-    if elapsed_s < 0 or not np.isfinite(elapsed_s):
-        raise ValueError(f"elapsed time must be finite and >= 0, got {elapsed_s}")
-    decades = math.log10(elapsed_s) if elapsed_s > 1.0 else 0.0
-    if vp.drift_per_decade == 0.0 or decades == 0.0:
-        return state
-    g = state.conductance * (1.0 - vp.drift_per_decade * decades)
-    span = state.g_lrs_dev - state.g_hrs_dev
-    w = float(np.clip((g - state.g_hrs_dev) / span, 0.0, 1.0))
-    return replace(state, w=w)
 
 
 def derive_seed(master_seed: int, stream_index: int) -> int:

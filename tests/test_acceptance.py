@@ -15,7 +15,6 @@ from ftjsim.conduction import (
     fit_ohmic,
     fit_poole_frenkel,
     nonlinearity_ratio,
-    synthetic_pf_sweep,
 )
 from ftjsim.crossbar import Crossbar, read_vmm, sneak_ratio, write_cell
 from ftjsim.device import (
@@ -40,6 +39,7 @@ from ftjsim.inference import (
 )
 from ftjsim.variability import VariabilityParams, derive_seed, sample_endpoint_arrays
 
+from conftest import synthetic_pf_sweep
 from test_crossbar import sneak_oracle, vmm_oracle
 
 PARAMS = DeviceParams()

@@ -22,10 +22,11 @@ from ftjsim.conduction import (
     fit_poole_frenkel,
     nonlinearity_ratio,
     shape_factor,
-    synthetic_pf_sweep,
     voltage_at_current,
 )
 from ftjsim.errors import ConvergenceError, FitError
+
+from conftest import sweep_from_csv, sweep_to_csv, synthetic_pf_sweep
 
 P = ConductionParams()
 
@@ -372,8 +373,8 @@ class TestSweepRecord:
     def test_csv_round_trip(self, tmp_path):
         data = synthetic_pf_sweep(PF_V, TEMPS4, phi_b=0.15, beta=0.4)
         path = tmp_path / "sweep.csv"
-        data.to_csv(path)
-        back = SweepRecord.from_csv(path)
+        sweep_to_csv(data, path)
+        back = sweep_from_csv(path)
         np.testing.assert_array_equal(back.voltage, data.voltage)
         np.testing.assert_array_equal(back.current_density, data.current_density)
         np.testing.assert_array_equal(back.temperature, data.temperature)

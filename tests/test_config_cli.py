@@ -13,17 +13,17 @@ import pytest
 import ftjsim
 from ftjsim import cli, table
 from ftjsim import crossbar as xb
-from ftjsim import conduction as cnd
-from ftjsim import device as dev
 from ftjsim import inference as inf
 from ftjsim.cli import main
-from ftjsim.conduction import K_B_EV, synthetic_pf_sweep
-from ftjsim.config import (STREAM_WORKLOAD, SimConfig, apply_master_seed, config_from_dict,
-                           default_config_text, load_config)
+from ftjsim.conduction import K_B_EV
+from ftjsim.config import (STREAM_VARIABILITY, STREAM_WORKLOAD, SimConfig, apply_master_seed,
+                           config_from_dict, load_config)
 from ftjsim.device import TRACE_CSV_HEADER, UpdateScheme
 from ftjsim.errors import ConfigError
 from ftjsim.inference import make_blobs_dataset
 from ftjsim.variability import derive_seed
+
+from conftest import default_config_text, sweep_to_csv, synthetic_pf_sweep
 
 
 def run_cli(*args):
@@ -62,6 +62,16 @@ class TestConfig:
             with pytest.raises(ConfigError) as exc:
                 config_from_dict({"device": {key: value}})
             assert str(exc.value) == f"unknown key(s) ['{key}'] in section 'device'"
+        # The stream seed derives from the master seed, and no command reads a
+        # drift rate or a bias kind.
+        for raw, key, section in (({"variability": {"seed": 1}}, "seed", "variability"),
+                                  ({"variability": {"drift_per_decade": 0.0}},
+                                   "drift_per_decade", "variability"),
+                                  ({"crossbar": {"bias": {"kind": "vhalf"}}}, "kind",
+                                   "crossbar.bias")):
+            with pytest.raises(ConfigError) as exc:
+                config_from_dict(raw)
+            assert str(exc.value) == f"unknown key(s) ['{key}'] in section '{section}'"
 
     def test_scheme_is_a_device_parameter(self):
         config = config_from_dict({"scheme": "width_ramp"})
@@ -87,6 +97,10 @@ class TestConfig:
         assert config.variability.seed != SimConfig().variability.seed
         again = apply_master_seed(SimConfig(), 777)
         assert config == again
+        # The config's own seed is the master seed already.
+        assert apply_master_seed(SimConfig(), SimConfig().seed) == SimConfig()
+        assert SimConfig().variability.seed == derive_seed(SimConfig().seed, STREAM_VARIABILITY)
+        assert config_from_dict({"seed": 777}) == config
 
 
 class TestCliContracts:
@@ -105,8 +119,8 @@ class TestCliContracts:
         cfg = tmp_path / "small.json"
         cfg.write_text(json.dumps(raw))
         sweep = tmp_path / "sweep.csv"
-        synthetic_pf_sweep(np.linspace(0.2, 0.3, 9), [300.0, 340.0], phi_b=0.15,
-                           beta=0.4).to_csv(sweep)
+        sweep_to_csv(synthetic_pf_sweep(np.linspace(0.2, 0.3, 9), [300.0, 340.0], phi_b=0.15,
+                                        beta=0.4), sweep)
         out = tmp_path / "out"
         commands = [["iv"], ["pulse"], ["bench"], ["fit", str(out / "pulse_trace.csv"), str(sweep)],
                     ["xbar", "--writes", "50"], ["infer", "--seeds", "1", "--hidden", "8"]]
@@ -125,10 +139,10 @@ class TestCliContracts:
     def test_fit_reads_each_file_once(self, tmp_path, monkeypatch):
         assert run_cli("--out", tmp_path, "pulse") == 0
         trace, sweep = tmp_path / "pulse_trace.csv", tmp_path / "sweep.csv"
-        synthetic_pf_sweep(np.linspace(0.2, 0.3, 9), [300.0, 340.0], phi_b=0.15,
-                           beta=0.4).to_csv(sweep)
+        sweep_to_csv(synthetic_pf_sweep(np.linspace(0.2, 0.3, 9), [300.0, 340.0], phi_b=0.15,
+                                        beta=0.4), sweep)
         reads = []
-        for module in (table, cli, cnd, dev, inf):  # every module holding read_table
+        for module in (table, cli, inf):  # every module holding read_table
             monkeypatch.setattr(module, "read_table",
                                 lambda path, read=module.read_table: reads.append(path) or read(path))
         assert run_cli("--out", tmp_path, "fit", trace, sweep) == 0
@@ -220,12 +234,18 @@ class TestCliContracts:
         ("variability", {"sigma_c2c": 1e308}),
         ("conduction", {"g_lrs_ref": 1e300, "area_ref": 1e-10}),
         ("conduction", {"g_lrs_ref": 1e-300, "area_ref": 1e300}),
+        ("device", {"hzo_thickness_nm": 0}),
+        ("device", {"hzo_thickness_nm": -0.0}),
+        ("device", {"hzo_thickness_nm": -5}),
+        ("crossbar", {"bias": {"v_write_pot": 2.0, "v_write_dep": -1.0}}),
     ], ids=["on_off", "nan_sigma_c2c", "nan_area", "subthreshold_v_set_full", "bias_kind",
             "nan_e_a", "nan_beta", "float_n_levels", "bool_seed", "bool_variability_seed",
             "float_rows", "bool_cols", "inf_g_lrs_ref", "huge_int_t_ref", "nan_v_write_pot",
             "nan_hzo_thickness", "inf_drift", "bool_area", "string_nu_p", "scheme_single",
             "device_conduction", "device_scheme",
-            "int_output_dir", "huge_sigma_c2c", "overflowing_g_lrs", "underflowing_g_hrs"])
+            "int_output_dir", "huge_sigma_c2c", "overflowing_g_lrs", "underflowing_g_hrs",
+            "zero_hzo_thickness", "negative_zero_hzo_thickness", "negative_hzo_thickness",
+            "swapped_write_rails"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, section, values):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({section: values}))
@@ -233,6 +253,27 @@ class TestCliContracts:
         err = capsys.readouterr().err
         assert err.startswith("ftjsim: config-error:")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("case, unconverged", [
+        ("tiny_area", "9 of 9 paths unconverged after 200 iterations"),
+        ("one_iteration", "3 of 9 paths unconverged after 1 iterations"),
+    ], ids=["tiny_area", "one_iteration"])
+    def test_unconverged_solver_exits_4(self, tmp_path, capsys, monkeypatch, recwarn, case,
+                                        unconverged):
+        # Conductances near 1e-300 S overflow the sneak solver's series sums;
+        # a cap of one iteration stops it with paths still unconverged.
+        raw = {"crossbar": {"rows": 4, "cols": 4}}
+        if case == "tiny_area":
+            raw["device"] = {"area": 1e-300}
+        else:
+            monkeypatch.setattr(xb, "_SNEAK_MAX_ITERS", 1)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(raw))
+        assert run_cli("--config", cfg, "--out", tmp_path / "out", "xbar") == 4
+        err = capsys.readouterr().err
+        assert err.startswith(f"ftjsim: convergence-error: sneak-path solver: {unconverged}")
+        assert len(err.strip().splitlines()) == 1
+        assert not [w for w in recwarn if issubclass(w.category, RuntimeWarning)]
 
     @pytest.mark.parametrize("out", ["file", "file/sub"])
     def test_out_naming_a_file_exits_2(self, tmp_path, capsys, out):
@@ -265,7 +306,8 @@ class TestCliContracts:
             "huge_temperatures"])
     def test_fit_failure_exits_3(self, tmp_path, capsys, temps, row):
         sweep = tmp_path / "sweep.csv"
-        synthetic_pf_sweep(np.linspace(0.01, 0.1, 5), temps, phi_b=0.15, beta=0.0).to_csv(sweep)
+        sweep_to_csv(synthetic_pf_sweep(np.linspace(0.01, 0.1, 5), temps, phi_b=0.15,
+                                        beta=0.0), sweep)
         with open(sweep, "a") as fh:
             fh.write(row)
         assert run_cli("--out", tmp_path, "fit", sweep) == 3
@@ -286,8 +328,8 @@ class TestCliContracts:
     def test_malformed_fit_file_exits_3(self, tmp_path, capsys, kind, row):
         path = tmp_path / f"{kind}.csv"
         if kind == "sweep":
-            synthetic_pf_sweep(np.linspace(0.01, 0.1, 5), [300.0, 320.0], phi_b=0.15,
-                               beta=0.0).to_csv(path)
+            sweep_to_csv(synthetic_pf_sweep(np.linspace(0.01, 0.1, 5), [300.0, 320.0], phi_b=0.15,
+                                            beta=0.0), path)
         else:
             path.write_text(",".join(TRACE_CSV_HEADER) + "\n0,potentiation,1e-9,1e9\n")
         with open(path, "a") as fh:
@@ -388,11 +430,11 @@ class TestCliContracts:
     def test_fit_sweep_files(self, tmp_path):
         temps = [300.0, 320.0, 340.0, 360.0]
         low = tmp_path / "low.csv"
-        synthetic_pf_sweep(np.linspace(0.01, 0.1, 10), temps, phi_b=0.15, beta=0.0,
-                           ln_prefactor=-18.0).to_csv(low)
+        sweep_to_csv(synthetic_pf_sweep(np.linspace(0.01, 0.1, 10), temps, phi_b=0.15, beta=0.0,
+                                        ln_prefactor=-18.0), low)
         high = tmp_path / "high.csv"
-        synthetic_pf_sweep(np.linspace(0.2, 0.3, 9), temps, phi_b=0.15, beta=0.4,
-                           ln_prefactor=-15.0).to_csv(high)
+        sweep_to_csv(synthetic_pf_sweep(np.linspace(0.2, 0.3, 9), temps, phi_b=0.15, beta=0.4,
+                                        ln_prefactor=-15.0), high)
         assert run_cli("--out", tmp_path, "fit", low, high) == 0
         report = (tmp_path / "fit_report.csv").read_text()
         values = {}
@@ -498,6 +540,25 @@ class TestCliContracts:
         assert files1 == sorted(p.name for p in out2.iterdir())
         for name in files1:
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+    @pytest.mark.parametrize("seed", [12345, 4242])
+    @pytest.mark.parametrize("command", [("xbar", "--writes", "50"), ("pulse",), ("bench",)],
+                             ids=["xbar", "pulse", "bench"])
+    def test_seed_flag_naming_the_config_seed_changes_nothing(self, tmp_path, command, seed):
+        # The config's seed is the master seed of every stream, so repeating it
+        # with --seed must write the same bytes.
+        raw = json.loads(default_config_text())
+        raw["seed"] = seed
+        raw["crossbar"]["rows"] = raw["crossbar"]["cols"] = 8
+        cfg = tmp_path / "small.json"
+        cfg.write_text(json.dumps(raw))
+        plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+        assert run_cli("--config", cfg, "--out", plain, *command) == 0
+        assert run_cli("--config", cfg, "--seed", seed, "--out", flagged, *command) == 0
+        names = sorted(p.name for p in plain.iterdir())
+        assert names and names == sorted(p.name for p in flagged.iterdir())
+        for name in names:
+            assert (plain / name).read_bytes() == (flagged / name).read_bytes(), name
 
     def test_config_scheme_selection_swaps_shapes(self, tmp_path):
         raw = json.loads(default_config_text())

@@ -30,7 +30,6 @@ from ftjsim.device import (
     level_table,
     pulse_response,
     read_resistance,
-    read_trace_csv,
     run_sequence,
     step_weight,
     truncated_normal,
@@ -40,6 +39,8 @@ from ftjsim.device import (
     write_trace_csv,
 )
 from ftjsim.errors import FitError
+
+from conftest import read_trace_csv
 
 PARAMS = DeviceParams()
 POT = Direction.POTENTIATE

@@ -1,4 +1,4 @@
-"""Noise, dispersion and retention tests, including the distribution checks."""
+"""Noise and dispersion tests, including the distribution checks."""
 
 import math
 from dataclasses import replace
@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from ftjsim.device import (DeviceParams, DeviceState, Direction, UpdateScheme, pulse_response,
+from ftjsim.device import (DeviceParams, Direction, UpdateScheme, pulse_response,
                            step_weight, truncated_normal)
-from ftjsim.variability import VariabilityParams, apply_retention, derive_seed, sample_endpoint_arrays
+from ftjsim.variability import VariabilityParams, derive_seed, sample_endpoint_arrays
 
 PARAMS = DeviceParams()
 VP = VariabilityParams()
@@ -166,34 +166,6 @@ class TestSamplePopulation:
         z = np.log(g_hrs / PARAMS.g_hrs)
         _, p_value = stats.kstest(z, stats.norm(loc=0.0, scale=0.1).cdf)
         assert p_value > 0.01
-
-
-class TestRetention:
-    def test_default_is_identity_at_ten_days(self):
-        state = DeviceState.fresh(PARAMS, w=0.8)
-        assert apply_retention(state, 10 * 86400.0, VP) is state
-
-    def test_one_second_identity_even_with_drift(self):
-        vp = VariabilityParams(drift_per_decade=0.05)
-        state = DeviceState.fresh(PARAMS, w=0.8)
-        assert apply_retention(state, 1.0, vp) is state
-
-    def test_drift_formula(self):
-        # oracle: 1% per decade over 1e5 s -> 5% conductance reduction
-        vp = VariabilityParams(drift_per_decade=0.01)
-        state = DeviceState.fresh(PARAMS, w=0.8)
-        drifted = apply_retention(state, 1e5, vp)
-        assert drifted.conductance == pytest.approx(0.95 * state.conductance, rel=1e-12)
-
-    def test_clamped_at_endpoints(self):
-        vp = VariabilityParams(drift_per_decade=0.5)
-        state = DeviceState.fresh(PARAMS, w=0.05)
-        drifted = apply_retention(state, 1e8, vp)
-        assert drifted.w == 0.0
-
-    def test_rejects_negative_elapsed(self):
-        with pytest.raises(ValueError):
-            apply_retention(DeviceState.fresh(PARAMS), -1.0, VP)
 
 
 class TestSeeds:
