@@ -255,7 +255,7 @@ def cmd_bench(config: SimConfig, out: Path) -> None:
     g_hrs_pop, _ = var.sample_endpoint_arrays(10_000, params, config.variability, rng)
     d2d = float(np.std(np.log(g_hrs_pop)))
 
-    coercive_field_mv_cm = abs(params.v_set_full) / (params.hzo_thickness_nm * 1e-7) / 1e6
+    coercive_field_mv_cm = params.coercive_field / 1e6
     loop = dev.hysteresis_loop(params, params.v_set_full - 0.4, params.v_reset_full + 0.6, 101)
     _, _, window = dev.extract_memory_window(loop)
 

@@ -56,13 +56,38 @@ class CrossbarConfig:
             raise ValueError(f"array dimensions must be >= 1, got {self.rows}x{self.cols}")
 
 
+class _VariabilityChild:
+    """``SimConfig.variability``: the section as given, read back with its seed
+    set to the master seed's variability child.
+
+    The seed is derived on first read and kept.  Deriving it loads
+    numpy.random, which numpy 2 imports lazily, so a command that draws nothing
+    (``iv``, ``fit``) never pays for it, and neither does loading a config.
+    """
+
+    def __set_name__(self, owner, name: str) -> None:
+        self.name, self.given = name, f"_{name}_given"
+
+    def __get__(self, config, owner=None) -> VariabilityParams:
+        if config is None:
+            return VariabilityParams()  # the field default
+        if self.name not in config.__dict__:
+            config.__dict__[self.name] = replace(
+                config.__dict__[self.given], seed=derive_seed(config.seed, STREAM_VARIABILITY))
+        return config.__dict__[self.name]
+
+    def __set__(self, config, value: VariabilityParams) -> None:
+        config.__dict__[self.given] = value
+        config.__dict__.pop(self.name, None)
+
+
 @dataclass(frozen=True)
 class SimConfig:
     schema_version: int = SCHEMA_VERSION
     seed: int = 12345
     output_dir: str = "out"
     device: DeviceParams = DeviceParams()
-    variability: VariabilityParams = VariabilityParams()
+    variability: VariabilityParams = _VariabilityChild()
     crossbar: CrossbarConfig = CrossbarConfig()
 
     def __post_init__(self) -> None:
@@ -78,9 +103,6 @@ class SimConfig:
             if abs(v) / 2 >= threshold:
                 raise ConfigError(f"half-select level |{name}|/2 = {abs(v) / 2} V reaches the "
                                   f"pulse threshold {threshold} V; unselected cells would disturb")
-        # The variability stream is a child of the master seed, never set on its own.
-        object.__setattr__(self, "variability", replace(
-            self.variability, seed=derive_seed(self.seed, STREAM_VARIABILITY)))
 
     def to_dict(self) -> dict:
         dev = dataclasses.asdict(self.device)

@@ -118,11 +118,22 @@ class DeviceParams:
                 f"full write amplitudes ({self.v_set_full}, {self.v_reset_full}) must reach "
                 f"the pulse threshold {self.v_pulse_threshold}"
             )
+        # A subnormal thickness passes > 0 but underflows to 0 cm or overflows the
+        # field, and an infinite one gives no field; the checks above keep
+        # v_set_full finite and nonzero, so only the thickness can be at fault.
+        if not (self.hzo_thickness_nm * 1e-7 > 0 and 0 < self.coercive_field < np.inf):
+            raise ValueError(f"hzo_thickness_nm {self.hzo_thickness_nm} gives no finite "
+                             f"coercive field")
 
     @property
     def memory_window(self) -> float:
         """Separation of the two coercive voltages, in volts."""
         return self.v_c_reset - self.v_c_set
+
+    @property
+    def coercive_field(self) -> float:
+        """Field across the HZO layer at the full SET amplitude, in V/cm."""
+        return abs(self.v_set_full) / (self.hzo_thickness_nm * 1e-7)
 
     @property
     def g_lrs(self) -> float:

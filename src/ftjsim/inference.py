@@ -162,6 +162,7 @@ def program_network(
 
 
 DATASET_LABEL_COLUMN = "label"
+MOMENTUM = 0.9  # heavy-ball coefficient of train_mlp
 
 
 def make_blobs_dataset(
@@ -214,9 +215,12 @@ def train_mlp(
     """Full-batch softmax-regression training of the float baseline weights.
 
     Textbook backprop: every gradient of an epoch is taken at the weights the
-    epoch started from.  Training stops at the first forward pass whose
-    logits classify every sample (``argmax == y``), after ``epochs`` updates
-    at the latest.  Every per-epoch array is allocated once, written in place.
+    epoch started from.  Each layer moves by heavy-ball momentum,
+    ``v <- MOMENTUM * v + lr * g`` and then ``w <- w - v``, from ``v = 0``, so
+    the first epoch is a plain gradient step.  Training stops at the first
+    forward pass whose logits classify every sample (``argmax == y``), after
+    ``epochs`` updates at the latest.  Every per-epoch array is allocated
+    once, written in place.
     """
     n_classes = spec.layer_sizes[-1]
     if x.shape[1] != spec.layer_sizes[0]:
@@ -236,6 +240,7 @@ def train_mlp(
     mask = [None] + [np.empty(a.shape, dtype=bool) for a in pre[1:-1]]
     grad = [None] + [np.empty_like(a) for a in pre[1:]]
     step = [np.empty_like(w) for w in weights]
+    velocity = [np.zeros_like(w) for w in weights]
     row = np.empty((n, 1))
     logits = pre[-1]
     for _ in range(epochs):
@@ -265,7 +270,9 @@ def train_mlp(
                 np.greater(pre[i], 0, out=mask[i])
                 grad[i] *= mask[i]
             step[i] *= lr
-            weights[i] -= step[i]
+            velocity[i] *= MOMENTUM
+            velocity[i] += step[i]
+            weights[i] -= velocity[i]
     return weights
 
 

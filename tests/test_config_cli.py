@@ -103,6 +103,14 @@ class TestConfig:
         assert config_from_dict({"seed": 777}) == config
 
 
+def fresh_python(code: str) -> str:
+    """Standard output of ``code`` run in a new interpreter that imports this ftjsim."""
+    src = str(Path(ftjsim.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
 class TestCliContracts:
     def test_missing_config_file_exits_2(self, tmp_path, capsys):
         code = run_cli("--config", tmp_path / "nope.json", "--out", tmp_path, "iv")
@@ -128,13 +136,20 @@ class TestCliContracts:
                 f"codes = [main(['--config', {str(cfg)!r}, '--out', {str(out)!r}, *c]) "
                 f"for c in {commands!r}]\n"
                 "print(json.dumps([codes, [m for m in sys.modules if m.split('.')[0] == 'scipy']]))")
-        src = str(Path(ftjsim.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
-        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                                text=True, check=True)
-        codes, scipy_modules = json.loads(result.stdout.strip().splitlines()[-1])
+        codes, scipy_modules = json.loads(fresh_python(code).splitlines()[-1])
         assert codes == [0] * len(commands)
         assert scipy_modules == []
+
+    def test_loading_a_config_leaves_numpy_random_unloaded(self, tmp_path):
+        # numpy 2 loads numpy.random on first use; commands that draw nothing
+        # (iv, fit) never need it, so loading a config must not import it.
+        cfg = tmp_path / "seeded.json"
+        cfg.write_text(json.dumps({"seed": 777}))
+        code = ("import sys\nimport numpy\nbefore = 'numpy.random' in sys.modules\n"
+                "import ftjsim.cli\nftjsim.cli.load_config()\n"
+                f"ftjsim.cli.load_config({str(cfg)!r})\n"
+                "print(before, 'numpy.random' in sys.modules)")
+        assert fresh_python(code).split() == ["False", "False"]
 
     def test_fit_reads_each_file_once(self, tmp_path, monkeypatch):
         assert run_cli("--out", tmp_path, "pulse") == 0
@@ -237,6 +252,9 @@ class TestCliContracts:
         ("device", {"hzo_thickness_nm": 0}),
         ("device", {"hzo_thickness_nm": -0.0}),
         ("device", {"hzo_thickness_nm": -5}),
+        ("device", {"hzo_thickness_nm": 5e-324}),
+        ("device", {"hzo_thickness_nm": 1e-320}),
+        ("device", {"v_set_full": -math.inf}),
         ("crossbar", {"bias": {"v_write_pot": 2.0, "v_write_dep": -1.0}}),
     ], ids=["on_off", "nan_sigma_c2c", "nan_area", "subthreshold_v_set_full", "bias_kind",
             "nan_e_a", "nan_beta", "float_n_levels", "bool_seed", "bool_variability_seed",
@@ -245,6 +263,7 @@ class TestCliContracts:
             "device_conduction", "device_scheme",
             "int_output_dir", "huge_sigma_c2c", "overflowing_g_lrs", "underflowing_g_hrs",
             "zero_hzo_thickness", "negative_zero_hzo_thickness", "negative_hzo_thickness",
+            "subnormal_hzo_thickness", "small_subnormal_hzo_thickness", "minus_inf_v_set_full",
             "swapped_write_rails"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, section, values):
         bad = tmp_path / "bad.json"
@@ -253,6 +272,17 @@ class TestCliContracts:
         err = capsys.readouterr().err
         assert err.startswith("ftjsim: config-error:")
         assert len(err.strip().splitlines()) == 1
+
+    @pytest.mark.parametrize("values, named", [
+        ({"v_set_full": -math.inf}, "device.v_set_full must be a finite number, got -inf"),
+        ({"hzo_thickness_nm": 5e-324}, "hzo_thickness_nm 5e-324 gives no finite coercive field"),
+        ({"hzo_thickness_nm": 1e-310}, "hzo_thickness_nm 1e-310 gives no finite coercive field"),
+    ], ids=["minus_inf_v_set_full", "subnormal_hzo_thickness", "overflowing_coercive_field"])
+    def test_bad_device_value_names_its_key(self, tmp_path, capsys, values, named):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"device": values}))
+        assert run_cli("--config", bad, "--out", tmp_path, "bench") == 2
+        assert named in capsys.readouterr().err
 
     @pytest.mark.parametrize("case, unconverged", [
         ("tiny_area", "9 of 9 paths unconverged after 200 iterations"),

@@ -588,6 +588,17 @@ class TestParamsValidation:
         with pytest.raises(ValueError):
             DeviceParams(v_c_set=0.2)
 
+    def test_infinite_write_amplitude_is_blamed_not_the_thickness(self):
+        # v_set_full = -inf passes the coercive ordering; the amplitude check
+        # must name it before the thickness check sees an infinite field.
+        with pytest.raises(ValueError, match="half of every write amplitude"):
+            DeviceParams(v_set_full=-math.inf)
+
+    @pytest.mark.parametrize("thickness", [5e-324, 1e-320, 1e-310, math.inf])
+    def test_thickness_must_give_a_finite_coercive_field(self, thickness):
+        with pytest.raises(ValueError, match="no finite coercive field"):
+            DeviceParams(hzo_thickness_nm=thickness)
+
     def test_state_bounds(self):
         with pytest.raises(ValueError):
             DeviceState(w=1.2, g_hrs_dev=1e-9, g_lrs_dev=1e-8)

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ftjsim.config import STREAM_TRAINING
 from ftjsim.device import DeviceParams
 from ftjsim.errors import ConfigError
 from ftjsim.inference import (
@@ -202,9 +203,29 @@ class TestDataset:
             MLPSpec((16,))
 
 
+def central_difference_gradient(weights, x, y, h=1e-6):
+    """Cross-entropy gradient of every layer by central differences."""
+    grads = []
+    for w in weights:
+        numeric = np.empty_like(w)
+        for idx in np.ndindex(w.shape):
+            w0 = w[idx]
+            w[idx] = w0 + h
+            up = cross_entropy(weights, x, y)
+            w[idx] = w0 - h
+            down = cross_entropy(weights, x, y)
+            w[idx] = w0
+            numeric[idx] = (up - down) / (2 * h)
+        grads.append(numeric)
+    return grads
+
+
+SIZES = pytest.mark.parametrize("sizes", [(16, 4), (16, 24, 4), (16, 64, 64, 4)],
+                                ids=["linear", "hidden_24", "hidden_64_64"])
+
+
 class TestTrainMlp:
-    @pytest.mark.parametrize("sizes", [(16, 4), (16, 24, 4), (16, 64, 64, 4)],
-                             ids=["linear", "hidden_24", "hidden_64_64"])
+    @SIZES
     def test_one_epoch_steps_down_the_central_difference_gradient(self, sizes):
         # Every layer's step must be -lr times the gradient at the weights the
         # epoch started from, which fails if a gradient goes through weights
@@ -212,19 +233,32 @@ class TestTrainMlp:
         x, y = make_blobs_dataset(n_samples=32)
         spec = MLPSpec(sizes)
         before = train_mlp(x, y, spec, seed=3, epochs=0)
-        lr, h = 0.5, 1e-6
+        lr = 0.5
         after = train_mlp(x, y, spec, seed=3, epochs=1, lr=lr)
-        for w, w_after in zip(before, after):
-            numeric = np.empty_like(w)
-            for idx in np.ndindex(w.shape):
-                w0 = w[idx]
-                w[idx] = w0 + h
-                up = cross_entropy(before, x, y)
-                w[idx] = w0 - h
-                down = cross_entropy(before, x, y)
-                w[idx] = w0
-                numeric[idx] = (up - down) / (2 * h)
-            np.testing.assert_allclose(w_after - w, -lr * numeric, rtol=1e-6, atol=1e-8)
+        for w, w_after, g in zip(before, after, central_difference_gradient(before, x, y)):
+            np.testing.assert_allclose(w_after - w, -lr * g, rtol=1e-6, atol=1e-8)
+
+    @SIZES
+    def test_second_epoch_adds_momentum_times_the_first_gradient(self, sizes):
+        # Heavy ball: the second step is -lr * (g(w1) + MOMENTUM * g(w0)), each
+        # gradient taken at the weights its epoch started from.
+        x, y = make_blobs_dataset(n_samples=32)
+        spec = MLPSpec(sizes)
+        lr = 0.5
+        w0, w1, w2 = (train_mlp(x, y, spec, seed=3, epochs=k, lr=lr) for k in range(3))
+        g0 = central_difference_gradient(w0, x, y)
+        g1 = central_difference_gradient(w1, x, y)
+        for a, b, ga, gb in zip(w1, w2, g0, g1):
+            np.testing.assert_allclose(b - a, -lr * (gb + 0.9 * ga), rtol=1e-6, atol=1e-8)
+
+    @pytest.mark.parametrize("master_seed", [12345, 20231017])
+    def test_fits_well_before_the_cap(self, master_seed):
+        # The CLI's training seed at both master seeds: the default hidden width
+        # fits before the 400-epoch cap, and 64,64 within 40 epochs.
+        x, y = make_blobs_dataset()
+        seed = derive_seed(master_seed, STREAM_TRAINING)
+        assert fits(train_mlp(x, y, MLPSpec((16, 24, 4)), seed=seed, epochs=399), x, y)
+        assert fits(train_mlp(x, y, MLPSpec((16, 64, 64, 4)), seed=seed, epochs=40), x, y)
 
     def test_stops_at_the_first_epoch_that_fits(self):
         x, y = make_blobs_dataset(n_samples=64, spread=0.3)
