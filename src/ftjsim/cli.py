@@ -22,9 +22,9 @@ from . import variability as var
 from .config import (
     STREAM_EVAL_BASE,
     STREAM_TRAINING,
+    STREAM_VARIABILITY,
     STREAM_WORKLOAD,
     SimConfig,
-    apply_master_seed,
     load_config,
 )
 from .errors import ConfigError, ConvergenceError, FitError
@@ -81,9 +81,9 @@ def cmd_pulse(config: SimConfig, out: Path, n_pot: int | None, n_dep: int | None
     if not (0 <= n_pot <= params.n_levels and 0 <= n_dep <= params.n_levels):
         raise ConfigError(f"--pot and --dep must lie in [0, n_levels = {params.n_levels}], "
                           f"got {n_pot} and {n_dep}")
+    rng = np.random.default_rng(var.derive_seed(config.seed, STREAM_VARIABILITY))
     trace, _ = dev.run_sequence(dev.DeviceState.fresh(params), n_pot, n_dep,
-                                params, config.variability.sigma_c2c,
-                                np.random.default_rng(config.variability.seed))
+                                params, config.variability.sigma_c2c, rng)
     dev.write_trace_csv(out / "pulse_trace.csv", trace)
     print(f"wrote {out / 'pulse_trace.csv'} ({len(trace)} rows)")
 
@@ -154,7 +154,8 @@ def cmd_fit(config: SimConfig, out: Path, files: list[str]) -> None:
 def cmd_xbar(config: SimConfig, out: Path, n_writes: int) -> None:
     """Program, read and disturb-count a crossbar of the configured geometry."""
     params = config.device
-    xbar = xb.Crossbar.create(config.crossbar.rows, config.crossbar.cols, params, config.variability)
+    xbar = xb.Crossbar.create(config.crossbar.rows, config.crossbar.cols, params, config.variability,
+                              var.derive_seed(config.seed, STREAM_VARIABILITY))
     rng = np.random.default_rng(var.derive_seed(config.seed, STREAM_WORKLOAD))
 
     # Closed-loop programming of a random mid-range pattern.
@@ -212,8 +213,8 @@ def cmd_infer(config: SimConfig, out: Path, dataset: str | None, n_seeds: int,
     rows = []
     per_class_header = [f"class_{k}_analog" for k in range(n_classes)]
     for s in range(n_seeds):
-        vp = replace(config.variability, seed=var.derive_seed(config.seed, STREAM_EVAL_BASE + s))
-        net = inf.program_network(weights, config.device, vp, mode=mode)
+        net = inf.program_network(weights, config.device, config.variability,
+                                  var.derive_seed(config.seed, STREAM_EVAL_BASE + s), mode=mode)
         report = inf.evaluate(net, x, y, weights)
         rows.append([s, _fmt(report.analog_accuracy), _fmt(report.baseline_accuracy),
                      _fmt(report.degradation_points)]
@@ -249,7 +250,7 @@ def cmd_bench(config: SimConfig, out: Path) -> None:
     e_dep = dev.write_energy(hrs, dev.PulseSpec(params.v_reset_full, params.t_width_ref))
     e_pot = dev.write_energy(lrs, dev.PulseSpec(params.v_set_full, params.t_width_ref))
 
-    rng = np.random.default_rng(config.variability.seed)
+    rng = np.random.default_rng(var.derive_seed(config.seed, STREAM_VARIABILITY))
     steps = dev.truncated_normal(rng, config.variability.sigma_c2c, size=10_000)
     c2c = float(np.std(steps))
     g_hrs_pop, _ = var.sample_endpoint_arrays(10_000, params, config.variability, rng)
@@ -339,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = load_config(args.config)
         if args.seed is not None:
-            config = apply_master_seed(config, args.seed)
+            config = replace(config, seed=args.seed)
         out = Path(args.out) if args.out else Path(config.output_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)

@@ -2,8 +2,10 @@
 
 The file format is versioned JSON with one section per parameter group;
 unknown keys anywhere are rejected.  One top-level seed drives every random
-stream: consumers receive children derived via SeedSequence spawn keys (see
-``variability.derive_seed``), so runs are reproducible end to end.
+stream.  No parameter section holds a seed: the code that draws takes one as
+an argument, child ``STREAM_*`` of the master seed derived with
+``variability.derive_seed`` where it is used, so runs are reproducible end to
+end and loading a config derives nothing.
 """
 
 from __future__ import annotations
@@ -12,13 +14,13 @@ import dataclasses
 import json
 import numbers
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from .conduction import V_READ_SWEEP_MAX, ConductionParams
 from .device import DeviceParams, UpdateScheme
 from .errors import ConfigError
-from .variability import VariabilityParams, derive_seed
+from .variability import VariabilityParams
 
 SCHEMA_VERSION = 1
 
@@ -56,45 +58,20 @@ class CrossbarConfig:
             raise ValueError(f"array dimensions must be >= 1, got {self.rows}x{self.cols}")
 
 
-class _VariabilityChild:
-    """``SimConfig.variability``: the section as given, read back with its seed
-    set to the master seed's variability child.
-
-    The seed is derived on first read and kept.  Deriving it loads
-    numpy.random, which numpy 2 imports lazily, so a command that draws nothing
-    (``iv``, ``fit``) never pays for it, and neither does loading a config.
-    """
-
-    def __set_name__(self, owner, name: str) -> None:
-        self.name, self.given = name, f"_{name}_given"
-
-    def __get__(self, config, owner=None) -> VariabilityParams:
-        if config is None:
-            return VariabilityParams()  # the field default
-        if self.name not in config.__dict__:
-            config.__dict__[self.name] = replace(
-                config.__dict__[self.given], seed=derive_seed(config.seed, STREAM_VARIABILITY))
-        return config.__dict__[self.name]
-
-    def __set__(self, config, value: VariabilityParams) -> None:
-        config.__dict__[self.given] = value
-        config.__dict__.pop(self.name, None)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     schema_version: int = SCHEMA_VERSION
     seed: int = 12345
     output_dir: str = "out"
     device: DeviceParams = DeviceParams()
-    variability: VariabilityParams = _VariabilityChild()
+    variability: VariabilityParams = VariabilityParams()
     crossbar: CrossbarConfig = CrossbarConfig()
 
     def __post_init__(self) -> None:
         if self.schema_version != SCHEMA_VERSION:
             raise ValueError(f"unsupported schema_version {self.schema_version}")
         if not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+            raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
         # Half-select levels must sit below the pulse threshold.
@@ -114,8 +91,7 @@ class SimConfig:
             "scheme": dev.pop("scheme").value,
             "conduction": conduction,
             "device": dev,
-            "variability": {k: v for k, v in dataclasses.asdict(self.variability).items()
-                            if k != "seed"},
+            "variability": dataclasses.asdict(self.variability),
             "crossbar": {"rows": self.crossbar.rows, "cols": self.crossbar.cols,
                          "bias": dataclasses.asdict(self.crossbar.bias)},
         }
@@ -172,8 +148,7 @@ def config_from_dict(raw: dict) -> SimConfig:
     conduction = _build(ConductionParams, raw.get("conduction", {}), "conduction")
     device = _build(DeviceParams, raw.get("device", {}), "device",
                     conduction=conduction, scheme=scheme)
-    # seed=0 stands in for the stream seed SimConfig derives from the master seed.
-    variability = _build(VariabilityParams, raw.get("variability", {}), "variability", seed=0)
+    variability = _build(VariabilityParams, raw.get("variability", {}), "variability")
 
     xbar_raw = dict(raw.get("crossbar", {}))
     bias = _build(BiasScheme, xbar_raw.pop("bias", {}), "crossbar.bias")
@@ -208,10 +183,3 @@ def load_config(path: str | Path | None = None) -> SimConfig:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return config_from_dict(raw)
-
-
-def apply_master_seed(config: SimConfig, master_seed: int) -> SimConfig:
-    """Reseed every stream of a config from one top-level seed."""
-    if not (0 <= master_seed < 2**64):
-        raise ConfigError(f"seed must be an unsigned 64-bit integer, got {master_seed}")
-    return replace(config, seed=master_seed)

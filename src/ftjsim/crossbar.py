@@ -76,11 +76,12 @@ class Crossbar:
         return self.w.shape[1]
 
     @classmethod
-    def create(cls, rows: int, cols: int, params: DeviceParams, vp: VariabilityParams) -> "Crossbar":
-        """Sample a fresh array; endpoints come from the population model."""
+    def create(cls, rows: int, cols: int, params: DeviceParams, vp: VariabilityParams,
+               seed: int) -> "Crossbar":
+        """Sample a fresh array; ``seed`` spawns its endpoint and jitter streams."""
         if rows < 1 or cols < 1:
             raise ValueError("array dimensions must be >= 1")
-        d2d_ss, c2c_ss = np.random.SeedSequence(vp.seed).spawn(2)
+        d2d_ss, c2c_ss = np.random.SeedSequence(seed).spawn(2)
         g_hrs, g_lrs = sample_endpoint_arrays(rows * cols, params, vp, np.random.default_rng(d2d_ss))
         return cls(
             w=np.zeros((rows, cols)),

@@ -198,7 +198,10 @@ def update_curve_inverse(g_norm, nu: float, direction: Direction):
     """Normalized count at which update_curve reaches g_norm."""
     g_arr = np.asarray(g_norm, dtype=float)
     rise = g_arr if direction is Direction.POTENTIATE else 1.0 - g_arr
-    x = np.log1p(rise * np.expm1(-nu)) / (-nu)
+    # Past nu of about 37, expm1(-nu) rounds to -1, so the far endpoint gives
+    # log1p(-1) = -inf; the clip maps -inf / -nu to its exact count 1.
+    with np.errstate(divide="ignore"):
+        x = np.log1p(rise * np.expm1(-nu)) / (-nu)
     out = np.clip(x, 0.0, 1.0)
     return float(out) if g_arr.ndim == 0 else out
 

@@ -8,7 +8,7 @@ against the floating-point forward pass of the same weights.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -122,26 +122,25 @@ def program_network(
     weights: Sequence[np.ndarray],
     params: DeviceParams,
     vp: VariabilityParams,
+    seed: int,
     mode: str = "open_loop",
-    v_read: float = 0.1,
     tol: float = 0.05,
-    max_iters: int = 200,
 ) -> AnalogNetwork:
     """Map and program every layer onto a differential crossbar pair.
 
     ``mode`` selects continuous (idealized), open-loop or write-verify
-    programming.  Each crossbar draws its own population from a sub-seed of
-    ``vp.seed`` so layers are statistically independent but reproducible.
-    All crossbars are programmed in one stacked pass, each with its own
-    noise stream, which equals programming them one at a time.
+    programming.  Crossbar ``hi`` of layer ``li`` draws its own population
+    from ``derive_seed(seed, 2 * li + hi)``, so layers are statistically
+    independent but reproducible.  All crossbars are programmed in one
+    stacked pass, each with its own noise stream, which equals programming
+    them one at a time.
     """
     if mode not in ("continuous", "open_loop", "write_verify"):
         raise ValueError(f"unknown programming mode {mode!r}")
     layers, xbars, targets = [], [], []
     for li, w in enumerate(weights):
-        g_pos, g_neg, mapping = map_weights(w, params, v_read=v_read)
-        halves = [Crossbar.create(w.shape[0], w.shape[1], params,
-                                  replace(vp, seed=derive_seed(vp.seed, 2 * li + hi)))
+        g_pos, g_neg, mapping = map_weights(w, params)
+        halves = [Crossbar.create(*w.shape, params, vp, derive_seed(seed, 2 * li + hi))
                   for hi in range(2)]
         layers.append(AnalogLayer(pos=halves[0], neg=halves[1], mapping=mapping))
         xbars += halves
@@ -153,7 +152,7 @@ def program_network(
     elif mode == "open_loop":
         program_open_loop_stack(xbars, targets)
     else:
-        program_write_verify_stack(xbars, targets, tol=tol, max_iters=max_iters)
+        program_write_verify_stack(xbars, targets, tol=tol)
     return net
 
 

@@ -3,10 +3,11 @@
 Cycle-to-cycle jitter is data: each caller draws it from its own stream with
 ``device.truncated_normal`` at the ``sigma_c2c`` held here, and hands it to the
 pure ``device.pulse_response``.  All randomness is driven by numpy Generators.
-``SimConfig`` sets ``VariabilityParams.seed`` to a child of its master seed, so
-no config file names it.  ``sample_endpoint_arrays`` takes one draw in device
-order from the generator it is handed, so device i's endpoints depend only on
-the seed and on i, never on how many are sampled.
+``VariabilityParams`` holds the spreads only; a seed is an argument of the code
+that draws, derived from the master seed with ``derive_seed``.
+``sample_endpoint_arrays`` takes one draw in device order from the generator
+it is handed, so device i's endpoints depend only on the seed and on i, never
+on how many are sampled.
 """
 
 from __future__ import annotations
@@ -18,23 +19,29 @@ import numpy as np
 
 from .device import TRUNCATION_SIGMAS, DeviceParams
 
+# Largest device-to-device spread of ln(G): one sigma multiplies a conductance
+# by e^10, far beyond any measured population.  numpy's normal sampler never
+# returns |z| > 14, so a sampled endpoint moves by at most e^140 (about 6e60)
+# and stays finite and > 0 for any endpoint conductance within 1e+-240 S.
+SIGMA_D2D_MAX = 10.0
+
 
 @dataclass(frozen=True)
 class VariabilityParams:
     sigma_c2c: float = 0.10        # relative std of each pulse's state increment
     sigma_d2d_hrs: float = 0.10    # std of ln(HRS conductance) across devices
     sigma_d2d_lrs: float = 0.10    # std of ln(LRS conductance) across devices
-    seed: int = 12345
 
     def __post_init__(self) -> None:
-        for name in ("sigma_c2c", "sigma_d2d_hrs", "sigma_d2d_lrs"):
-            if not (getattr(self, name) >= 0):
-                raise ValueError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not (self.sigma_c2c >= 0):
+            raise ValueError(f"sigma_c2c must be >= 0, got {self.sigma_c2c}")
         if not math.isfinite(TRUNCATION_SIGMAS * self.sigma_c2c):
             raise ValueError(f"sigma_c2c must keep its {TRUNCATION_SIGMAS:g}-sigma truncation "
                              f"bound finite, got {self.sigma_c2c}")
-        if not (0 <= self.seed < 2**64):
-            raise ValueError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
+        for name in ("sigma_d2d_hrs", "sigma_d2d_lrs"):
+            if not (0 <= getattr(self, name) <= SIGMA_D2D_MAX):
+                raise ValueError(f"{name} must lie in [0, {SIGMA_D2D_MAX:g}], "
+                                 f"got {getattr(self, name)}")
 
 
 def sample_endpoint_arrays(

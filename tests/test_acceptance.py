@@ -43,7 +43,7 @@ from conftest import synthetic_pf_sweep
 from test_crossbar import sneak_oracle, vmm_oracle
 
 PARAMS = DeviceParams()
-QUIET = VariabilityParams(sigma_c2c=0.0, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0, seed=1)
+QUIET = VariabilityParams(sigma_c2c=0.0, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0)
 
 
 def check(criterion: str, ok: bool, detail: str) -> None:
@@ -135,7 +135,7 @@ def test_07_update_curve_round_trip():
 
 
 def test_08_half_select_immunity():
-    xbar = Crossbar.create(64, 64, PARAMS, VariabilityParams(seed=7))
+    xbar = Crossbar.create(64, 64, PARAMS, VariabilityParams(), 7)
     shadow = xbar.w.copy()
     # Each write jitters its selected cell with one draw from the array's c2c
     # stream; the shadow takes the same draws from a copy of that stream.
@@ -156,7 +156,7 @@ def test_08_half_select_immunity():
 
 def test_09_variability_statistics():
     vp = VariabilityParams()
-    rng = np.random.default_rng(vp.seed)
+    rng = np.random.default_rng(12345)
     eps = truncated_normal(rng, vp.sigma_c2c, size=10_000)
     c2c = float(np.std(eps))
     g_hrs, _ = sample_endpoint_arrays(10_000, PARAMS, vp, rng)
@@ -177,13 +177,13 @@ def toy_problem():
 
 def test_10_inference_acceptance(toy_problem):
     x, y, weights = toy_problem
-    net = program_network(weights, PARAMS, QUIET, mode="continuous")
+    net = program_network(weights, PARAMS, QUIET, 1, mode="continuous")
     rel = np.max(np.abs(net.forward(x) - float_forward(weights, x))
                  / np.maximum(np.abs(float_forward(weights, x)), 1e-30))
     degs = []
     for s in range(10):
-        vp = VariabilityParams(seed=derive_seed(12345, 16 + s))
-        noisy_net = program_network(weights, PARAMS, vp, mode="open_loop")
+        noisy_net = program_network(weights, PARAMS, VariabilityParams(),
+                                    derive_seed(12345, 16 + s), mode="open_loop")
         degs.append(evaluate(noisy_net, x, y, weights).degradation_points)
     mean_deg = float(np.mean(degs))
     ok = rel < 1e-9 and mean_deg < 5.0
@@ -195,7 +195,7 @@ def test_10_inference_acceptance(toy_problem):
 def test_11_brute_force_equivalence():
     worst_read, worst_sneak = 0.0, 0.0
     for shape in ((2, 2), (3, 3), (4, 4)):
-        xbar = Crossbar.create(*shape, PARAMS, VariabilityParams(seed=7))
+        xbar = Crossbar.create(*shape, PARAMS, VariabilityParams(), 7)
         rng = np.random.default_rng(31)
         xbar.w[:] = rng.uniform(0, 1, xbar.w.shape)
         x = 0.3 * rng.uniform(-1, 1, shape[0])

@@ -20,7 +20,7 @@ from ftjsim.variability import VariabilityParams
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "layers.py"
 PARAMS = DeviceParams()
-VP = VariabilityParams(seed=7)
+VP = VariabilityParams()
 
 
 def load_layers():
@@ -36,7 +36,7 @@ def load_layers():
 
 
 def xbar_3x3():
-    return Crossbar.create(3, 3, PARAMS, VP)
+    return Crossbar.create(3, 3, PARAMS, VP, 7)
 
 
 # One 3x3 call per traced function, positional as the command line passes them,

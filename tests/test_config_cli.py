@@ -1,5 +1,6 @@
 """Configuration validation and command-line contract tests."""
 
+import dataclasses
 import json
 import math
 import os
@@ -15,13 +16,13 @@ from ftjsim import cli, table
 from ftjsim import crossbar as xb
 from ftjsim import inference as inf
 from ftjsim.cli import main
-from ftjsim.conduction import K_B_EV
-from ftjsim.config import (STREAM_VARIABILITY, STREAM_WORKLOAD, SimConfig, apply_master_seed,
+from ftjsim.conduction import K_B_EV, ConductionParams
+from ftjsim.config import (STREAM_WORKLOAD, BiasScheme, CrossbarConfig, SimConfig,
                            config_from_dict, load_config)
-from ftjsim.device import TRACE_CSV_HEADER, UpdateScheme
+from ftjsim.device import TRACE_CSV_HEADER, DeviceParams, UpdateScheme
 from ftjsim.errors import ConfigError
 from ftjsim.inference import make_blobs_dataset
-from ftjsim.variability import derive_seed
+from ftjsim.variability import VariabilityParams, derive_seed
 
 from conftest import default_config_text, sweep_to_csv, synthetic_pf_sweep
 
@@ -91,16 +92,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="schema_version"):
             config_from_dict({"schema_version": 99})
 
-    def test_master_seed_rederives_streams(self):
-        config = apply_master_seed(SimConfig(), 777)
-        assert config.seed == 777
-        assert config.variability.seed != SimConfig().variability.seed
-        again = apply_master_seed(SimConfig(), 777)
-        assert config == again
-        # The config's own seed is the master seed already.
-        assert apply_master_seed(SimConfig(), SimConfig().seed) == SimConfig()
-        assert SimConfig().variability.seed == derive_seed(SimConfig().seed, STREAM_VARIABILITY)
-        assert config_from_dict({"seed": 777}) == config
+    def test_every_field_is_a_key_of_the_defaults_file(self):
+        # No dataclass field exists outside the file format: a field that no
+        # config can set (as a stream seed was) fails here.  Fields named
+        # here come from elsewhere in the file: the top-level scheme and
+        # conduction section, and the nested bias section.
+        raw = json.loads(default_config_text())
+        sections = [
+            (SimConfig, set(raw) - {"scheme", "conduction"}),
+            (ConductionParams, set(raw["conduction"])),
+            (DeviceParams, set(raw["device"]) | {"conduction", "scheme"}),
+            (VariabilityParams, set(raw["variability"])),
+            (CrossbarConfig, set(raw["crossbar"])),
+            (BiasScheme, set(raw["crossbar"]["bias"])),
+        ]
+        for cls, keys in sections:
+            assert {f.name for f in dataclasses.fields(cls)} == keys, cls.__name__
 
 
 def fresh_python(code: str) -> str:
@@ -151,6 +158,14 @@ class TestCliContracts:
                 "print(before, 'numpy.random' in sys.modules)")
         assert fresh_python(code).split() == ["False", "False"]
 
+    @pytest.mark.filterwarnings("error")
+    def test_sharp_staircase_pulse_warns_nothing(self, tmp_path, capsys):
+        # At nu_p = 40 the staircase's last level inverts through log1p(-1).
+        cfg = tmp_path / "sharp.json"
+        cfg.write_text(json.dumps({"device": {"nu_p": 40}}))
+        assert run_cli("--config", cfg, "--out", tmp_path, "pulse") == 0
+        assert capsys.readouterr().err == ""
+
     def test_fit_reads_each_file_once(self, tmp_path, monkeypatch):
         assert run_cli("--out", tmp_path, "pulse") == 0
         trace, sweep = tmp_path / "pulse_trace.csv", tmp_path / "sweep.csv"
@@ -192,8 +207,9 @@ class TestCliContracts:
             "trace.csv,update_potentiation,warning,branch saturated by its first pulse count; "
             "nu 374.299 fits and so does any larger nu"]
 
-    def test_negative_seed_exits_2(self, tmp_path, capsys):
-        assert run_cli("--seed", -5, "--out", tmp_path, "iv") == 2
+    @pytest.mark.parametrize("seed", [-5, 2**64])
+    def test_out_of_range_seed_exits_2(self, tmp_path, capsys, seed):
+        assert run_cli("--seed", seed, "--out", tmp_path, "iv") == 2
         assert "seed" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", [("xbar", "--writes", "-5"), ("infer", "--seeds", "0"),
@@ -256,6 +272,8 @@ class TestCliContracts:
         ("device", {"hzo_thickness_nm": 1e-320}),
         ("device", {"v_set_full": -math.inf}),
         ("crossbar", {"bias": {"v_write_pot": 2.0, "v_write_dep": -1.0}}),
+        ("variability", {"sigma_d2d_hrs": 1e300}),
+        ("variability", {"sigma_d2d_lrs": 1e300}),
     ], ids=["on_off", "nan_sigma_c2c", "nan_area", "subthreshold_v_set_full", "bias_kind",
             "nan_e_a", "nan_beta", "float_n_levels", "bool_seed", "bool_variability_seed",
             "float_rows", "bool_cols", "inf_g_lrs_ref", "huge_int_t_ref", "nan_v_write_pot",
@@ -264,7 +282,7 @@ class TestCliContracts:
             "int_output_dir", "huge_sigma_c2c", "overflowing_g_lrs", "underflowing_g_hrs",
             "zero_hzo_thickness", "negative_zero_hzo_thickness", "negative_hzo_thickness",
             "subnormal_hzo_thickness", "small_subnormal_hzo_thickness", "minus_inf_v_set_full",
-            "swapped_write_rails"])
+            "swapped_write_rails", "huge_sigma_d2d_hrs", "huge_sigma_d2d_lrs"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, section, values):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({section: values}))
@@ -576,19 +594,22 @@ class TestCliContracts:
                              ids=["xbar", "pulse", "bench"])
     def test_seed_flag_naming_the_config_seed_changes_nothing(self, tmp_path, command, seed):
         # The config's seed is the master seed of every stream, so repeating it
-        # with --seed must write the same bytes.
+        # with --seed must write the same bytes, and any other seed must not.
         raw = json.loads(default_config_text())
         raw["seed"] = seed
         raw["crossbar"]["rows"] = raw["crossbar"]["cols"] = 8
         cfg = tmp_path / "small.json"
         cfg.write_text(json.dumps(raw))
-        plain, flagged = tmp_path / "plain", tmp_path / "flagged"
+        plain, flagged, other = tmp_path / "plain", tmp_path / "flagged", tmp_path / "other"
         assert run_cli("--config", cfg, "--out", plain, *command) == 0
         assert run_cli("--config", cfg, "--seed", seed, "--out", flagged, *command) == 0
+        assert run_cli("--config", cfg, "--seed", seed + 1, "--out", other, *command) == 0
         names = sorted(p.name for p in plain.iterdir())
         assert names and names == sorted(p.name for p in flagged.iterdir())
         for name in names:
             assert (plain / name).read_bytes() == (flagged / name).read_bytes(), name
+        assert names == sorted(p.name for p in other.iterdir())
+        assert any((plain / name).read_bytes() != (other / name).read_bytes() for name in names)
 
     def test_config_scheme_selection_swaps_shapes(self, tmp_path):
         raw = json.loads(default_config_text())

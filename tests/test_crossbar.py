@@ -38,12 +38,12 @@ from ftjsim.inference import map_weights
 from ftjsim.variability import VariabilityParams
 
 PARAMS = DeviceParams()
-QUIET = VariabilityParams(sigma_c2c=0.0, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0, seed=7)
-NOISY = VariabilityParams(seed=7)
+QUIET = VariabilityParams(sigma_c2c=0.0, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0)
+NOISY = VariabilityParams()
 
 
-def make_xbar(rows, cols, vp=QUIET, params=PARAMS):
-    return Crossbar.create(rows, cols, params, vp)
+def make_xbar(rows, cols, vp=QUIET, params=PARAMS, seed=7):
+    return Crossbar.create(rows, cols, params, vp, seed)
 
 
 def state_at(xbar, r, c):
@@ -262,7 +262,7 @@ class TestWriteCells:
         "seed, sigma", [(s, 0.0) for s in range(20)] + [(s, 0.3) for s in range(20)],
         ids=[str(s) for s in range(20)] + [f"{s}-noisy" for s in range(20)])
     def test_equals_sequential_writes(self, seed, sigma):
-        vp = VariabilityParams(sigma_c2c=sigma, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0, seed=7)
+        vp = VariabilityParams(sigma_c2c=sigma, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0)
         rng = np.random.default_rng(seed)
         rows, cols = (int(n) for n in rng.integers(1, 9, size=2))
         params = replace(PARAMS, scheme=(UpdateScheme.AMPLITUDE_RAMP,
@@ -371,7 +371,7 @@ class TestProgramOpenLoop:
         base_err = np.abs(quiet.conductances() - target) / span
 
         noisy = make_xbar(100, 100, vp=VariabilityParams(
-            sigma_c2c=0.10, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0, seed=3))
+            sigma_c2c=0.10, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0), seed=3)
         program_open_loop(noisy, target)
         noisy_err = np.abs(noisy.conductances() - target) / span
         assert noisy_err.mean() <= 2 * base_err.mean()
@@ -440,8 +440,8 @@ class TestActiveSetProgramming:
 
     @staticmethod
     def twin(rows, cols, sigma):
-        vp = VariabilityParams(sigma_c2c=sigma, seed=11)
-        return make_xbar(rows, cols, vp=vp), make_xbar(rows, cols, vp=vp)
+        vp = VariabilityParams(sigma_c2c=sigma)
+        return make_xbar(rows, cols, vp=vp, seed=11), make_xbar(rows, cols, vp=vp, seed=11)
 
     @staticmethod
     def assert_same(a, b):
@@ -493,11 +493,11 @@ class TestStackedProgramming:
         from w = 0.01 moves it away from its target until it sits at w = 0,
         where a further pulse changes nothing.
         """
-        vps = [VariabilityParams(sigma_c2c=sigma, seed=seed) for seed in (11, 12, 13, 14)]
-        xbars = [make_xbar(rows, cols, vp=vp)
-                 for (rows, cols), vp in zip(((16, 64), (64, 64), (64, 4)), vps)]
+        vp = VariabilityParams(sigma_c2c=sigma)
+        xbars = [make_xbar(rows, cols, vp=vp, seed=seed)
+                 for (rows, cols), seed in zip(((16, 64), (64, 64), (64, 4)), (11, 12, 13))]
         g = np.full((8, 8), PARAMS.g_hrs)
-        xbars.append(Crossbar(np.full((8, 8), 0.01), 2 * g, g, PARAMS, vps[3],
+        xbars.append(Crossbar(np.full((8, 8), 0.01), 2 * g, g, PARAMS, vp,
                               np.random.default_rng(14)))
         targets = [weight_like_targets(16, 64, seed=5)[0], weight_like_targets(64, 64, seed=6)[1],
                    xbars[2].g_hrs.copy(), 1.5 * g]
@@ -639,7 +639,7 @@ class TestSneakRatio:
 
     def test_ohmic_limit_collapses_to_three(self):
         p_lin = DeviceParams(conduction=ConductionParams(beta=0.0))
-        xbar = Crossbar.create(3, 3, p_lin, QUIET)
+        xbar = Crossbar.create(3, 3, p_lin, QUIET, 7)
         xbar.w[:] = 1.0
         assert sneak_ratio(xbar, 0, 0, 0.5) == pytest.approx(3.0, rel=1e-9)
 

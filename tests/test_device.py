@@ -87,6 +87,16 @@ class TestUpdateCurve:
         g = update_curve(x, nu, POT)
         assert update_curve_inverse(g, nu, POT) == pytest.approx(x, abs=1e-9)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("nu", [37.5, 40.0, 700.0])
+    def test_inverse_silent_where_expm1_rounds_to_minus_one(self, nu):
+        # Here the far endpoint takes log1p(-1) = -inf, which the clip maps to
+        # its exact count 1; no divide-by-zero warning may escape.
+        assert np.expm1(-nu) == -1.0
+        assert update_curve_inverse(1.0, nu, POT) == 1.0
+        assert update_curve_inverse(0.0, nu, DEP) == 1.0
+        assert update_curve_inverse(np.array([0.0, 1.0]), nu, POT).tolist() == [0.0, 1.0]
+
 
 class TestLevelTable:
     @pytest.mark.parametrize("n_levels", [2, 50, 64])

@@ -21,7 +21,7 @@ from ftjsim.inference import (
 from ftjsim.variability import VariabilityParams, derive_seed
 
 PARAMS = DeviceParams()
-QUIET = VariabilityParams(sigma_c2c=0.0, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0, seed=1)
+QUIET = VariabilityParams(sigma_c2c=0.0, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0)
 
 
 def cross_entropy(weights, x, y):
@@ -78,14 +78,14 @@ class TestMapWeights:
 class TestForward:
     def test_idealized_equals_float(self, toy):
         x, y, weights = toy
-        net = program_network(weights, PARAMS, QUIET, mode="continuous")
+        net = program_network(weights, PARAMS, QUIET, 1, mode="continuous")
         analog = net.forward(x)
         ref = float_forward(weights, x)
         np.testing.assert_allclose(analog, ref, rtol=1e-9, atol=1e-12)
 
     def test_zero_input_zero_preactivation(self, toy):
         _, _, weights = toy
-        net = program_network(weights[:1], PARAMS, QUIET, mode="continuous")
+        net = program_network(weights[:1], PARAMS, QUIET, 1, mode="continuous")
         out = net.forward(np.zeros(weights[0].shape[0]))
         np.testing.assert_allclose(out, 0.0, atol=1e-20)
 
@@ -97,7 +97,7 @@ class TestForward:
             [-1.0, 1.0, 1.0, -1.0],
             [1.0, 1.0, 1.0, 1.0],
         ])
-        net = program_network([w], PARAMS, QUIET, mode="open_loop")
+        net = program_network([w], PARAMS, QUIET, 1, mode="open_loop")
         x = np.array([1.0, 1.0, 1.0, 1.0])
         expected = np.array([2.0, 2.0, 2.0, -2.0])
         np.testing.assert_allclose(net.forward(x), expected, rtol=1e-9)
@@ -106,7 +106,7 @@ class TestForward:
         x, _, _ = toy
         rng = np.random.default_rng(2)
         w = rng.normal(size=(16, 4))
-        net = program_network([w], PARAMS, QUIET, mode="open_loop")
+        net = program_network([w], PARAMS, QUIET, 1, mode="open_loop")
         analog = net.forward(x[:32])
         ref = float_forward([w], x[:32])
         # Quantization bound: n_levels staircase, differential pair -> coarse bound
@@ -115,7 +115,7 @@ class TestForward:
 
     def test_input_scale_invariance_of_predictions(self, toy):
         x, y, weights = toy
-        net = program_network(weights, PARAMS, QUIET, mode="open_loop")
+        net = program_network(weights, PARAMS, QUIET, 1, mode="open_loop")
         base = np.argmax(net.forward(x[:64]), axis=1)
         for scale in (0.25, 0.5):
             scaled = np.argmax(net.forward(x[:64] * scale), axis=1)
@@ -125,14 +125,14 @@ class TestForward:
 class TestEvaluate:
     def test_baseline_vs_baseline_zero_degradation(self, toy):
         x, y, weights = toy
-        net = program_network(weights, PARAMS, QUIET, mode="continuous")
+        net = program_network(weights, PARAMS, QUIET, 1, mode="continuous")
         report = evaluate(net, x, y, weights)
         assert report.degradation_points == pytest.approx(0.0, abs=1e-9)
 
     def test_quantized_64_levels_within_two_points(self, toy):
         x, y, weights = toy
         p64 = replace(PARAMS, n_levels=64)
-        net = program_network(weights, p64, QUIET, mode="open_loop")
+        net = program_network(weights, p64, QUIET, 1, mode="open_loop")
         report = evaluate(net, x, y, weights)
         assert abs(report.degradation_points) < 2.0
 
@@ -140,8 +140,8 @@ class TestEvaluate:
         x, y, weights = toy
         degs = []
         for s in range(10):
-            vp = VariabilityParams(seed=derive_seed(12345, 16 + s))
-            net = program_network(weights, PARAMS, vp, mode="open_loop")
+            net = program_network(weights, PARAMS, VariabilityParams(),
+                                  derive_seed(12345, 16 + s), mode="open_loop")
             degs.append(evaluate(net, x, y, weights).degradation_points)
         assert np.mean(degs) < 5.0
 
@@ -151,22 +151,21 @@ class TestEvaluate:
         for sigma in (0.0, 0.1, 0.4, 0.8):
             degs = []
             for s in range(10):
-                vp = VariabilityParams(sigma_c2c=sigma, sigma_d2d_hrs=0.0,
-                                       sigma_d2d_lrs=0.0, seed=derive_seed(1000, s))
-                net = program_network(weights, PARAMS, vp, mode="open_loop")
+                vp = VariabilityParams(sigma_c2c=sigma, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0)
+                net = program_network(weights, PARAMS, vp, derive_seed(1000, s), mode="open_loop")
                 degs.append(evaluate(net, x, y, weights).degradation_points)
             means.append(np.mean(degs))
         assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
 
     def test_write_verify_mode(self, toy):
         x, y, weights = toy
-        net = program_network(weights, PARAMS, QUIET, mode="write_verify", tol=0.02)
+        net = program_network(weights, PARAMS, QUIET, 1, mode="write_verify", tol=0.02)
         report = evaluate(net, x, y, weights)
         assert abs(report.degradation_points) < 2.0
 
     def test_per_class_report_shape(self, toy):
         x, y, weights = toy
-        net = program_network(weights, PARAMS, QUIET, mode="continuous")
+        net = program_network(weights, PARAMS, QUIET, 1, mode="continuous")
         report = evaluate(net, x, y, weights)
         assert report.per_class_analog.shape == (4,)
         assert np.all(report.per_class_analog >= 0) and np.all(report.per_class_analog <= 1)

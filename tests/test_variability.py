@@ -9,7 +9,7 @@ from scipy import stats
 
 from ftjsim.device import (DeviceParams, Direction, UpdateScheme, pulse_response,
                            step_weight, truncated_normal)
-from ftjsim.variability import VariabilityParams, derive_seed, sample_endpoint_arrays
+from ftjsim.variability import SIGMA_D2D_MAX, VariabilityParams, derive_seed, sample_endpoint_arrays
 
 PARAMS = DeviceParams()
 VP = VariabilityParams()
@@ -32,7 +32,7 @@ class TestPulseResponse:
             0.3, nu, POT, PARAMS.n_levels)
 
     def test_empirical_std_in_window(self):
-        rng = np.random.default_rng(VP.seed)
+        rng = np.random.default_rng(12345)
         w = np.full(10_000, 0.5)
         dw = pulse_response(w, PARAMS.v_set_full, PARAMS) - w
         eps = truncated_normal(rng, VP.sigma_c2c, w.size)
@@ -103,7 +103,7 @@ class TestPulseResponse:
 
 class TestSamplePopulation:
     def test_log_conductance_std_window(self):
-        rng = np.random.default_rng(VP.seed)
+        rng = np.random.default_rng(12345)
         g_hrs, g_lrs = sample_endpoint_arrays(10_000, PARAMS, VP, rng)
         assert 0.097 <= np.std(np.log(g_hrs)) <= 0.103
         assert 0.097 <= np.std(np.log(g_lrs)) <= 0.103
@@ -153,6 +153,15 @@ class TestSamplePopulation:
         assert swapped.any()
         np.testing.assert_array_equal(head[0][swapped], PARAMS.g_lrs * np.exp(1.5 * z[swapped, 1]))
         assert np.all(full[0] < full[1])
+
+    @pytest.mark.parametrize("name", ["sigma_d2d_hrs", "sigma_d2d_lrs"])
+    def test_spread_bounded_so_endpoints_stay_finite(self, name):
+        for bad in (np.nextafter(SIGMA_D2D_MAX, math.inf), 1e300, math.inf, -0.1, math.nan):
+            with pytest.raises(ValueError, match=name):
+                VariabilityParams(**{name: bad})
+        widest = VariabilityParams(**{name: SIGMA_D2D_MAX})
+        g_hrs, g_lrs = sample_endpoint_arrays(10_000, PARAMS, widest, np.random.default_rng(3))
+        assert np.isfinite(g_lrs).all() and (g_hrs > 0).all() and (g_hrs < g_lrs).all()
 
     def test_determinism(self):
         a = sample_endpoint_arrays(64, PARAMS, VP, np.random.default_rng(55))
