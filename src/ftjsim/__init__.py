@@ -23,7 +23,7 @@ from .crossbar import (
     write_cell,
     write_cells,
 )
-from .config import BiasScheme, SimConfig, load_config
+from .config import SimConfig, load_config
 from .device import (
     DeviceParams,
     DeviceState,
@@ -42,7 +42,7 @@ from .device import (
     write_energy,
 )
 from .errors import ConfigError, FitError
-from .inference import AnalogNetwork, MLPSpec, WeightMapping, evaluate, map_weights, program_network
+from .inference import AnalogNetwork, MLPSpec, evaluate, map_weights, program_network
 from .variability import VariabilityParams
 
 __version__ = "0.1.0"

@@ -172,16 +172,15 @@ def cmd_xbar(config: SimConfig, out: Path, n_writes: int) -> None:
     ])
 
     # One analog read with a random input vector.
-    v_in = config.crossbar.bias.v_read * rng.uniform(-1.0, 1.0, size=xbar.rows)
+    v_in = dev.PULSE_READ_VOLTAGE * rng.uniform(-1.0, 1.0, size=xbar.rows)
     currents = xb.read_vmm(xbar, v_in)
     write_table(out / "xbar_read.csv", ("col", "current_A"),
                 [[j, _fmt(i)] for j, i in enumerate(currents)])
 
     # Random single-cell writes under the half-bias scheme, drawn as arrays, applied in order.
-    bias = config.crossbar.bias
     rows = rng.integers(xbar.rows, size=n_writes)
     cols = rng.integers(xbar.cols, size=n_writes)
-    amps = np.where(rng.random(n_writes) < 0.5, bias.v_write_pot, bias.v_write_dep)
+    amps = np.where(rng.random(n_writes) < 0.5, params.v_set_full, params.v_reset_full)
     disturbed = xb.write_cells(xbar, rows, cols, amps).disturbed
     sneak = xb.sneak_ratio(xbar, xbar.rows // 2, xbar.cols // 2, 0.5)
     write_table(out / "xbar_disturb.csv", ("metric", "value"), [

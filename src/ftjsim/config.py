@@ -17,7 +17,7 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .conduction import V_READ_SWEEP_MAX, ConductionParams
+from .conduction import ConductionParams
 from .device import DeviceParams, UpdateScheme
 from .errors import ConfigError
 from .variability import VariabilityParams
@@ -30,32 +30,18 @@ STREAM_WORKLOAD = 1      # workload generation (targets, inputs, write order)
 STREAM_TRAINING = 2      # float-baseline weight initialization
 STREAM_EVAL_BASE = 16    # + replica index, one per Monte-Carlo seed
 
-
-@dataclass(frozen=True)
-class BiasScheme:
-    """Write rails (+V/2 on the selected row, -V/2 on the selected column) and read bias."""
-
-    v_write_pot: float = -1.6
-    v_write_dep: float = 2.4
-    v_read: float = 0.2
-
-    def __post_init__(self) -> None:
-        if not (self.v_write_pot < 0 < self.v_write_dep):  # negative amplitudes potentiate
-            raise ConfigError(f"require v_write_pot < 0 < v_write_dep, got "
-                              f"{self.v_write_pot} and {self.v_write_dep}")
-        if self.v_read <= 0 or self.v_read > V_READ_SWEEP_MAX:
-            raise ConfigError(f"v_read must lie in (0, {V_READ_SWEEP_MAX}] V, got {self.v_read}")
+MAX_ARRAY_DIM = 1024     # rows or columns of a configured crossbar
 
 
 @dataclass(frozen=True)
 class CrossbarConfig:
     rows: int = 64
     cols: int = 64
-    bias: BiasScheme = BiasScheme()
 
     def __post_init__(self) -> None:
-        if self.rows < 1 or self.cols < 1:
-            raise ValueError(f"array dimensions must be >= 1, got {self.rows}x{self.cols}")
+        if not (1 <= self.rows <= MAX_ARRAY_DIM and 1 <= self.cols <= MAX_ARRAY_DIM):
+            raise ValueError(f"array dimensions must lie in [1, {MAX_ARRAY_DIM}], "
+                             f"got {self.rows}x{self.cols}")
 
 
 @dataclass(frozen=True)
@@ -74,12 +60,6 @@ class SimConfig:
             raise ConfigError(f"seed must be an unsigned 64-bit integer, got {self.seed}")
         if not isinstance(self.output_dir, str):
             raise ValueError(f"output_dir must be a string, got {self.output_dir!r}")
-        # Half-select levels must sit below the pulse threshold.
-        bias, threshold = self.crossbar.bias, self.device.v_pulse_threshold
-        for name, v in (("v_write_pot", bias.v_write_pot), ("v_write_dep", bias.v_write_dep)):
-            if abs(v) / 2 >= threshold:
-                raise ConfigError(f"half-select level |{name}|/2 = {abs(v) / 2} V reaches the "
-                                  f"pulse threshold {threshold} V; unselected cells would disturb")
 
     def to_dict(self) -> dict:
         dev = dataclasses.asdict(self.device)
@@ -92,8 +72,7 @@ class SimConfig:
             "conduction": conduction,
             "device": dev,
             "variability": dataclasses.asdict(self.variability),
-            "crossbar": {"rows": self.crossbar.rows, "cols": self.crossbar.cols,
-                         "bias": dataclasses.asdict(self.crossbar.bias)},
+            "crossbar": dataclasses.asdict(self.crossbar),
         }
 
 
@@ -150,9 +129,7 @@ def config_from_dict(raw: dict) -> SimConfig:
                     conduction=conduction, scheme=scheme)
     variability = _build(VariabilityParams, raw.get("variability", {}), "variability")
 
-    xbar_raw = dict(raw.get("crossbar", {}))
-    bias = _build(BiasScheme, xbar_raw.pop("bias", {}), "crossbar.bias")
-    crossbar = _build(CrossbarConfig, xbar_raw, "crossbar", bias=bias)
+    crossbar = _build(CrossbarConfig, raw.get("crossbar", {}), "crossbar")
 
     top = {key: raw.get(key, default) for key, default in
            (("schema_version", SCHEMA_VERSION), ("seed", 12345))}

@@ -26,6 +26,7 @@ from .table import write_table
 PULSE_READ_VOLTAGE = 0.2  # V, read bias after programming pulses
 DC_READ_VOLTAGE = 0.3     # V, read bias along the DC write loop
 TRUNCATION_SIGMAS = 3.0   # cycle-to-cycle jitter is resampled beyond this
+MAX_LEVELS = 1024         # largest staircase level count, n_levels
 NU_BOUNDS = (1e-9, 1e9)   # search range of a fitted staircase shape nu
 SIGMA0_MIN = 1e-9         # least staircase amplitude a fit returns
 _FIT_GRID = 65            # ln(nu) points per round of the fit's grid search
@@ -92,8 +93,8 @@ class DeviceParams:
                 "require v_set_full <= v_c_set < 0 < v_c_reset <= v_reset_full, got "
                 f"{self.v_set_full}, {self.v_c_set}, {self.v_c_reset}, {self.v_reset_full}"
             )
-        if self.n_levels < 2:
-            raise ValueError(f"n_levels must be >= 2, got {self.n_levels}")
+        if not (2 <= self.n_levels <= MAX_LEVELS):
+            raise ValueError(f"n_levels must lie in [2, {MAX_LEVELS}], got {self.n_levels}")
         for name in ("nu_p", "nu_d", "area", "t_width_ref", "hzo_thickness_nm"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")

@@ -20,19 +20,7 @@ from .errors import ConfigError
 from .table import read_table
 from .variability import VariabilityParams, derive_seed
 
-
-@dataclass(frozen=True)
-class WeightMapping:
-    """Conversion between one weight matrix and its conductance pair."""
-
-    scale: float   # siemens per unit weight
-    v_read: float  # V, input amplitude encoding
-
-    def __post_init__(self) -> None:
-        if self.scale <= 0:
-            raise ValueError(f"scale must be > 0, got {self.scale}")
-        if self.v_read <= 0:
-            raise ValueError(f"v_read must be > 0, got {self.v_read}")
+READ_VOLTAGE = 0.1  # V, peak input amplitude of every layer's read
 
 
 @dataclass(frozen=True)
@@ -48,17 +36,15 @@ class MLPSpec:
             raise ValueError("layer sizes must be >= 1")
 
 
-def map_weights(
-    w: np.ndarray, params: DeviceParams, v_read: float = 0.1
-) -> tuple[np.ndarray, np.ndarray, WeightMapping]:
-    """Differential target conductances (G+, G-) for one weight matrix.
+def map_weights(w: np.ndarray, params: DeviceParams) -> tuple[np.ndarray, np.ndarray, float]:
+    """Differential target conductances (G+, G-) and their scale, in S per unit weight.
 
     Positive weights raise G+ above the HRS with G- pinned there; negative
     weights mirror.  The largest weight magnitude lands exactly on the LRS.
     """
-    if v_read > params.conduction.v_ohmic_max:
+    if READ_VOLTAGE > params.conduction.v_ohmic_max:
         raise ConfigError(
-            f"v_read {v_read} V exceeds the Ohmic regime edge "
+            f"read voltage {READ_VOLTAGE} V exceeds the Ohmic regime edge "
             f"{params.conduction.v_ohmic_max} V; the analog read would not be linear"
         )
     w = np.asarray(w, dtype=float)
@@ -69,14 +55,14 @@ def map_weights(
     scale = span / w_max if w_max > 0 else span
     g_pos = params.g_hrs + np.clip(w, 0.0, None) * scale
     g_neg = params.g_hrs + np.clip(-w, 0.0, None) * scale
-    return g_pos, g_neg, WeightMapping(scale=scale, v_read=v_read)
+    return g_pos, g_neg, scale
 
 
 @dataclass
 class AnalogLayer:
     pos: Crossbar
     neg: Crossbar
-    mapping: WeightMapping
+    scale: float  # siemens per unit weight
 
 
 class AnalogNetwork:
@@ -102,9 +88,9 @@ class AnalogNetwork:
                 y = np.maximum(y, 0.0)
             # Per-sample amplitude normalization keeps voltages in range.
             m = np.maximum(1.0, np.max(np.abs(y), axis=1, keepdims=True))
-            v = layer.mapping.v_read * (y / m)
+            v = READ_VOLTAGE * (y / m)
             i_diff = read_vmm(layer.pos, v, t, neg=layer.neg)
-            y = i_diff / (layer.mapping.scale * layer.mapping.v_read) * m
+            y = i_diff / (layer.scale * READ_VOLTAGE) * m
         return y[0] if single else y
 
 
@@ -139,10 +125,10 @@ def program_network(
         raise ValueError(f"unknown programming mode {mode!r}")
     layers, xbars, targets = [], [], []
     for li, w in enumerate(weights):
-        g_pos, g_neg, mapping = map_weights(w, params)
+        g_pos, g_neg, scale = map_weights(w, params)
         halves = [Crossbar.create(*w.shape, params, vp, derive_seed(seed, 2 * li + hi))
                   for hi in range(2)]
-        layers.append(AnalogLayer(pos=halves[0], neg=halves[1], mapping=mapping))
+        layers.append(AnalogLayer(pos=halves[0], neg=halves[1], scale=scale))
         xbars += halves
         targets += [g_pos, g_neg]
     net = AnalogNetwork(layers)

@@ -17,9 +17,9 @@ from ftjsim import crossbar as xb
 from ftjsim import inference as inf
 from ftjsim.cli import main
 from ftjsim.conduction import K_B_EV, ConductionParams
-from ftjsim.config import (STREAM_WORKLOAD, BiasScheme, CrossbarConfig, SimConfig,
+from ftjsim.config import (MAX_ARRAY_DIM, STREAM_WORKLOAD, CrossbarConfig, SimConfig,
                            config_from_dict, load_config)
-from ftjsim.device import TRACE_CSV_HEADER, DeviceParams, UpdateScheme
+from ftjsim.device import MAX_LEVELS, TRACE_CSV_HEADER, DeviceParams, UpdateScheme
 from ftjsim.errors import ConfigError
 from ftjsim.inference import make_blobs_dataset
 from ftjsim.variability import VariabilityParams, derive_seed
@@ -63,13 +63,15 @@ class TestConfig:
             with pytest.raises(ConfigError) as exc:
                 config_from_dict({"device": {key: value}})
             assert str(exc.value) == f"unknown key(s) ['{key}'] in section 'device'"
-        # The stream seed derives from the master seed, and no command reads a
-        # drift rate or a bias kind.
+        # The stream seed derives from the master seed, no command reads a
+        # drift rate, and the write and read voltages are the device's own.
+        old_bias = {"v_write_pot": -1.6, "v_write_dep": 2.4, "v_read": 0.2}
         for raw, key, section in (({"variability": {"seed": 1}}, "seed", "variability"),
                                   ({"variability": {"drift_per_decade": 0.0}},
                                    "drift_per_decade", "variability"),
-                                  ({"crossbar": {"bias": {"kind": "vhalf"}}}, "kind",
-                                   "crossbar.bias")):
+                                  ({"crossbar": {"bias": old_bias}}, "bias", "crossbar"),
+                                  ({"crossbar": {"bias": {"kind": "vhalf"}}}, "bias",
+                                   "crossbar")):
             with pytest.raises(ConfigError) as exc:
                 config_from_dict(raw)
             assert str(exc.value) == f"unknown key(s) ['{key}'] in section '{section}'"
@@ -83,10 +85,12 @@ class TestConfig:
         with pytest.raises(ConfigError, match="conduction"):
             config_from_dict({"conduction": {"on_off": 0.5}})
 
-    def test_bias_threshold_cross_check(self):
-        raw = {"crossbar": {"bias": {"v_write_dep": 3.0}}}
-        with pytest.raises(ConfigError, match="half-select"):
-            config_from_dict(raw)
+    def test_size_bounds_load(self):
+        # One past either bound is a row of the exit-2 table.
+        config = config_from_dict({"device": {"n_levels": MAX_LEVELS},
+                                   "crossbar": {"rows": MAX_ARRAY_DIM, "cols": MAX_ARRAY_DIM}})
+        assert config.device.n_levels == MAX_LEVELS
+        assert (config.crossbar.rows, config.crossbar.cols) == (MAX_ARRAY_DIM, MAX_ARRAY_DIM)
 
     def test_schema_version_checked(self):
         with pytest.raises(ConfigError, match="schema_version"):
@@ -96,7 +100,7 @@ class TestConfig:
         # No dataclass field exists outside the file format: a field that no
         # config can set (as a stream seed was) fails here.  Fields named
         # here come from elsewhere in the file: the top-level scheme and
-        # conduction section, and the nested bias section.
+        # conduction section.
         raw = json.loads(default_config_text())
         sections = [
             (SimConfig, set(raw) - {"scheme", "conduction"}),
@@ -104,7 +108,6 @@ class TestConfig:
             (DeviceParams, set(raw["device"]) | {"conduction", "scheme"}),
             (VariabilityParams, set(raw["variability"])),
             (CrossbarConfig, set(raw["crossbar"])),
-            (BiasScheme, set(raw["crossbar"]["bias"])),
         ]
         for cls, keys in sections:
             assert {f.name for f in dataclasses.fields(cls)} == keys, cls.__name__
@@ -274,6 +277,10 @@ class TestCliContracts:
         ("crossbar", {"bias": {"v_write_pot": 2.0, "v_write_dep": -1.0}}),
         ("variability", {"sigma_d2d_hrs": 1e300}),
         ("variability", {"sigma_d2d_lrs": 1e300}),
+        ("crossbar", {"rows": 10**20}),
+        ("crossbar", {"cols": MAX_ARRAY_DIM + 1}),
+        ("device", {"n_levels": 10**30}),
+        ("device", {"n_levels": MAX_LEVELS + 1}),
     ], ids=["on_off", "nan_sigma_c2c", "nan_area", "subthreshold_v_set_full", "bias_kind",
             "nan_e_a", "nan_beta", "float_n_levels", "bool_seed", "bool_variability_seed",
             "float_rows", "bool_cols", "inf_g_lrs_ref", "huge_int_t_ref", "nan_v_write_pot",
@@ -282,7 +289,8 @@ class TestCliContracts:
             "int_output_dir", "huge_sigma_c2c", "overflowing_g_lrs", "underflowing_g_hrs",
             "zero_hzo_thickness", "negative_zero_hzo_thickness", "negative_hzo_thickness",
             "subnormal_hzo_thickness", "small_subnormal_hzo_thickness", "minus_inf_v_set_full",
-            "swapped_write_rails", "huge_sigma_d2d_hrs", "huge_sigma_d2d_lrs"])
+            "swapped_write_rails", "huge_sigma_d2d_hrs", "huge_sigma_d2d_lrs", "huge_rows",
+            "cols_over_bound", "huge_n_levels", "n_levels_over_bound"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, section, values):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({section: values}))
@@ -301,6 +309,17 @@ class TestCliContracts:
         bad.write_text(json.dumps({"device": values}))
         assert run_cli("--config", bad, "--out", tmp_path, "bench") == 2
         assert named in capsys.readouterr().err
+
+    def test_non_ohmic_read_voltage_exits_2(self, tmp_path, capsys):
+        # infer reads every layer at up to 0.1 V, which must stay in the Ohmic regime.
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"conduction": {"v_ohmic_max": 0.05}}))
+        assert run_cli("--config", bad, "--out", tmp_path, "infer", "--seeds", "1") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ftjsim: config-error: read voltage 0.1 V exceeds the Ohmic "
+                              "regime edge 0.05 V")
+        assert len(err.strip().splitlines()) == 1
+        assert not (tmp_path / "infer_report.csv").exists()
 
     @pytest.mark.parametrize("case, unconverged", [
         ("tiny_area", "9 of 9 paths unconverged after 200 iterations"),
@@ -334,9 +353,9 @@ class TestCliContracts:
 
     @pytest.mark.parametrize("command, section, values", [
         ("bench", "conduction", {"g_lrs_ref": math.inf}),
-        ("xbar", "crossbar", {"bias": {"v_write_pot": math.nan}}),
+        ("xbar", "device", {"v_reset_full": math.nan}),
         ("bench", "device", {"hzo_thickness_nm": math.nan}),
-    ], ids=["bench_inf_g_lrs_ref", "xbar_nan_v_write_pot", "bench_nan_hzo_thickness"])
+    ], ids=["bench_inf_g_lrs_ref", "xbar_nan_v_reset_full", "bench_nan_hzo_thickness"])
     def test_non_finite_float_exits_2_before_the_command(self, tmp_path, capsys, command,
                                                           section, values):
         bad = tmp_path / "bad.json"
@@ -525,11 +544,11 @@ class TestCliContracts:
         rng = np.random.default_rng(derive_seed(777, STREAM_WORKLOAD))
         rng.uniform(0.3, 0.95, size=(6, 9))  # programming targets
         rng.uniform(-1.0, 1.0, size=6)       # read input
-        bias = load_config(cfg).crossbar.bias
+        params = load_config(cfg).device
         assert np.array_equal(rows, rng.integers(6, size=300))
         assert np.array_equal(cols, rng.integers(9, size=300))
-        assert np.array_equal(amps, np.where(rng.random(300) < 0.5, bias.v_write_pot,
-                                             bias.v_write_dep))
+        assert np.array_equal(amps, np.where(rng.random(300) < 0.5, params.v_set_full,
+                                             params.v_reset_full))
 
     def test_infer_report(self, tmp_path):
         assert run_cli("--out", tmp_path, "infer", "--seeds", "2", "--hidden", "8") == 0

@@ -10,7 +10,6 @@ import pytest
 from ftjsim import crossbar
 from ftjsim.cli import main
 from ftjsim.conduction import ConductionParams, current, nonlinearity_ratio
-from ftjsim.config import BiasScheme, CrossbarConfig, SimConfig
 from ftjsim.crossbar import (
     Crossbar,
     program_open_loop,
@@ -33,7 +32,7 @@ from ftjsim.device import (
     truncated_normal,
     update_curve,
 )
-from ftjsim.errors import ConfigError, ConvergenceError
+from ftjsim.errors import ConvergenceError
 from ftjsim.inference import map_weights
 from ftjsim.variability import VariabilityParams
 
@@ -305,16 +304,6 @@ class TestWriteCells:
     def test_ragged_inputs_rejected(self, rows, cols, amps):
         with pytest.raises(ValueError):
             write_cells(make_xbar(2, 2), rows, cols, amps)
-
-
-class TestBiasScheme:
-    def test_half_select_level_must_clear_threshold(self):
-        with pytest.raises(ConfigError):
-            SimConfig(device=PARAMS, crossbar=CrossbarConfig(bias=BiasScheme(v_write_dep=3.0)))
-
-    def test_read_voltage_bounded(self):
-        with pytest.raises(ConfigError):
-            BiasScheme(v_read=0.4)
 
 
 # --- programming ---------------------------------------------------------------

@@ -5,6 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from ftjsim.conduction import ConductionParams
 from ftjsim.config import STREAM_TRAINING
 from ftjsim.device import DeviceParams
 from ftjsim.errors import ConfigError
@@ -59,8 +60,8 @@ class TestMapWeights:
     def test_round_trip_reproduces_weights(self):
         rng = np.random.default_rng(0)
         w = rng.normal(size=(8, 5))
-        g_pos, g_neg, mapping = map_weights(w, PARAMS)
-        np.testing.assert_allclose((g_pos - g_neg) / mapping.scale, w, rtol=1e-12, atol=1e-15)
+        g_pos, g_neg, scale = map_weights(w, PARAMS)
+        np.testing.assert_allclose((g_pos - g_neg) / scale, w, rtol=1e-12, atol=1e-15)
 
     def test_conductances_within_span(self):
         rng = np.random.default_rng(1)
@@ -71,8 +72,10 @@ class TestMapWeights:
             assert np.all(g <= PARAMS.g_lrs + 1e-18)
 
     def test_read_voltage_must_stay_ohmic(self):
-        with pytest.raises(ConfigError):
-            map_weights(np.ones((2, 2)), PARAMS, v_read=0.2)
+        # Inputs are read at up to 0.1 V, past this device's Ohmic regime.
+        params = DeviceParams(conduction=ConductionParams(v_ohmic_max=0.05))
+        with pytest.raises(ConfigError, match="Ohmic regime"):
+            map_weights(np.ones((2, 2)), params)
 
 
 class TestForward:
