@@ -31,6 +31,9 @@ from .errors import ConfigError, ConvergenceError, FitError
 from .table import read_table, write_table
 
 IV_CSV_HEADER = ("voltage_V", "temperature_K", "state", "current_A", "resistance_ohm")
+# Monte-Carlo replicas that infer programs in one stacked pass.  Rows do not
+# depend on it; larger groups gained no time and cost peak memory.
+REPLICAS_PER_PASS = 3
 
 
 def _fmt(x: float) -> str:
@@ -204,6 +207,7 @@ def cmd_infer(config: SimConfig, out: Path, dataset: str | None, n_seeds: int,
         x, y = inf.make_blobs_dataset()
     n_classes = int(y.max()) + 1
     spec = inf.MLPSpec((x.shape[1], *hidden, n_classes))
+    inf.check_read_voltage(config.device)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
         weights = inf.train_mlp(x, y, spec, seed=var.derive_seed(config.seed, STREAM_TRAINING))
     if not all(np.isfinite(w).all() for w in weights):
@@ -211,10 +215,13 @@ def cmd_infer(config: SimConfig, out: Path, dataset: str | None, n_seeds: int,
 
     rows = []
     per_class_header = [f"class_{k}_analog" for k in range(n_classes)]
-    for s in range(n_seeds):
-        net = inf.program_network(weights, config.device, config.variability,
-                                  var.derive_seed(config.seed, STREAM_EVAL_BASE + s), mode=mode)
-        report = inf.evaluate(net, x, y, weights)
+    baseline = inf.float_forward(weights, x)
+    seeds = [var.derive_seed(config.seed, STREAM_EVAL_BASE + s) for s in range(n_seeds)]
+    reports = []
+    for lo in range(0, n_seeds, REPLICAS_PER_PASS):  # a group is dropped once evaluated
+        reports += [inf.evaluate(net, x, y, baseline) for net in inf.program_network(
+            weights, config.device, config.variability, seeds[lo:lo + REPLICAS_PER_PASS], mode)]
+    for s, report in enumerate(reports):
         rows.append([s, _fmt(report.analog_accuracy), _fmt(report.baseline_accuracy),
                      _fmt(report.degradation_points)]
                     + [_fmt(a) for a in report.per_class_analog])
@@ -301,17 +308,24 @@ def _add_common_flags(parser: argparse.ArgumentParser, suppress: bool) -> None:
     parser.add_argument("--temps", help="comma-separated temperatures in K (iv)", **kwargs)
 
 
+def _help_formatter(prog: str) -> argparse.HelpFormatter:
+    # A fixed width: argparse otherwise asks the terminal for its size every
+    # time it makes a formatter, once per add_argument.
+    return argparse.HelpFormatter(prog, width=80)
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ftjsim",
         description="Ferroelectric analog-memory simulator: device, array and inference studies.",
+        formatter_class=_help_formatter,
     )
     _add_common_flags(parser, suppress=False)
     parser.set_defaults(config=None, seed=None, out=None, temps=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_command(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+        p = sub.add_parser(name, help=help_text, formatter_class=_help_formatter)
         _add_common_flags(p, suppress=True)
         return p
 

@@ -4,11 +4,12 @@ Cell state is held as dense arrays (one entry per junction) so reads and
 programming vectorize.  Every state update, from a half-select write to a
 programming loop, applies the one pulse kernel ``device.pulse_response`` to
 the cells a pulse reaches, with cycle-to-cycle jitter drawn from each array's
-own stream.  ``write_cells`` applies a sequence of half-bias single-cell
-writes, drawn by the caller as three arrays, in a few array passes: each write
-takes one jitter draw for its selected cell, in write order, and a write whose
-half amplitude stays below the pulse threshold changes only its own cell, so
-such writes commute across cells.  Wires are ideal (no line resistance) and
+jitter stream; arrays sampled together by ``create_arrays`` share one stream
+and draw from it as one array.  ``write_cells`` applies a sequence of
+half-bias single-cell writes, drawn by the caller as three arrays, in a few
+array passes: each write takes one jitter draw for its selected cell, in
+write order, and a write whose half amplitude stays below the pulse
+threshold changes only its own cell, so such writes commute across cells.  Wires are ideal (no line resistance) and
 unselected lines are grounded during reads.  The sneak metric solves all
 three-junction paths in one vectorised Newton iteration, to a bias residual
 of 1e-14 relative.
@@ -79,18 +80,7 @@ class Crossbar:
     def create(cls, rows: int, cols: int, params: DeviceParams, vp: VariabilityParams,
                seed: int) -> "Crossbar":
         """Sample a fresh array; ``seed`` spawns its endpoint and jitter streams."""
-        if rows < 1 or cols < 1:
-            raise ValueError("array dimensions must be >= 1")
-        d2d_ss, c2c_ss = np.random.SeedSequence(seed).spawn(2)
-        g_hrs, g_lrs = sample_endpoint_arrays(rows * cols, params, vp, np.random.default_rng(d2d_ss))
-        return cls(
-            w=np.zeros((rows, cols)),
-            g_hrs=g_hrs.reshape(rows, cols),
-            g_lrs=g_lrs.reshape(rows, cols),
-            params=params,
-            vp=vp,
-            c2c_rng=np.random.default_rng(c2c_ss),
-        )
+        return create_arrays([(rows, cols)], params, vp, seed)[0]
 
     def conductances(self) -> np.ndarray:
         """Small-signal conductance of every cell, in siemens."""
@@ -123,6 +113,26 @@ class Crossbar:
         t_norm, clipped = self._normalized_targets(target)
         self.w[:] = t_norm
         return clipped
+
+
+def create_arrays(shapes, params: DeviceParams, vp: VariabilityParams,
+                  seed: int) -> list[Crossbar]:
+    """Fresh arrays of the given (rows, cols) shapes, sampled as one population.
+
+    ``seed`` spawns one endpoint stream and one jitter stream.  A single
+    endpoint draw covers every cell, array after array in row-major order,
+    and each array's endpoints are views into it; all the arrays share the
+    jitter stream.  One shape gives exactly ``Crossbar.create``.
+    """
+    if any(rows < 1 or cols < 1 for rows, cols in shapes):
+        raise ValueError("array dimensions must be >= 1")
+    d2d_ss, c2c_ss = np.random.SeedSequence(seed).spawn(2)
+    bounds = np.cumsum([0] + [rows * cols for rows, cols in shapes]).tolist()
+    g_hrs, g_lrs = sample_endpoint_arrays(bounds[-1], params, vp, np.random.default_rng(d2d_ss))
+    c2c_rng = np.random.default_rng(c2c_ss)
+    return [Crossbar(np.zeros(shape), g_hrs[lo:hi].reshape(shape), g_lrs[lo:hi].reshape(shape),
+                     params, vp, c2c_rng)
+            for shape, lo, hi in zip(shapes, bounds, bounds[1:])]
 
 
 def _write_own_cells(xbar: Crossbar, part: slice, r, c, amps, eps) -> None:
@@ -200,22 +210,29 @@ def write_cell(xbar: Crossbar, r: int, c: int, pulse: PulseSpec) -> DisturbRepor
 
 
 def _stack(xbars: list[Crossbar]) -> tuple:
-    """Shared device model and the flat cell bounds of a stack."""
+    """Shared device model, the flat cell bounds of a stack and its jitter runs.
+
+    A run is a maximal sequence of consecutive arrays that share one jitter
+    stream; runs are given as their streams and their flat cell bounds.
+    """
     model = (xbars[0].params, xbars[0].vp.sigma_c2c)
     if any((x.params, x.vp.sigma_c2c) != model for x in xbars):
         raise ValueError("stacked arrays must share device parameters and sigma_c2c")
-    return (*model, np.cumsum([0] + [x.w.size for x in xbars]))
+    bounds = np.cumsum([0] + [x.w.size for x in xbars])
+    firsts = [i for i, x in enumerate(xbars) if i == 0 or x._c2c_rng is not xbars[i - 1]._c2c_rng]
+    runs = [xbars[i]._c2c_rng for i in firsts], bounds[firsts + [len(xbars)]]
+    return (*model, bounds, runs)
 
 
-def _jitter(xbars: list[Crossbar], sigma: float, bounds: np.ndarray, idx: np.ndarray):
-    """Jitter of the ascending stacked cells idx, each array's from its own stream, or None."""
+def _jitter(runs: tuple, sigma: float, idx: np.ndarray):
+    """Jitter of the ascending stacked cells idx, one draw per run from its stream, or None."""
     if sigma == 0:
         return None
-    if len(xbars) == 1:
-        return truncated_normal(xbars[0]._c2c_rng, sigma, idx.size)
-    counts = np.diff(np.searchsorted(idx, bounds))
-    return np.concatenate([truncated_normal(x._c2c_rng, sigma, n)
-                           for x, n in zip(xbars, counts) if n])
+    rngs, edges = runs
+    if len(rngs) == 1:
+        return truncated_normal(rngs[0], sigma, idx.size)
+    counts = np.diff(np.searchsorted(idx, edges))
+    return np.concatenate([truncated_normal(rng, sigma, n) for rng, n in zip(rngs, counts) if n])
 
 
 def program_open_loop(xbar: Crossbar, target: np.ndarray) -> Crossbar:
@@ -232,11 +249,13 @@ def program_open_loop(xbar: Crossbar, target: np.ndarray) -> Crossbar:
 def program_open_loop_stack(xbars: list[Crossbar], targets: list) -> None:
     """program_open_loop on arrays sharing one device model, in one pass over all their cells.
 
-    Each pulse is one kernel call over every cell still owed one; each array
-    draws the jitter of its own segment from its own stream, so states and
-    streams equal programming one array at a time.
+    Each pulse is one kernel call over every cell still owed one.  Each run
+    of consecutive arrays that share a jitter stream draws the jitter of its
+    cells in one call, so arrays with their own streams equal programming
+    one array at a time, and arrays that share one equal programming them as
+    one array.
     """
-    p, sigma, bounds = _stack(xbars)
+    p, sigma, bounds, runs = _stack(xbars)
     t_norm = np.concatenate([x._normalized_targets(t)[0].ravel()
                              for x, t in zip(xbars, targets, strict=True)])
     levels = level_table(p.nu_for(Direction.POTENTIATE), Direction.POTENTIATE, p.n_levels)
@@ -247,7 +266,7 @@ def program_open_loop_stack(xbars: list[Crossbar], targets: list) -> None:
     idx = np.flatnonzero(k)  # cells still owed a pulse, ascending flat index
     for s in range(1, int(k.max()) + 1):
         idx = idx[k[idx] >= s]
-        w[idx] = pulse_response(w[idx], p.v_set_full, p, _jitter(xbars, sigma, bounds, idx))
+        w[idx] = pulse_response(w[idx], p.v_set_full, p, _jitter(runs, sigma, idx))
     for x, lo, hi in zip(xbars, bounds, bounds[1:]):
         x.w[:] = w[lo:hi].reshape(x.w.shape)
 
@@ -268,15 +287,16 @@ def program_write_verify_stack(xbars: list[Crossbar], targets: list, tol: float 
                                max_iters: int = 200) -> list[WriteVerifyReport]:
     """program_write_verify on arrays sharing one device model, in one pass over all their cells.
 
-    Each array draws the jitter of its own segment of every pulse from its
-    own stream, and keeps its own stall detection and its own report, so
-    everything equals programming one array at a time.
+    Jitter is drawn as in ``program_open_loop_stack``: one call per run of
+    arrays that share a stream.  Each array keeps its own stall detection
+    and its own report, so arrays with their own streams equal programming
+    one array at a time.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_iters < 0:
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
-    p, sigma, bounds = _stack(xbars)
+    p, sigma, bounds, runs = _stack(xbars)
     normalized = [x._normalized_targets(t) for x, t in zip(xbars, targets, strict=True)]
     warnings = [[f"{c} target(s) outside the device span were clipped"] if c else []
                 for _, c in normalized]
@@ -309,7 +329,7 @@ def program_write_verify_stack(xbars: list[Crossbar], targets: list, tol: float 
         for amplitude, mask in ((p.v_set_full, up), (p.v_reset_full, ~up)):
             if mask.any():
                 after[mask] = pulse_response(w_a[mask], amplitude, p,
-                                             _jitter(xbars, sigma, bounds, idx[mask]))
+                                             _jitter(runs, sigma, idx[mask]))
         starts = np.searchsorted(idx, bounds)
         live = np.flatnonzero(starts[1:] > starts[:-1])
         stalled = live[~np.logical_or.reduceat(w_a != after, starts[live])]
@@ -343,7 +363,8 @@ def read_vmm(xbar: Crossbar, x: np.ndarray, t: float | None = None,
     I_j = sum_i current(x_i, g_ij, t); within the Ohmic regime at the
     reference temperature this is exactly the conductance-matrix product.
     With ``neg``, the differential currents I(xbar) - I(neg) of an equal-shaped
-    pair on the same row voltages, evaluating the conduction law once.
+    pair on the same row voltages, read as one product over the conductance
+    difference.
     """
     t = xbar.params.conduction.t_ref if t is None else t
     x = np.asarray(x, dtype=float)
@@ -359,8 +380,10 @@ def read_vmm(xbar: Crossbar, x: np.ndarray, t: float | None = None,
     eff = x * activation_factor(t, p)
     if v_max > p.v_pf_min:  # the field factor is exactly 1 up to its onset
         eff *= shape_factor(v_abs, t, p)
-    i = eff @ xbar.conductances()
-    return i if neg is None else i - eff @ neg.conductances()
+    g = xbar.conductances()
+    if neg is not None:
+        g -= neg.conductances()
+    return eff @ g
 
 
 # Relative bias residual that ends a sneak path's solve, and the iteration cap.

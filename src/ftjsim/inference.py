@@ -14,11 +14,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .crossbar import Crossbar, program_open_loop_stack, program_write_verify_stack, read_vmm
+from .crossbar import (Crossbar, create_arrays, program_open_loop_stack,
+                       program_write_verify_stack, read_vmm)
 from .device import DeviceParams
 from .errors import ConfigError
 from .table import read_table
-from .variability import VariabilityParams, derive_seed
+from .variability import VariabilityParams
 
 READ_VOLTAGE = 0.1  # V, peak input amplitude of every layer's read
 
@@ -36,17 +37,21 @@ class MLPSpec:
             raise ValueError("layer sizes must be >= 1")
 
 
+def check_read_voltage(params: DeviceParams) -> None:
+    """Refuse a device whose Ohmic regime ends below READ_VOLTAGE: its reads would not be linear."""
+    if READ_VOLTAGE > params.conduction.v_ohmic_max:
+        raise ConfigError(
+            f"read voltage {READ_VOLTAGE} V exceeds the Ohmic regime edge "
+            f"{params.conduction.v_ohmic_max} V; the analog read would not be linear"
+        )
+
+
 def map_weights(w: np.ndarray, params: DeviceParams) -> tuple[np.ndarray, np.ndarray, float]:
     """Differential target conductances (G+, G-) and their scale, in S per unit weight.
 
     Positive weights raise G+ above the HRS with G- pinned there; negative
     weights mirror.  The largest weight magnitude lands exactly on the LRS.
     """
-    if READ_VOLTAGE > params.conduction.v_ohmic_max:
-        raise ConfigError(
-            f"read voltage {READ_VOLTAGE} V exceeds the Ohmic regime edge "
-            f"{params.conduction.v_ohmic_max} V; the analog read would not be linear"
-        )
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("weights must be finite")
@@ -79,18 +84,23 @@ class AnalogNetwork:
         Each layer's inputs are rescaled to the read voltage, pushed through
         both crossbars, and the differential currents are decoded back into
         weight units; the rescaling cancels exactly in the linear regime.
+        Past the input, every array is the pass's own and is written in place.
         """
         x = np.asarray(x, dtype=float)
         single = x.ndim == 1
         y = x[None, :] if single else x
         for i, layer in enumerate(self.layers):
             if i > 0:
-                y = np.maximum(y, 0.0)
-            # Per-sample amplitude normalization keeps voltages in range.
-            m = np.maximum(1.0, np.max(np.abs(y), axis=1, keepdims=True))
-            v = READ_VOLTAGE * (y / m)
-            i_diff = read_vmm(layer.pos, v, t, neg=layer.neg)
-            y = i_diff / (layer.scale * READ_VOLTAGE) * m
+                np.maximum(y, 0.0, out=y)
+            # Per-sample amplitude normalization keeps voltages in range.  Past
+            # the first layer y >= 0, so its row maximum is its largest |y|.
+            m = np.max(np.abs(y) if i == 0 else y, axis=1, keepdims=True)
+            np.maximum(m, 1.0, out=m)
+            v = y / m if i == 0 else np.divide(y, m, out=y)
+            v *= READ_VOLTAGE
+            y = read_vmm(layer.pos, v, t, neg=layer.neg)
+            y /= layer.scale * READ_VOLTAGE
+            y *= m
         return y[0] if single else y
 
 
@@ -108,30 +118,32 @@ def program_network(
     weights: Sequence[np.ndarray],
     params: DeviceParams,
     vp: VariabilityParams,
-    seed: int,
+    seeds: Sequence[int],
     mode: str = "open_loop",
     tol: float = 0.05,
-) -> AnalogNetwork:
-    """Map and program every layer onto a differential crossbar pair.
+) -> list[AnalogNetwork]:
+    """One network per seed, every layer mapped and programmed onto a differential crossbar pair.
 
     ``mode`` selects continuous (idealized), open-loop or write-verify
-    programming.  Crossbar ``hi`` of layer ``li`` draws its own population
-    from ``derive_seed(seed, 2 * li + hi)``, so layers are statistically
-    independent but reproducible.  All crossbars are programmed in one
-    stacked pass, each with its own noise stream, which equals programming
-    them one at a time.
+    programming.  A seed is one Monte-Carlo replica: its arrays, G+ then G-
+    of each layer in turn, are sampled by ``create_arrays`` as one population
+    with one jitter stream.  All replicas are programmed in one stacked pass
+    and each draws only from its own streams, so a network does not depend on
+    which seeds it is programmed with.
     """
     if mode not in ("continuous", "open_loop", "write_verify"):
         raise ValueError(f"unknown programming mode {mode!r}")
-    layers, xbars, targets = [], [], []
-    for li, w in enumerate(weights):
-        g_pos, g_neg, scale = map_weights(w, params)
-        halves = [Crossbar.create(*w.shape, params, vp, derive_seed(seed, 2 * li + hi))
-                  for hi in range(2)]
-        layers.append(AnalogLayer(pos=halves[0], neg=halves[1], scale=scale))
-        xbars += halves
-        targets += [g_pos, g_neg]
-    net = AnalogNetwork(layers)
+    check_read_voltage(params)
+    mapped = [map_weights(w, params) for w in weights]
+    targets = [g for g_pos, g_neg, _ in mapped for g in (g_pos, g_neg)]
+    nets, xbars = [], []
+    for seed in seeds:
+        arrays = create_arrays([g.shape for g in targets], params, vp, seed)
+        nets.append(AnalogNetwork([AnalogLayer(pos=pos, neg=neg, scale=scale)
+                                   for pos, neg, (_, _, scale)
+                                   in zip(arrays[::2], arrays[1::2], mapped)]))
+        xbars += arrays
+    targets *= len(seeds)
     if mode == "continuous":
         for xbar, target in zip(xbars, targets):
             xbar.set_conductances(target)
@@ -139,7 +151,7 @@ def program_network(
         program_open_loop_stack(xbars, targets)
     else:
         program_write_verify_stack(xbars, targets, tol=tol)
-    return net
+    return nets
 
 
 # ---------------------------------------------------------------------------
@@ -289,14 +301,17 @@ def evaluate(
     net: AnalogNetwork,
     x: np.ndarray,
     y: np.ndarray,
-    baseline_weights: Sequence[np.ndarray],
+    baseline_scores: np.ndarray,
 ) -> EvalReport:
-    """Classification accuracy of the analog network against its float twin."""
-    n_classes = baseline_weights[-1].shape[1]
+    """Classification accuracy of the analog network against its float twin.
+
+    ``baseline_scores`` is ``float_forward(weights, x)`` of the programmed
+    weights, scored once for any number of replicas.
+    """
+    n_classes = baseline_scores.shape[1]
     analog_scores = net.forward(x)
-    float_scores = float_forward(baseline_weights, x)
     acc_a = _accuracy(analog_scores, y)
-    acc_f = _accuracy(float_scores, y)
+    acc_f = _accuracy(baseline_scores, y)
     return EvalReport(
         analog_accuracy=acc_a,
         baseline_accuracy=acc_f,

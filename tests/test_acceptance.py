@@ -177,14 +177,14 @@ def toy_problem():
 
 def test_10_inference_acceptance(toy_problem):
     x, y, weights = toy_problem
-    net = program_network(weights, PARAMS, QUIET, 1, mode="continuous")
+    (net,) = program_network(weights, PARAMS, QUIET, [1], mode="continuous")
     rel = np.max(np.abs(net.forward(x) - float_forward(weights, x))
                  / np.maximum(np.abs(float_forward(weights, x)), 1e-30))
     degs = []
     for s in range(10):
-        noisy_net = program_network(weights, PARAMS, VariabilityParams(),
-                                    derive_seed(12345, 16 + s), mode="open_loop")
-        degs.append(evaluate(noisy_net, x, y, weights).degradation_points)
+        (noisy_net,) = program_network(weights, PARAMS, VariabilityParams(),
+                                       [derive_seed(12345, 16 + s)], mode="open_loop")
+        degs.append(evaluate(noisy_net, x, y, float_forward(weights, x)).degradation_points)
     mean_deg = float(np.mean(degs))
     ok = rel < 1e-9 and mean_deg < 5.0
     check("10 inference", ok,

@@ -310,8 +310,13 @@ class TestCliContracts:
         assert run_cli("--config", bad, "--out", tmp_path, "bench") == 2
         assert named in capsys.readouterr().err
 
-    def test_non_ohmic_read_voltage_exits_2(self, tmp_path, capsys):
-        # infer reads every layer at up to 0.1 V, which must stay in the Ohmic regime.
+    def test_non_ohmic_read_voltage_exits_2(self, tmp_path, capsys, monkeypatch):
+        # infer reads every layer at up to 0.1 V, which must stay in the Ohmic
+        # regime; it refuses before it trains the baseline.
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the read-voltage check")
+
+        monkeypatch.setattr(inf, "train_mlp", no_training)
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"conduction": {"v_ohmic_max": 0.05}}))
         assert run_cli("--config", bad, "--out", tmp_path, "infer", "--seeds", "1") == 2
@@ -560,6 +565,31 @@ class TestCliContracts:
             fields = line.split(",")
             assert 0.0 <= float(fields[1]) <= 1.0
             assert float(fields[3]) < 5.0
+
+    @pytest.mark.parametrize("mode", ["continuous", "open_loop", "write_verify"])
+    def test_infer_rows_do_not_depend_on_replica_count_or_grouping(self, tmp_path, monkeypatch,
+                                                                   mode):
+        def report(name, n_seeds):
+            out = tmp_path / name
+            assert run_cli("--out", out, "infer", "--hidden", "8", "--seeds", n_seeds,
+                           "--mode", mode) == 0
+            return (out / "infer_report.csv").read_text().splitlines()
+
+        ten = report("ten", 10)
+        assert len(ten) == 11
+        assert report("four", 4) == ten[:5]
+        for per_pass in (1, 10):
+            monkeypatch.setattr(cli, "REPLICAS_PER_PASS", per_pass)
+            assert report(f"per_pass_{per_pass}", 10) == ten
+
+    @pytest.mark.parametrize("command", [[], ["infer"]], ids=["main", "infer"])
+    def test_help_exits_0_at_80_columns(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([*command, "--help"])
+        assert exc.value.code == 0
+        text = capsys.readouterr().out
+        assert text.startswith("usage: ftjsim")
+        assert max(len(line) for line in text.splitlines()) <= 80
 
     def test_bench_tracks_simulation(self, tmp_path, capsys):
         assert run_cli("--out", tmp_path, "bench") == 0

@@ -12,6 +12,7 @@ from ftjsim.cli import main
 from ftjsim.conduction import ConductionParams, current, nonlinearity_ratio
 from ftjsim.crossbar import (
     Crossbar,
+    create_arrays,
     program_open_loop,
     program_open_loop_stack,
     program_write_verify,
@@ -517,6 +518,56 @@ class TestStackedProgramming:
                 False, False, False, True]
             assert 2 < got[3].max_iterations < got[1].max_iterations
 
+    SHARED_SHAPES = ((64, 64), (64, 4), (8, 8))
+
+    @classmethod
+    def shared_members(cls, sigma):
+        """An array with its own stream, then three sampled together that share one.
+
+        Returns them, their targets and the references: the first array
+        alone, and the shared three as one 1 x n array of the same seed,
+        which draws the same endpoints and owns the same jitter stream.
+        """
+        vp = VariabilityParams(sigma_c2c=sigma)
+        own = make_xbar(16, 64, vp=vp, seed=11)
+        shared = create_arrays(cls.SHARED_SHAPES, PARAMS, vp, 12)
+        targets = [weight_like_targets(16, 64, seed=5)[0], weight_like_targets(64, 64, seed=6)[1],
+                   shared[1].g_hrs.copy(), weight_like_targets(8, 8, seed=7)[0]]
+        n = sum(r * c for r, c in cls.SHARED_SHAPES)
+        refs = [make_xbar(16, 64, vp=vp, seed=11), create_arrays([(1, n)], PARAMS, vp, 12)[0]]
+        ref_targets = [targets[0], np.concatenate([t.ravel() for t in targets[1:]])[None, :]]
+        return [own, *shared], targets, refs, ref_targets
+
+    @staticmethod
+    def assert_same_as_joined(xbars, refs):
+        TestActiveSetProgramming.assert_same(xbars[0], refs[0])
+        assert all(x._c2c_rng is xbars[1]._c2c_rng for x in xbars[2:])
+        assert np.array_equal(np.concatenate([x.w.ravel() for x in xbars[1:]]), refs[1].w[0])
+        assert np.array_equal(np.concatenate([x.g_hrs.ravel() for x in xbars[1:]]),
+                              refs[1].g_hrs[0])
+        assert xbars[1]._c2c_rng.bit_generator.state == refs[1]._c2c_rng.bit_generator.state
+
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_open_loop_shared_stream_draws_as_one_array(self, sigma):
+        xbars, targets, refs, ref_targets = self.shared_members(sigma)
+        program_open_loop_stack(xbars, targets)
+        for ref, target in zip(refs, ref_targets):
+            full_mask_open_loop(ref, target)
+        self.assert_same_as_joined(xbars, refs)
+
+    @pytest.mark.parametrize("max_iters", [200, 2])
+    @pytest.mark.parametrize("sigma", [0.0, 0.1])
+    def test_write_verify_shared_stream_draws_as_one_array(self, sigma, max_iters):
+        xbars, targets, refs, ref_targets = self.shared_members(sigma)
+        got = program_write_verify_stack(xbars, targets, tol=0.05, max_iters=max_iters)
+        want = [full_mask_write_verify(ref, t, tol=0.05, max_iters=max_iters)
+                for ref, t in zip(refs, ref_targets)]
+        assert got[0] == want[0]
+        assert sum(r.mean_iterations * x.w.size for r, x in zip(got[1:], xbars[1:])) == \
+            pytest.approx(want[1].mean_iterations * refs[1].w.size, rel=1e-12)
+        assert got[2].max_iterations == 0
+        self.assert_same_as_joined(xbars, refs)
+
     def test_mixed_device_models_rejected(self):
         a, b = make_xbar(2, 2, vp=QUIET), make_xbar(2, 2, vp=NOISY)
         with pytest.raises(ValueError, match="share"):
@@ -590,6 +641,27 @@ class TestReadVmm:
         batch = read_vmm(xbar, xs)
         for i in range(7):
             np.testing.assert_allclose(batch[i], read_vmm(xbar, xs[i]), rtol=1e-14)
+
+    @pytest.mark.parametrize("amplitude, t", [(0.1, 300.0), (0.3, 300.0), (0.3, 340.0)],
+                             ids=["ohmic", "field_enhanced", "hot"])
+    def test_pair_equals_difference_of_reads(self, amplitude, t):
+        # One product over G+ - G- against two reads, relative to the sum of
+        # the magnitudes both reads add up, which bounds their rounding.
+        pos, neg = create_arrays([(12, 5), (12, 5)], PARAMS, NOISY, 21)
+        rng = np.random.default_rng(10)
+        pos.w[:], neg.w[:] = rng.uniform(0, 1, (2, 12, 5))
+        for a in ("w", "g_hrs", "g_lrs"):  # a column whose currents cancel
+            getattr(neg, a)[:, 0] = getattr(pos, a)[:, 0]
+        x = amplitude * rng.uniform(-1, 1, (9, 12))
+        paired = read_vmm(pos, x, t, neg=neg)
+        unpaired = read_vmm(pos, x, t) - read_vmm(neg, x, t)
+        magnitude = read_vmm(pos, np.abs(x), t) + read_vmm(neg, np.abs(x), t)
+        assert np.all(np.abs(paired - unpaired) <= 1e-12 * magnitude)
+        assert np.array_equal(paired[:, 0], np.zeros(9))
+
+    def test_pair_shapes_must_match(self):
+        with pytest.raises(ValueError, match="pair shapes differ"):
+            read_vmm(make_xbar(3, 2), np.full(3, 0.05), neg=make_xbar(3, 3))
 
     def test_overrange_input_rejected(self):
         with pytest.raises(ValueError):

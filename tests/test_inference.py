@@ -11,6 +11,7 @@ from ftjsim.device import DeviceParams
 from ftjsim.errors import ConfigError
 from ftjsim.inference import (
     MLPSpec,
+    check_read_voltage,
     evaluate,
     float_forward,
     load_dataset_csv,
@@ -19,7 +20,7 @@ from ftjsim.inference import (
     program_network,
     train_mlp,
 )
-from ftjsim.variability import VariabilityParams, derive_seed
+from ftjsim.variability import VariabilityParams, derive_seed, sample_endpoint_arrays
 
 PARAMS = DeviceParams()
 QUIET = VariabilityParams(sigma_c2c=0.0, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0)
@@ -75,20 +76,22 @@ class TestMapWeights:
         # Inputs are read at up to 0.1 V, past this device's Ohmic regime.
         params = DeviceParams(conduction=ConductionParams(v_ohmic_max=0.05))
         with pytest.raises(ConfigError, match="Ohmic regime"):
-            map_weights(np.ones((2, 2)), params)
+            check_read_voltage(params)
+        with pytest.raises(ConfigError, match="Ohmic regime"):
+            program_network([np.ones((2, 2))], params, QUIET, [1])
 
 
 class TestForward:
     def test_idealized_equals_float(self, toy):
         x, y, weights = toy
-        net = program_network(weights, PARAMS, QUIET, 1, mode="continuous")
+        (net,) = program_network(weights, PARAMS, QUIET, [1], mode="continuous")
         analog = net.forward(x)
         ref = float_forward(weights, x)
         np.testing.assert_allclose(analog, ref, rtol=1e-9, atol=1e-12)
 
     def test_zero_input_zero_preactivation(self, toy):
         _, _, weights = toy
-        net = program_network(weights[:1], PARAMS, QUIET, 1, mode="continuous")
+        (net,) = program_network(weights[:1], PARAMS, QUIET, [1], mode="continuous")
         out = net.forward(np.zeros(weights[0].shape[0]))
         np.testing.assert_allclose(out, 0.0, atol=1e-20)
 
@@ -100,7 +103,7 @@ class TestForward:
             [-1.0, 1.0, 1.0, -1.0],
             [1.0, 1.0, 1.0, 1.0],
         ])
-        net = program_network([w], PARAMS, QUIET, 1, mode="open_loop")
+        (net,) = program_network([w], PARAMS, QUIET, [1], mode="open_loop")
         x = np.array([1.0, 1.0, 1.0, 1.0])
         expected = np.array([2.0, 2.0, 2.0, -2.0])
         np.testing.assert_allclose(net.forward(x), expected, rtol=1e-9)
@@ -109,43 +112,83 @@ class TestForward:
         x, _, _ = toy
         rng = np.random.default_rng(2)
         w = rng.normal(size=(16, 4))
-        net = program_network([w], PARAMS, QUIET, 1, mode="open_loop")
+        (net,) = program_network([w], PARAMS, QUIET, [1], mode="open_loop")
         analog = net.forward(x[:32])
         ref = float_forward([w], x[:32])
         # Quantization bound: n_levels staircase, differential pair -> coarse bound
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(analog - ref)) < 0.1 * scale
 
+    def test_input_left_unchanged(self, toy):
+        x, _, weights = toy
+        (net,) = program_network(weights, PARAMS, QUIET, [1], mode="open_loop")
+        for sample in (x[:64].copy(), x[0].copy()):
+            before = sample.copy()
+            net.forward(sample)
+            assert np.array_equal(sample, before)
+
     def test_input_scale_invariance_of_predictions(self, toy):
         x, y, weights = toy
-        net = program_network(weights, PARAMS, QUIET, 1, mode="open_loop")
+        (net,) = program_network(weights, PARAMS, QUIET, [1], mode="open_loop")
         base = np.argmax(net.forward(x[:64]), axis=1)
         for scale in (0.25, 0.5):
             scaled = np.argmax(net.forward(x[:64] * scale), axis=1)
             np.testing.assert_array_equal(scaled, base)
 
 
+class TestReplicas:
+    SEEDS = (derive_seed(12345, 16), derive_seed(12345, 17), derive_seed(12345, 18))
+
+    @pytest.mark.parametrize("mode", ["continuous", "open_loop", "write_verify"])
+    def test_one_call_equals_one_seed_calls(self, toy, mode):
+        _, _, weights = toy
+        together = program_network(weights, PARAMS, VariabilityParams(), self.SEEDS, mode=mode)
+        assert len(together) == 3
+        for net, seed in zip(together, self.SEEDS):
+            (alone,) = program_network(weights, PARAMS, VariabilityParams(), [seed], mode=mode)
+            for got, want in zip(net.layers, alone.layers):
+                for a in ("w", "g_hrs", "g_lrs"):
+                    assert np.array_equal(getattr(got.pos, a), getattr(want.pos, a))
+                    assert np.array_equal(getattr(got.neg, a), getattr(want.neg, a))
+
+    def test_replica_is_one_population_with_one_jitter_stream(self, toy):
+        # G+ then G- of each layer in turn, all from one endpoint draw of the
+        # seed's first child stream; the second child is the shared jitter stream.
+        _, _, weights = toy
+        vp = VariabilityParams()
+        (net,) = program_network(weights, PARAMS, vp, [7], mode="continuous")
+        arrays = [x for layer in net.layers for x in (layer.pos, layer.neg)]
+        d2d, c2c = np.random.SeedSequence(7).spawn(2)
+        n = 2 * sum(w.size for w in weights)
+        g_hrs, g_lrs = sample_endpoint_arrays(n, PARAMS, vp, np.random.default_rng(d2d))
+        assert np.array_equal(np.concatenate([x.g_hrs.ravel() for x in arrays]), g_hrs)
+        assert np.array_equal(np.concatenate([x.g_lrs.ravel() for x in arrays]), g_lrs)
+        assert all(x._c2c_rng is arrays[0]._c2c_rng for x in arrays)
+        assert (arrays[0]._c2c_rng.bit_generator.state
+                == np.random.default_rng(c2c).bit_generator.state)
+
+
 class TestEvaluate:
     def test_baseline_vs_baseline_zero_degradation(self, toy):
         x, y, weights = toy
-        net = program_network(weights, PARAMS, QUIET, 1, mode="continuous")
-        report = evaluate(net, x, y, weights)
+        (net,) = program_network(weights, PARAMS, QUIET, [1], mode="continuous")
+        report = evaluate(net, x, y, float_forward(weights, x))
         assert report.degradation_points == pytest.approx(0.0, abs=1e-9)
 
     def test_quantized_64_levels_within_two_points(self, toy):
         x, y, weights = toy
         p64 = replace(PARAMS, n_levels=64)
-        net = program_network(weights, p64, QUIET, 1, mode="open_loop")
-        report = evaluate(net, x, y, weights)
+        (net,) = program_network(weights, p64, QUIET, [1], mode="open_loop")
+        report = evaluate(net, x, y, float_forward(weights, x))
         assert abs(report.degradation_points) < 2.0
 
     def test_default_variability_under_five_points(self, toy):
         x, y, weights = toy
         degs = []
         for s in range(10):
-            net = program_network(weights, PARAMS, VariabilityParams(),
-                                  derive_seed(12345, 16 + s), mode="open_loop")
-            degs.append(evaluate(net, x, y, weights).degradation_points)
+            (net,) = program_network(weights, PARAMS, VariabilityParams(),
+                                     [derive_seed(12345, 16 + s)], mode="open_loop")
+            degs.append(evaluate(net, x, y, float_forward(weights, x)).degradation_points)
         assert np.mean(degs) < 5.0
 
     def test_degradation_monotone_in_c2c(self, toy):
@@ -155,21 +198,22 @@ class TestEvaluate:
             degs = []
             for s in range(10):
                 vp = VariabilityParams(sigma_c2c=sigma, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0)
-                net = program_network(weights, PARAMS, vp, derive_seed(1000, s), mode="open_loop")
-                degs.append(evaluate(net, x, y, weights).degradation_points)
+                (net,) = program_network(weights, PARAMS, vp, [derive_seed(1000, s)],
+                                         mode="open_loop")
+                degs.append(evaluate(net, x, y, float_forward(weights, x)).degradation_points)
             means.append(np.mean(degs))
         assert all(a <= b + 1e-12 for a, b in zip(means, means[1:]))
 
     def test_write_verify_mode(self, toy):
         x, y, weights = toy
-        net = program_network(weights, PARAMS, QUIET, 1, mode="write_verify", tol=0.02)
-        report = evaluate(net, x, y, weights)
+        (net,) = program_network(weights, PARAMS, QUIET, [1], mode="write_verify", tol=0.02)
+        report = evaluate(net, x, y, float_forward(weights, x))
         assert abs(report.degradation_points) < 2.0
 
     def test_per_class_report_shape(self, toy):
         x, y, weights = toy
-        net = program_network(weights, PARAMS, QUIET, 1, mode="continuous")
-        report = evaluate(net, x, y, weights)
+        (net,) = program_network(weights, PARAMS, QUIET, [1], mode="continuous")
+        report = evaluate(net, x, y, float_forward(weights, x))
         assert report.per_class_analog.shape == (4,)
         assert np.all(report.per_class_analog >= 0) and np.all(report.per_class_analog <= 1)
 
