@@ -20,23 +20,17 @@ from .crossbar import (
     program_write_verify,
     read_vmm,
     sneak_ratio,
-    write_cell,
     write_cells,
 )
 from .config import SimConfig, load_config
 from .device import (
     DeviceParams,
-    DeviceState,
     Direction,
-    PulseSpec,
     UpdateScheme,
-    apply_pulse,
     dc_response,
-    dc_write,
     fit_update_curve,
     hysteresis_loop,
     pulse_response,
-    read_resistance,
     run_sequence,
     update_curve,
     write_energy,

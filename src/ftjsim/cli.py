@@ -62,6 +62,15 @@ def _parse_hidden(raw: str) -> list[int]:
     return hidden
 
 
+def _pulse_counts(n_pot: int | None, n_dep: int | None, params: dev.DeviceParams) -> tuple:
+    n_pot = params.n_levels if n_pot is None else n_pot
+    n_dep = params.n_levels if n_dep is None else n_dep
+    if not (0 <= n_pot <= params.n_levels and 0 <= n_dep <= params.n_levels):
+        raise ConfigError(f"--pot and --dep must lie in [0, n_levels = {params.n_levels}], "
+                          f"got {n_pot} and {n_dep}")
+    return n_pot, n_dep
+
+
 def cmd_iv(config: SimConfig, out: Path, temps: list[float]) -> None:
     """Voltage/current/resistance grid for both endpoint states."""
     params = config.device
@@ -76,17 +85,10 @@ def cmd_iv(config: SimConfig, out: Path, temps: list[float]) -> None:
     print(f"wrote {out / 'iv_sweep.csv'} ({len(rows)} rows)")
 
 
-def cmd_pulse(config: SimConfig, out: Path, n_pot: int | None, n_dep: int | None) -> None:
+def cmd_pulse(config: SimConfig, out: Path, n_pot: int, n_dep: int) -> None:
     """Potentiation/depression staircase under the configured scheme."""
-    params = config.device
-    n_pot = params.n_levels if n_pot is None else n_pot
-    n_dep = params.n_levels if n_dep is None else n_dep
-    if not (0 <= n_pot <= params.n_levels and 0 <= n_dep <= params.n_levels):
-        raise ConfigError(f"--pot and --dep must lie in [0, n_levels = {params.n_levels}], "
-                          f"got {n_pot} and {n_dep}")
     rng = np.random.default_rng(var.derive_seed(config.seed, STREAM_VARIABILITY))
-    trace, _ = dev.run_sequence(dev.DeviceState.fresh(params), n_pot, n_dep,
-                                params, config.variability.sigma_c2c, rng)
+    trace = dev.run_sequence(n_pot, n_dep, config.device, config.variability.sigma_c2c, rng)
     dev.write_trace_csv(out / "pulse_trace.csv", trace)
     print(f"wrote {out / 'pulse_trace.csv'} ({len(trace)} rows)")
 
@@ -195,19 +197,11 @@ def cmd_xbar(config: SimConfig, out: Path, n_writes: int) -> None:
     print(f"wrote {out / 'xbar_program.csv'}, xbar_read.csv, xbar_disturb.csv, xbar_snapshot.csv")
 
 
-def cmd_infer(config: SimConfig, out: Path, dataset: str | None, n_seeds: int,
+def cmd_infer(config: SimConfig, out: Path, x: np.ndarray, y: np.ndarray, n_seeds: int,
               hidden: list[int], mode: str) -> None:
     """Analog-vs-float accuracy over Monte-Carlo device replicas."""
-    if dataset:
-        try:
-            x, y = inf.load_dataset_csv(dataset)
-        except (OSError, ValueError) as exc:
-            raise ConfigError(f"cannot read --dataset {dataset}: {exc}") from exc
-    else:
-        x, y = inf.make_blobs_dataset()
     n_classes = int(y.max()) + 1
     spec = inf.MLPSpec((x.shape[1], *hidden, n_classes))
-    inf.check_read_voltage(config.device)
     with np.errstate(over="ignore", invalid="ignore"):  # divergence is reported below
         weights = inf.train_mlp(x, y, spec, seed=var.derive_seed(config.seed, STREAM_TRAINING))
     if not all(np.isfinite(w).all() for w in weights):
@@ -238,23 +232,20 @@ def cmd_bench(config: SimConfig, out: Path) -> None:
     """One-page device summary, every figure computed from simulation."""
     params = config.device
     p = params.conduction
-    lrs = dev.DeviceState.fresh(params, w=1.0)
-    hrs = dev.DeviceState.fresh(params, w=0.0)
     t_ref = p.t_ref
 
-    i_lrs = cnd.current(0.1, lrs.conductance, t_ref, p)
-    i_hrs = cnd.current(0.1, hrs.conductance, t_ref, p)
-    r_on = dev.read_resistance(lrs, 0.1, t_ref, params)
+    i_lrs = cnd.current(0.1, params.g_lrs, t_ref, p)
+    i_hrs = cnd.current(0.1, params.g_hrs, t_ref, p)
+    r_on = 0.1 / i_lrs
 
-    trace, _ = dev.run_sequence(dev.DeviceState.fresh(params), params.n_levels,
-                                params.n_levels, params)
+    trace = dev.run_sequence(params.n_levels, params.n_levels, params)
     pot = [pt for pt in trace if pt.direction == "potentiation"]
     dep = [pt for pt in trace if pt.direction == "depression"]
     nu_p = dev.fit_update_curve([pt.count for pt in pot], [pt.conductance for pt in pot]).nu
     nu_d = dev.fit_update_curve([pt.count for pt in dep], [pt.conductance for pt in dep]).nu
 
-    e_dep = dev.write_energy(hrs, dev.PulseSpec(params.v_reset_full, params.t_width_ref))
-    e_pot = dev.write_energy(lrs, dev.PulseSpec(params.v_set_full, params.t_width_ref))
+    e_dep = dev.write_energy(params.g_hrs, params.v_reset_full, params.t_width_ref)
+    e_pot = dev.write_energy(params.g_lrs, params.v_set_full, params.t_width_ref)
 
     rng = np.random.default_rng(var.derive_seed(config.seed, STREAM_VARIABILITY))
     steps = dev.truncated_normal(rng, config.variability.sigma_c2c, size=10_000)
@@ -348,30 +339,46 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _resolve(args: argparse.Namespace, config: SimConfig):
+    """The chosen command as a function of the output directory, its argv values checked.
+
+    Every refusal that needs no work done comes from here, before the output
+    directory is made.
+    """
+    if args.command == "iv":
+        temps = _parse_temps(args.temps, config.device.conduction)
+        return lambda out: cmd_iv(config, out, temps)
+    if args.command == "pulse":
+        n_pot, n_dep = _pulse_counts(args.pot, args.dep, config.device)
+        return lambda out: cmd_pulse(config, out, n_pot, n_dep)
+    if args.command == "fit":
+        return lambda out: cmd_fit(config, out, args.files)
+    if args.command == "xbar":
+        return lambda out: cmd_xbar(config, out, args.writes)
+    if args.command == "infer":
+        hidden = _parse_hidden(args.hidden)
+        try:
+            x, y = inf.load_dataset_csv(args.dataset) if args.dataset else inf.make_blobs_dataset()
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"cannot read --dataset {args.dataset}: {exc}") from exc
+        inf.check_read_voltage(config.device)
+        return lambda out: cmd_infer(config, out, x, y, args.seeds, hidden, args.mode)
+    return lambda out: cmd_bench(config, out)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         config = load_config(args.config)
         if args.seed is not None:
             config = replace(config, seed=args.seed)
+        run = _resolve(args, config)
         out = Path(args.out) if args.out else Path(config.output_dir)
         try:
             out.mkdir(parents=True, exist_ok=True)
         except OSError as exc:
             raise ConfigError(f"cannot create output directory {out}: {exc}") from exc
-        if args.command == "iv":
-            cmd_iv(config, out, _parse_temps(args.temps, config.device.conduction))
-        elif args.command == "pulse":
-            cmd_pulse(config, out, args.pot, args.dep)
-        elif args.command == "fit":
-            cmd_fit(config, out, args.files)
-        elif args.command == "xbar":
-            cmd_xbar(config, out, args.writes)
-        elif args.command == "infer":
-            cmd_infer(config, out, args.dataset, args.seeds, _parse_hidden(args.hidden),
-                      args.mode)
-        elif args.command == "bench":
-            cmd_bench(config, out)
+        run(out)
     except ConfigError as exc:
         print(f"ftjsim: config-error: {exc}", file=sys.stderr)
         return 2

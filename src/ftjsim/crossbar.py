@@ -24,7 +24,7 @@ import numpy as np
 
 from .conduction import (V_READ_SWEEP_MAX, activation_factor, current, differential_conductance,
                          shape_factor, voltage_at_current)
-from .device import DeviceParams, Direction, PulseSpec, level_table, pulse_response, truncated_normal
+from .device import DeviceParams, Direction, level_table, pulse_response, truncated_normal
 from .errors import ConvergenceError
 from .variability import VariabilityParams, sample_endpoint_arrays
 
@@ -200,13 +200,11 @@ def write_cells(xbar: Crossbar, rows, cols, amplitudes) -> DisturbReport:
     return DisturbReport(disturbed=disturbed)
 
 
-def write_cell(xbar: Crossbar, r: int, c: int, pulse: PulseSpec) -> DisturbReport:
-    """Program one cell under the half-bias scheme; report half-select fallout.
-
-    The one-write view of ``write_cells``: the selected cell sees the full
-    amplitude, every other cell on its row or column half of it.
-    """
-    return write_cells(xbar, [r], [c], [pulse.amplitude])
+# No command calls this; it stays because the benchmark's per-layer counters
+# (benchmarks/layers.py) bind its name, and goes when they no longer do.
+def write_cell(xbar: Crossbar, r: int, c: int, amplitude: float) -> DisturbReport:
+    """``write_cells`` with one write: cell (r, c) pulsed at ``amplitude``."""
+    return write_cells(xbar, [r], [c], [amplitude])
 
 
 def _stack(xbars: list[Crossbar]) -> tuple:

@@ -1,7 +1,8 @@
-"""Analog memory state machine: pulse programming, DC hysteresis, read and energy.
+"""Analog memory laws of one junction: pulse programming, DC hysteresis, read and energy.
 
-The normalized state variable w runs from 0 (high-resistive) to 1
-(low-resistive).  Pulse programming advances a discrete level counter on a
+A device is its ``DeviceParams``; its state is the normalized variable w, from
+0 (high-resistive) to 1 (low-resistive), held by the caller as a float or an
+array.  Pulse programming advances a discrete level counter on a
 saturating-exponential staircase; the ramp protocols are represented by that
 counter, not by pulse-level switching kinetics.  ``pulse_response`` is the one
 array kernel of that law, a pure one: each caller draws its cycle-to-cycle
@@ -11,7 +12,7 @@ of the DC write law; traces and loops are read in one conduction call each.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
 from pathlib import Path
@@ -44,20 +45,6 @@ class UpdateScheme(Enum):
 class Direction(Enum):
     POTENTIATE = "potentiate"
     DEPRESS = "depress"
-
-
-@dataclass(frozen=True)
-class PulseSpec:
-    """One write stimulus: signed amplitude and width."""
-
-    amplitude: float          # V, negative potentiates (top electrode negative)
-    width: float              # s
-
-    def __post_init__(self) -> None:
-        if not (np.isfinite(self.amplitude) and np.isfinite(self.width)):
-            raise ValueError("pulse amplitude and width must be finite")
-        if self.width <= 0:
-            raise ValueError(f"pulse width must be > 0, got {self.width}")
 
 
 @dataclass(frozen=True)
@@ -151,34 +138,6 @@ class DeviceParams:
         return self.nu_p if direction is Direction.POTENTIATE else self.nu_d
 
 
-@dataclass(frozen=True)
-class DeviceState:
-    """Analog memory state of one junction (a value; operations return new ones)."""
-
-    w: float                  # normalized state, 0 = HRS, 1 = LRS
-    g_hrs_dev: float          # S, this device's HRS endpoint
-    g_lrs_dev: float          # S, this device's LRS endpoint
-
-    def __post_init__(self) -> None:
-        if not (0.0 <= self.w <= 1.0):
-            raise ValueError(f"w must lie in [0, 1], got {self.w}")
-        if not (0 < self.g_hrs_dev < self.g_lrs_dev):
-            raise ValueError(
-                f"endpoints must satisfy 0 < g_hrs_dev < g_lrs_dev, got "
-                f"{self.g_hrs_dev}, {self.g_lrs_dev}"
-            )
-
-    @property
-    def conductance(self) -> float:
-        """Small-signal conductance at the current state, in siemens."""
-        return self.g_hrs_dev + self.w * (self.g_lrs_dev - self.g_hrs_dev)
-
-    @classmethod
-    def fresh(cls, params: DeviceParams, w: float = 0.0) -> "DeviceState":
-        """A nominal (unsampled) device of the given parameter set."""
-        return cls(w=w, g_hrs_dev=params.g_hrs, g_lrs_dev=params.g_lrs)
-
-
 def update_curve(x, nu: float, direction: Direction):
     """Normalized conductance after a normalized pulse count x in [0, 1].
 
@@ -260,12 +219,6 @@ def pulse_response(w, amplitude: float, params: DeviceParams, eps=None):
     return float(out) if np.ndim(w) == 0 else out
 
 
-def apply_pulse(state: DeviceState, pulse: PulseSpec, params: DeviceParams) -> DeviceState:
-    """Noiseless pulse_response on one device; a sub-threshold pulse returns ``state`` itself."""
-    w = pulse_response(state.w, pulse.amplitude, params)
-    return state if w is state.w else replace(state, w=w)
-
-
 class TracePoint(NamedTuple):
     count: int
     direction: str
@@ -278,25 +231,23 @@ TRACE_DIRECTIONS = ("potentiation", "depression")
 
 
 def run_sequence(
-    state: DeviceState,
     n_pot: int,
     n_dep: int,
     params: DeviceParams,
     sigma_c2c: float = 0.0,
     rng: np.random.Generator | None = None,
-) -> tuple[list[TracePoint], DeviceState]:
-    """Potentiation then depression staircase, read at +0.2 V after each pulse.
+) -> list[TracePoint]:
+    """Potentiation then depression staircase from the HRS, read at +0.2 V after each pulse.
 
     Both branches include their count-0 (pre-pulse) read.  Every pulse goes
     through pulse_response, in order, with its own jitter drawn from ``rng``
     when ``sigma_c2c`` is not 0; the whole trace is then read at once.
-    Returns it and the final state.
     """
     if not (0 <= n_pot <= params.n_levels and 0 <= n_dep <= params.n_levels):
         raise ValueError(f"pulse counts must lie in [0, {params.n_levels}]")
     if sigma_c2c and rng is None:
         raise ValueError("cycle-to-cycle noise needs a random generator")
-    labels, ws, w = [], [], state.w
+    labels, ws, w = [], [], 0.0
     for direction, amplitude, n in (("potentiation", params.v_set_full, n_pot),
                                     ("depression", params.v_reset_full, n_dep)):
         labels += [(i, direction) for i in range(n + 1)]
@@ -305,9 +256,8 @@ def run_sequence(
             eps = truncated_normal(rng, sigma_c2c, 1)[0] if sigma_c2c else None
             w = pulse_response(w, amplitude, params, eps)
             ws.append(w)
-    r = _read_trace(state, np.array(ws), PULSE_READ_VOLTAGE, params).tolist()
-    points = [TracePoint(i, d, PULSE_READ_VOLTAGE / ri, ri) for (i, d), ri in zip(labels, r)]
-    return points, replace(state, w=w)
+    r = _read_trace(np.array(ws), PULSE_READ_VOLTAGE, params).tolist()
+    return [TracePoint(i, d, PULSE_READ_VOLTAGE / ri, ri) for (i, d), ri in zip(labels, r)]
 
 
 def write_trace_csv(path: str | Path, points: Sequence[TracePoint]) -> None:
@@ -446,12 +396,6 @@ def dc_response(w, v_write, params: DeviceParams):
     return float(out) if out.ndim == 0 else out
 
 
-def dc_write(state: DeviceState, v_write: float, params: DeviceParams) -> DeviceState:
-    """dc_response on one device; a write that leaves w unchanged returns ``state`` itself."""
-    w = dc_response(state.w, v_write, params)
-    return state if w == state.w else replace(state, w=w)
-
-
 @dataclass(frozen=True)
 class HysteresisLoop:
     """Resistance read at +0.3 V along an up-then-down DC write sweep."""
@@ -483,7 +427,7 @@ def hysteresis_loop(params: DeviceParams, v_min: float, v_max: float, n_steps: i
     w_up = np.minimum(rise(dc_response(0.0, grid, params)), fall(dc_response(1.0, grid, params)))
     w_down = np.maximum(fall(np.minimum(w_up[-1], dc_response(1.0, grid_down, params))),
                         rise(dc_response(0.0, grid_down, params)))
-    r = _read_trace(DeviceState.fresh(params), np.append(w_up, w_down), DC_READ_VOLTAGE, params)
+    r = _read_trace(np.append(w_up, w_down), DC_READ_VOLTAGE, params)
     return HysteresisLoop(v_up=grid, r_up=r[:n_steps], v_down=grid_down, r_down=r[n_steps:])
 
 
@@ -503,23 +447,16 @@ def extract_memory_window(loop: HysteresisLoop, rel_tol: float = 1e-6) -> tuple[
     return v_set_onset, v_reset_onset, v_reset_onset - v_set_onset
 
 
-def read_resistance(state: DeviceState, v_read: float, t: float, params: DeviceParams) -> float:
-    """Resistance v/I at the read bias, through the full conduction model."""
-    if v_read == 0:
-        raise ValueError("read voltage must be nonzero")
-    return v_read / current(v_read, state.conductance, t, params.conduction)
-
-
-def _read_trace(state: DeviceState, w: np.ndarray, v_read: float, params: DeviceParams):
-    """read_resistance at t_ref of ``state``'s device at each state in w, in one call."""
-    g = state.g_hrs_dev + w * (state.g_lrs_dev - state.g_hrs_dev)
+def _read_trace(w: np.ndarray, v_read: float, params: DeviceParams) -> np.ndarray:
+    """Resistance v/I at t_ref of the nominal device at each state in w, in one conduction call."""
+    g = params.g_hrs + w * (params.g_lrs - params.g_hrs)
     return v_read / current(v_read, g, params.conduction.t_ref, params.conduction)
 
 
-def write_energy(state: DeviceState, pulse: PulseSpec) -> float:
-    """Energy G * V^2 * t of one pulse at the small-signal state conductance.
+def write_energy(g: float, amplitude: float, width: float) -> float:
+    """Energy G * V^2 * t of one pulse at the small-signal conductance g.
 
     The field-enhanced branch is not extrapolated to write voltages; the
     small-signal conductance keeps the estimate within the model's validity.
     """
-    return state.conductance * pulse.amplitude**2 * pulse.width
+    return g * amplitude**2 * width

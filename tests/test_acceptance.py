@@ -19,8 +19,6 @@ from ftjsim.conduction import (
 from ftjsim.crossbar import Crossbar, read_vmm, sneak_ratio, write_cell
 from ftjsim.device import (
     DeviceParams,
-    DeviceState,
-    PulseSpec,
     extract_memory_window,
     fit_update_curve,
     hysteresis_loop,
@@ -78,15 +76,14 @@ def test_03_memory_window():
 
 
 def test_04_depression_write_energy():
-    hrs = DeviceState.fresh(PARAMS, w=0.0)
-    e = write_energy(hrs, PulseSpec(2.4, 50e-6))
+    e = write_energy(PARAMS.g_hrs, 2.4, 50e-6)
     ok = e < 1e-12 and abs(e - 0.41e-12) < 0.01e-12
     check("4 write energy", ok, f"HRS +2.4 V / 50 us pulse costs {e*1e12:.3f} pJ (< 1 pJ)")
 
 
 def test_05_submicron_current():
     small = replace(PARAMS, area=1.0)
-    i = current(0.1, DeviceState.fresh(small, w=1.0).conductance, 300.0, small.conduction)
+    i = current(0.1, small.g_lrs, 300.0, small.conduction)
     ok = i < 1e-12 and abs(i - 6.9e-14) < 0.1e-14
     check("5 sub-um current", ok, f"1 um^2 LRS read at 0.1 V draws {i:.3e} A (< 1 pA)")
 
@@ -123,7 +120,7 @@ def test_07_update_curve_round_trip():
     worst = 0.0
     for nu in (0.5, 1.9, 4.3):
         params = DeviceParams(nu_p=nu, nu_d=nu)
-        trace, _ = run_sequence(DeviceState.fresh(params), 50, 50, params)
+        trace = run_sequence(50, 50, params)
         for direction in ("potentiation", "depression"):
             branch = [pt for pt in trace if pt.direction == direction]
             fit = fit_update_curve([pt.count for pt in branch],
@@ -144,8 +141,7 @@ def test_08_half_select_immunity():
     for _ in range(10_000):
         r, c = int(rng.integers(64)), int(rng.integers(64))
         amp = PARAMS.v_set_full if rng.random() < 0.5 else PARAMS.v_reset_full
-        pulse = PulseSpec(amp, PARAMS.t_width_ref)
-        write_cell(xbar, r, c, pulse)
+        write_cell(xbar, r, c, amp)
         eps = truncated_normal(shadow_c2c, xbar.vp.sigma_c2c, 1)[0]
         shadow[r, c] = pulse_response(float(shadow[r, c]), amp, PARAMS, eps)
     ok = np.array_equal(xbar.w, shadow)

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from ftjsim.crossbar import Crossbar
-from ftjsim.device import DeviceParams, PulseSpec
+from ftjsim.device import DeviceParams
 from ftjsim.variability import VariabilityParams
 
 LAYERS_PY = Path(__file__).resolve().parents[1] / "benchmarks" / "layers.py"
@@ -43,8 +43,7 @@ def xbar_3x3():
 # with the counters each must yield (None: any finite number).
 CASES = {
     "crossbar.sneak_ratio": (lambda: (xbar_3x3(), 1, 1, 0.5), {"paths": 4}),
-    "crossbar.write_cell": (lambda: (xbar_3x3(), 0, 2, PulseSpec(PARAMS.v_set_full, 50e-6)),
-                            {"disturbed": 0}),
+    "crossbar.write_cell": (lambda: (xbar_3x3(), 0, 2, PARAMS.v_set_full), {"disturbed": 0}),
     "crossbar.program_write_verify": (
         lambda: (xbar_3x3(), np.full((3, 3), 0.5 * (PARAMS.g_hrs + PARAMS.g_lrs))),
         {"cells": 9, "cell_iterations": None, "converged_cells": None}),

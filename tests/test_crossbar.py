@@ -24,11 +24,8 @@ from ftjsim.crossbar import (
 )
 from ftjsim.device import (
     DeviceParams,
-    DeviceState,
     Direction,
-    PulseSpec,
     UpdateScheme,
-    apply_pulse,
     pulse_response,
     truncated_normal,
     update_curve,
@@ -46,10 +43,9 @@ def make_xbar(rows, cols, vp=QUIET, params=PARAMS, seed=7):
     return Crossbar.create(rows, cols, params, vp, seed)
 
 
-def state_at(xbar, r, c):
-    """One cell of an array as a scalar device state."""
-    return DeviceState(w=float(xbar.w[r, c]), g_hrs_dev=float(xbar.g_hrs[r, c]),
-                       g_lrs_dev=float(xbar.g_lrs[r, c]))
+def conductance_at(xbar, r, c):
+    """Small-signal conductance of one cell of an array, as a float."""
+    return float(xbar.conductances()[r, c])
 
 
 def per_device_spawn_sampler(n, params, vp, rng):
@@ -62,14 +58,6 @@ def per_device_spawn_sampler(n, params, vp, rng):
     inverted = g_hrs >= g_lrs
     g_hrs[inverted], g_lrs[inverted] = g_lrs[inverted].copy(), g_hrs[inverted].copy()
     return g_hrs, g_lrs
-
-
-def pot_pulse(params=PARAMS):
-    return PulseSpec(params.v_set_full, params.t_width_ref)
-
-
-def dep_pulse(params=PARAMS):
-    return PulseSpec(params.v_reset_full, params.t_width_ref)
 
 
 def jitter(xbar, mask):
@@ -134,7 +122,7 @@ def vmm_oracle(xbar, x, t):
     out = np.zeros(xbar.cols)
     for j in range(xbar.cols):
         for i in range(xbar.rows):
-            out[j] += current(float(x[i]), state_at(xbar, i, j).conductance, t,
+            out[j] += current(float(x[i]), conductance_at(xbar, i, j), t,
                               xbar.params.conduction)
     return out
 
@@ -192,14 +180,14 @@ def sneak_oracle(xbar, r, c, v_read, t):
 class TestWriteCell:
     def test_single_cell_array(self):
         xbar = make_xbar(1, 1)
-        report = write_cell(xbar, 0, 0, pot_pulse())
+        report = write_cell(xbar, 0, 0, PARAMS.v_set_full)
         assert report.disturbed == 0
         assert xbar.w[0, 0] > 0
 
     def test_default_writes_never_disturb(self):
         xbar = make_xbar(8, 8)
-        for pulse in (pot_pulse(), dep_pulse()):
-            assert write_cell(xbar, 3, 4, pulse).disturbed == 0
+        for amp in (PARAMS.v_set_full, PARAMS.v_reset_full):
+            assert write_cell(xbar, 3, 4, amp).disturbed == 0
 
     def test_half_select_immunity_exact(self):
         xbar = make_xbar(64, 64, vp=NOISY)
@@ -207,9 +195,9 @@ class TestWriteCell:
         w_before = None
         for _ in range(2000):
             r, c = int(rng.integers(64)), int(rng.integers(64))
-            pulse = pot_pulse() if rng.random() < 0.5 else dep_pulse()
+            amp = PARAMS.v_set_full if rng.random() < 0.5 else PARAMS.v_reset_full
             w_before = xbar.w.copy()
-            write_cell(xbar, r, c, pulse)
+            write_cell(xbar, r, c, amp)
             changed = np.argwhere(xbar.w != w_before)
             assert changed.shape[0] <= 1
             if changed.shape[0] == 1:
@@ -219,7 +207,7 @@ class TestWriteCell:
         # 3.0 V write -> 1.5 V half-select above the 1.3 V threshold.
         xbar = make_xbar(6, 5)
         xbar.w[:] = 0.5  # mid-state so every neighbor has room to move
-        report = write_cell(xbar, 2, 2, PulseSpec(3.0, 50e-6))
+        report = write_cell(xbar, 2, 2, 3.0)
         assert report.disturbed == 6 + 5 - 2
         # Every cell on the two lines, the selected one included, moved exactly one step.
         one_step = pulse_response(0.5, 3.0, PARAMS)
@@ -229,10 +217,10 @@ class TestWriteCell:
 
     def test_out_of_bounds(self):
         with pytest.raises(IndexError):
-            write_cell(make_xbar(2, 2), 2, 0, pot_pulse())
+            write_cell(make_xbar(2, 2), 2, 0, PARAMS.v_set_full)
 
 
-def reference_write_cell(xbar, r, c, pulse, eps=None):
+def reference_write_cell(xbar, r, c, amplitude, eps=None):
     """Reference copy of the earlier one-write-at-a-time write_cell; returns its disturb count.
 
     ``eps`` is the write's jitter on its selected cell (None: noiseless).
@@ -240,11 +228,11 @@ def reference_write_cell(xbar, r, c, pulse, eps=None):
     if not (0 <= r < xbar.rows and 0 <= c < xbar.cols):
         raise IndexError(f"cell ({r}, {c}) out of bounds for {xbar.rows}x{xbar.cols}")
     p, row, col = xbar.params, xbar.w[r, :], xbar.w[:, c]
-    selected = pulse_response(row[c], pulse.amplitude, p, eps)
-    new_row = pulse_response(row, pulse.amplitude / 2, p)
+    selected = pulse_response(row[c], amplitude, p, eps)
+    new_row = pulse_response(row, amplitude / 2, p)
     disturbed = 0
     if new_row is not row:
-        new_col = pulse_response(col, pulse.amplitude / 2, p)
+        new_col = pulse_response(col, amplitude / 2, p)
         disturbed = int(np.count_nonzero(new_row != row) + np.count_nonzero(new_col != col)
                         - 2 * (new_row[c] != row[c]))
         row[:], col[:] = new_row, new_col
@@ -279,8 +267,7 @@ class TestWriteCells:
         sequential.w[:] = batched.w
         # One jitter per write, in write order, from the array's own stream.
         eps = truncated_normal(sequential._c2c_rng, sigma, n) if sigma else [None] * n
-        expected = sum(reference_write_cell(sequential, int(ri), int(ci),
-                                            PulseSpec(a, 50e-6), e)
+        expected = sum(reference_write_cell(sequential, int(ri), int(ci), float(a), e)
                        for ri, ci, a, e in zip(r, c, amps, eps))
         report = write_cells(batched, r, c, amps)
         assert np.array_equal(batched.w, sequential.w)
@@ -343,12 +330,11 @@ class TestProgramOpenLoop:
         t_norm = np.random.default_rng(8).uniform(0, 1, size=(6, 6))
         t_norm[0, :2] = 0.0, 1.0
         program_open_loop(xbar, PARAMS.g_hrs + t_norm * (PARAMS.g_lrs - PARAMS.g_hrs))
-        pulse = PulseSpec(PARAMS.v_set_full, PARAMS.t_width_ref)
         for (r, c), t in np.ndenumerate(t_norm):
-            state = DeviceState.fresh(PARAMS)
+            w = 0.0
             for _ in range(int(np.argmin(np.abs(levels - t)))):
-                state = apply_pulse(state, pulse, PARAMS)
-            assert xbar.w[r, c] == state.w
+                w = pulse_response(w, PARAMS.v_set_full, PARAMS)
+            assert xbar.w[r, c] == w
 
     def test_noisy_error_within_twice_quantization(self):
         rng = np.random.default_rng(21)
@@ -596,7 +582,7 @@ class TestReadVmm:
         x = np.zeros(4)
         x[2] = 0.1
         currents = read_vmm(xbar, x)
-        expected = current(0.1, state_at(xbar, 2, 1).conductance, 300.0, PARAMS.conduction)
+        expected = current(0.1, conductance_at(xbar, 2, 1), 300.0, PARAMS.conduction)
         assert currents[1] == pytest.approx(expected, rel=1e-12)
 
     def test_linearity_in_ohmic_regime(self):

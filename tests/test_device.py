@@ -1,4 +1,4 @@
-"""Device state-machine tests: update staircase, DC loop, read, energy, area."""
+"""Device law tests: update staircase, DC loop, read, energy, area."""
 
 import math
 import time
@@ -16,20 +16,15 @@ from ftjsim.device import (
     NU_BOUNDS,
     PULSE_READ_VOLTAGE,
     DeviceParams,
-    DeviceState,
     Direction,
-    PulseSpec,
     UpdateScheme,
     TracePoint,
-    apply_pulse,
     dc_response,
-    dc_write,
     extract_memory_window,
     fit_update_curve,
     hysteresis_loop,
     level_table,
     pulse_response,
-    read_resistance,
     run_sequence,
     step_weight,
     truncated_normal,
@@ -47,12 +42,9 @@ POT = Direction.POTENTIATE
 DEP = Direction.DEPRESS
 
 
-def full_pot_pulse():
-    return PulseSpec(PARAMS.v_set_full, PARAMS.t_width_ref)
-
-
-def full_dep_pulse():
-    return PulseSpec(PARAMS.v_reset_full, PARAMS.t_width_ref)
+def conductance(w, params=PARAMS):
+    """Small-signal conductance of the nominal device at state w."""
+    return params.g_hrs + w * (params.g_lrs - params.g_hrs)
 
 
 class TestUpdateCurve:
@@ -118,87 +110,75 @@ class TestLevelTable:
         assert step_weight(table[-1], PARAMS.nu_p, POT, PARAMS.n_levels) == 1.0
 
 
-class TestApplyPulse:
+class TestPulseResponse:
     def test_subthreshold_is_exact_noop(self):
-        state = DeviceState.fresh(PARAMS, w=0.37)
+        w, ws = 0.37, np.full(3, 0.37)
         for amp in (-0.8, 0.8, 1.2, -1.2999, 0.0):
-            out = apply_pulse(state, PulseSpec(amp, 50e-6), PARAMS)
-            assert out is state  # bit-identical by construction
+            assert pulse_response(w, amp, PARAMS) is w  # bit-identical by construction
+            assert pulse_response(ws, amp, PARAMS) is ws
 
     def test_full_potentiation_reaches_lrs(self):
-        state = DeviceState.fresh(PARAMS, w=0.0)
+        w = 0.0
         for _ in range(PARAMS.n_levels):
-            state = apply_pulse(state, full_pot_pulse(), PARAMS)
-        assert state.w == 1.0
-        assert state.conductance == state.g_lrs_dev
+            w = pulse_response(w, PARAMS.v_set_full, PARAMS)
+        assert w == 1.0
+        assert conductance(w) == PARAMS.g_lrs
 
     def test_half_depression_level(self):
         # oracle: 25 of 50 depression steps at nu_d=4.3 -> normalized 0.10433...
-        state = DeviceState.fresh(PARAMS, w=1.0)
+        w = 1.0
         for _ in range(25):
-            state = apply_pulse(state, full_dep_pulse(), PARAMS)
+            w = pulse_response(w, PARAMS.v_reset_full, PARAMS)
         expected = 1 - (1 - math.exp(-2.15)) / (1 - math.exp(-4.3))
-        assert state.w == pytest.approx(expected, rel=1e-12)
+        assert w == pytest.approx(expected, rel=1e-12)
 
     def test_saturation_at_endpoints(self):
-        state = DeviceState.fresh(PARAMS, w=1.0)
-        assert apply_pulse(state, full_pot_pulse(), PARAMS).w == 1.0
-        state = DeviceState.fresh(PARAMS, w=0.0)
-        assert apply_pulse(state, full_dep_pulse(), PARAMS).w == 0.0
+        assert pulse_response(1.0, PARAMS.v_set_full, PARAMS) == 1.0
+        assert pulse_response(0.0, PARAMS.v_reset_full, PARAMS) == 0.0
 
     def test_direction_monotonicity(self):
         rng = np.random.default_rng(3)
         for w0 in rng.uniform(0, 1, 25):
-            state = DeviceState.fresh(PARAMS, w=float(w0))
-            assert apply_pulse(state, full_pot_pulse(), PARAMS).w >= state.w
-            assert apply_pulse(state, full_dep_pulse(), PARAMS).w <= state.w
+            w = float(w0)
+            assert pulse_response(w, PARAMS.v_set_full, PARAMS) >= w
+            assert pulse_response(w, PARAMS.v_reset_full, PARAMS) <= w
 
     def test_loop_closure(self):
-        state = DeviceState.fresh(PARAMS, w=0.0)
-        g0 = state.conductance
+        w = 0.0
+        g0 = conductance(w)
         for _ in range(PARAMS.n_levels):
-            state = apply_pulse(state, full_pot_pulse(), PARAMS)
+            w = pulse_response(w, PARAMS.v_set_full, PARAMS)
         for _ in range(PARAMS.n_levels):
-            state = apply_pulse(state, full_dep_pulse(), PARAMS)
-        assert state.conductance == pytest.approx(g0, rel=1e-12)
+            w = pulse_response(w, PARAMS.v_reset_full, PARAMS)
+        assert conductance(w) == pytest.approx(g0, rel=1e-12)
 
     def test_width_ramp_swaps_shapes(self):
-        state = DeviceState.fresh(PARAMS, w=0.0)
-        widthed = apply_pulse(state, full_pot_pulse(),
-                              replace(PARAMS, scheme=UpdateScheme.WIDTH_RAMP))
-        assert widthed.w == pytest.approx(update_curve(1 / 50, 4.3, POT), rel=1e-12)
-
-    def test_rejects_nonfinite(self):
-        with pytest.raises(ValueError):
-            PulseSpec(float("nan"), 50e-6)
-        with pytest.raises(ValueError):
-            PulseSpec(-1.6, 0.0)
+        widthed = pulse_response(0.0, PARAMS.v_set_full,
+                                 replace(PARAMS, scheme=UpdateScheme.WIDTH_RAMP))
+        assert widthed == pytest.approx(update_curve(1 / 50, 4.3, POT), rel=1e-12)
 
     def test_w_stays_in_unit_interval(self):
         rng = np.random.default_rng(11)
-        state = DeviceState.fresh(PARAMS, w=0.5)
+        w = 0.5
         for _ in range(300):
-            pulse = full_pot_pulse() if rng.random() < 0.5 else full_dep_pulse()
-            state = apply_pulse(state, pulse, PARAMS)
-            assert 0.0 <= state.w <= 1.0
+            amp = PARAMS.v_set_full if rng.random() < 0.5 else PARAMS.v_reset_full
+            w = pulse_response(w, amp, PARAMS)
+            assert 0.0 <= w <= 1.0
 
 
 class TestRunSequence:
     def test_full_loop_closes(self):
-        start = DeviceState.fresh(PARAMS, w=0.0)
-        trace, final = run_sequence(start, PARAMS.n_levels, PARAMS.n_levels, PARAMS)
-        assert final.w == start.w
-        assert final.conductance == pytest.approx(start.conductance, rel=1e-12)
+        trace = run_sequence(PARAMS.n_levels, PARAMS.n_levels, PARAMS)
+        # The last read is of the final state, the first of the HRS start.
+        assert trace[-1][2:] == trace[0][2:]
 
     def test_trace_extremes_give_on_off(self):
-        trace, _ = run_sequence(DeviceState.fresh(PARAMS),
-                                PARAMS.n_levels, PARAMS.n_levels, PARAMS)
+        trace = run_sequence(PARAMS.n_levels, PARAMS.n_levels, PARAMS)
         g = np.array([pt.conductance for pt in trace])
         assert g.max() / g.min() == pytest.approx(PARAMS.conduction.on_off, rel=1e-12)
 
     def test_round_trip_nu_recovery(self):
-        trace, _ = run_sequence(DeviceState.fresh(PARAMS),
-                                PARAMS.n_levels, PARAMS.n_levels, PARAMS)
+        trace = run_sequence(PARAMS.n_levels, PARAMS.n_levels, PARAMS)
         pot = [pt for pt in trace if pt.direction == "potentiation"]
         dep = [pt for pt in trace if pt.direction == "depression"]
         fit_p = fit_update_curve([pt.count for pt in pot], [pt.conductance for pt in pot])
@@ -208,10 +188,11 @@ class TestRunSequence:
         assert fit_p.direction is POT and fit_d.direction is DEP
 
     def test_noise_perturbs_and_clamps(self):
-        trace, final = run_sequence(DeviceState.fresh(PARAMS),
-                                    50, 50, PARAMS, sigma_c2c=0.3, rng=np.random.default_rng(5))
-        assert 0.0 <= final.w <= 1.0
-        noiseless, _ = run_sequence(DeviceState.fresh(PARAMS), 50, 50, PARAMS)
+        trace = run_sequence(50, 50, PARAMS, sigma_c2c=0.3, rng=np.random.default_rng(5))
+        noiseless = run_sequence(50, 50, PARAMS)
+        # The noiseless staircase reads both endpoints; every noisy state lies between them.
+        lo, hi = min(pt.conductance for pt in noiseless), max(pt.conductance for pt in noiseless)
+        assert all(lo <= pt.conductance <= hi for pt in trace)
         assert any(a.conductance != b.conductance for a, b in zip(trace, noiseless))
 
     def test_noisy_staircase_is_unbiased(self):
@@ -220,8 +201,7 @@ class TestRunSequence:
         errs = []
         for s in range(30):
             rng = np.random.default_rng(1000 + s)
-            trace, _ = run_sequence(DeviceState.fresh(PARAMS),
-                                    50, 0, PARAMS, sigma_c2c=0.10, rng=rng)
+            trace = run_sequence(50, 0, PARAMS, sigma_c2c=0.10, rng=rng)
             pot = [pt for pt in trace if pt.direction == "potentiation"]
             fit = fit_update_curve([pt.count for pt in pot], [pt.conductance for pt in pot])
             errs.append(abs(fit.nu / PARAMS.nu_p - 1))
@@ -229,15 +209,14 @@ class TestRunSequence:
 
     def test_counts_validated(self):
         with pytest.raises(ValueError):
-            run_sequence(DeviceState.fresh(PARAMS), PARAMS.n_levels + 1, 0, PARAMS)
+            run_sequence(PARAMS.n_levels + 1, 0, PARAMS)
 
     def test_noise_without_generator_rejected(self):
         with pytest.raises(ValueError, match="random generator"):
-            run_sequence(DeviceState.fresh(PARAMS), 5, 5, PARAMS,
-                         sigma_c2c=0.1)
+            run_sequence(5, 5, PARAMS, sigma_c2c=0.1)
 
     def test_trace_csv_round_trip(self, tmp_path):
-        trace, _ = run_sequence(DeviceState.fresh(PARAMS), 10, 10, PARAMS)
+        trace = run_sequence(10, 10, PARAMS)
         path = tmp_path / "trace.csv"
         write_trace_csv(path, trace)
         back = read_trace_csv(path)
@@ -250,7 +229,7 @@ class TestFitUpdateCurve:
     @pytest.mark.parametrize("nu", [0.5, 1.9, 4.3])
     def test_noise_free_recovery(self, nu):
         params = DeviceParams(nu_p=nu, nu_d=nu)
-        trace, _ = run_sequence(DeviceState.fresh(params), 50, 0, params)
+        trace = run_sequence(50, 0, params)
         pot = [pt for pt in trace if pt.direction == "potentiation"]
         fit = fit_update_curve([pt.count for pt in pot], [pt.conductance for pt in pot])
         assert fit.nu == pytest.approx(nu, rel=1e-4)  # well inside the 0.1 % requirement
@@ -312,7 +291,7 @@ def noise_free_branches():
     branches = []
     for nu in (0.5, 1.9, 4.3):
         params = DeviceParams(nu_p=nu, nu_d=nu)
-        trace, _ = run_sequence(DeviceState.fresh(params), 50, 50, params)
+        trace = run_sequence(50, 50, params)
         for direction in ("potentiation", "depression"):
             branch = [pt for pt in trace if pt.direction == direction]
             branches.append(([pt.count for pt in branch], [pt.conductance for pt in branch]))
@@ -361,15 +340,14 @@ def reference_fit(counts, conductances):
     return nu, float(np.sqrt(np.mean((family(x, sigma0, nu) - y) ** 2)))
 
 
-class TestDcWrite:
+class TestDcResponse:
     def test_full_set(self):
-        state = DeviceState.fresh(PARAMS, w=0.0)
-        assert dc_write(state, -1.6, PARAMS).w == 1.0
+        assert dc_response(0.0, -1.6, PARAMS) == 1.0
 
     def test_window_is_inert(self):
-        state = DeviceState.fresh(PARAMS, w=1.0)
-        for v in (-0.59, 0.0, 0.5, 0.79):
-            assert dc_write(state, v, PARAMS) is state
+        for w in (0.0, 0.37, 1.0):
+            for v in (-0.59, 0.0, 0.5, 0.79):
+                assert dc_response(w, v, PARAMS) == w
 
     def test_default_reset_coercive_from_window(self):
         # v_c_reset = v_c_set + memory window = -0.6 + 1.4 = +0.8 V
@@ -377,15 +355,13 @@ class TestDcWrite:
         assert PARAMS.memory_window == pytest.approx(1.4)
 
     def test_partial_and_one_sided(self):
-        state = DeviceState.fresh(PARAMS, w=0.0)
-        half_set = dc_write(state, -1.1, PARAMS)
-        assert half_set.w == pytest.approx(0.5)
+        half_set = dc_response(0.0, -1.1, PARAMS)
+        assert half_set == pytest.approx(0.5)
         # One-sided: a weaker SET never undoes a stronger one.
-        assert dc_write(half_set, -0.7, PARAMS).w == half_set.w
+        assert dc_response(half_set, -0.7, PARAMS) == half_set
 
     def test_full_reset(self):
-        state = DeviceState.fresh(PARAMS, w=1.0)
-        assert dc_write(state, 2.4, PARAMS).w == 0.0
+        assert dc_response(1.0, 2.4, PARAMS) == 0.0
 
 
 class TestHysteresisLoop:
@@ -413,41 +389,44 @@ class TestHysteresisLoop:
             hysteresis_loop(PARAMS, -0.5, 3.0, 41)
 
 
-def reference_dc_write(state, v_write, params):
+def reference_dc_write(w, v_write, params):
     """The DC write law written per device, one scalar branch per regime."""
     if v_write <= params.v_c_set:
         target = min(1.0, (params.v_c_set - v_write) / (params.v_c_set - params.v_set_full))
-        w = max(state.w, target)
-    elif v_write >= params.v_c_reset:
+        return max(w, target)
+    if v_write >= params.v_c_reset:
         drop = min(1.0, (v_write - params.v_c_reset) / (params.v_reset_full - params.v_c_reset))
-        w = min(state.w, 1.0 - drop)
-    else:
-        return state
-    return replace(state, w=w) if w != state.w else state
+        return min(w, 1.0 - drop)
+    return w
+
+
+def reference_read(w, v_read, params):
+    """Resistance v/I of the nominal device at state w, one scalar conduction call."""
+    return v_read / current(v_read, conductance(w, params), params.conduction.t_ref,
+                            params.conduction)
 
 
 def reference_hysteresis_loop(params, v_min, v_max, n_steps):
-    """hysteresis_loop stepped one write and one read_resistance call at a time."""
-    t_ref = params.conduction.t_ref
+    """hysteresis_loop stepped one write and one read at a time."""
     grid = np.linspace(v_min, v_max, n_steps)
-    state = DeviceState.fresh(params)
+    w = 0.0
     r_up = np.empty_like(grid)
     for i, v in enumerate(grid):
-        state = reference_dc_write(state, float(v), params)
-        r_up[i] = read_resistance(state, DC_READ_VOLTAGE, t_ref, params)
+        w = reference_dc_write(w, float(v), params)
+        r_up[i] = reference_read(w, DC_READ_VOLTAGE, params)
     r_down = np.empty_like(grid)
     for i, v in enumerate(grid[::-1]):
-        state = reference_dc_write(state, float(v), params)
-        r_down[i] = read_resistance(state, DC_READ_VOLTAGE, t_ref, params)
+        w = reference_dc_write(w, float(v), params)
+        r_down[i] = reference_read(w, DC_READ_VOLTAGE, params)
     return r_up, r_down
 
 
-def reference_run_sequence(state, n_pot, n_dep, params, sigma_c2c=0.0, rng=None):
-    """run_sequence with one read_resistance call after every pulse."""
-    t_ref = params.conduction.t_ref
+def reference_run_sequence(n_pot, n_dep, params, sigma_c2c=0.0, rng=None):
+    """run_sequence from the HRS with one read after every pulse."""
+    w = 0.0
 
     def read(count, direction):
-        r = read_resistance(state, PULSE_READ_VOLTAGE, t_ref, params)
+        r = reference_read(w, PULSE_READ_VOLTAGE, params)
         return TracePoint(count, direction, PULSE_READ_VOLTAGE / r, r)
 
     def jitter():
@@ -455,13 +434,13 @@ def reference_run_sequence(state, n_pot, n_dep, params, sigma_c2c=0.0, rng=None)
 
     points = [read(0, "potentiation")]
     for i in range(1, n_pot + 1):
-        state = replace(state, w=pulse_response(state.w, params.v_set_full, params, jitter()))
+        w = pulse_response(w, params.v_set_full, params, jitter())
         points.append(read(i, "potentiation"))
     points.append(read(0, "depression"))
     for i in range(1, n_dep + 1):
-        state = replace(state, w=pulse_response(state.w, params.v_reset_full, params, jitter()))
+        w = pulse_response(w, params.v_reset_full, params, jitter())
         points.append(read(i, "depression"))
-    return points, state
+    return points
 
 
 class TestArrayKernelEquivalence:
@@ -474,17 +453,15 @@ class TestArrayKernelEquivalence:
                              PARAMS.v_reset_full]])
         w = rng.uniform(0.0, 1.0, v.size)
         w[:8] = [0.0, 1.0, 0.0, 1.0, 0.5, 0.5, 0.0, 1.0]
-        want = [reference_dc_write(DeviceState.fresh(PARAMS, w=float(a)), float(b), PARAMS).w
-                for a, b in zip(w, v)]
+        want = [reference_dc_write(float(a), float(b), PARAMS) for a, b in zip(w, v)]
         assert np.array_equal(dc_response(w, v, PARAMS), want)
-        assert [dc_write(DeviceState.fresh(PARAMS, w=float(a)), float(b), PARAMS).w
-                for a, b in zip(w, v)] == want
+        assert [dc_response(float(a), float(b), PARAMS) for a, b in zip(w, v)] == want
 
     def test_dc_response_rejects_nan_in_array(self):
         with pytest.raises(ValueError):
             dc_response(np.full(3, 0.5), np.array([-1.0, np.nan, 1.0]), PARAMS)
         with pytest.raises(ValueError):
-            dc_write(DeviceState.fresh(PARAMS), float("inf"), PARAMS)
+            dc_response(0.0, float("inf"), PARAMS)
 
     @pytest.mark.parametrize("v_min, v_max, n_steps", [
         (-2.0, 3.0, 101), (-2.0, 0.5, 41), (-2.0, 3.0, 2), (-1.1, 0.0, 17), (-1.0, 1.6, 33),
@@ -502,61 +479,50 @@ class TestArrayKernelEquivalence:
     @pytest.mark.parametrize("n_pot, n_dep", [(50, 50), (12, 0), (0, 9), (0, 0)])
     @pytest.mark.parametrize("scheme", [UpdateScheme.AMPLITUDE_RAMP, UpdateScheme.WIDTH_RAMP])
     def test_run_sequence_equals_pulse_by_pulse(self, sigma_c2c, n_pot, n_dep, scheme):
-        start = DeviceState(w=0.3, g_hrs_dev=1.1e-9, g_lrs_dev=0.9e-8)
         params = replace(PARAMS, scheme=scheme)
         got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
-        got, got_final = run_sequence(start, n_pot, n_dep, params, sigma_c2c, got_rng)
-        want, want_final = reference_run_sequence(start, n_pot, n_dep, params,
-                                                  sigma_c2c, want_rng)
+        got = run_sequence(n_pot, n_dep, params, sigma_c2c, got_rng)
+        want = reference_run_sequence(n_pot, n_dep, params, sigma_c2c, want_rng)
         assert got == want
-        assert got_final == want_final
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
-class TestReadResistance:
+class TestRead:
     def test_lrs_at_100mv(self):
-        lrs = DeviceState.fresh(PARAMS, w=1.0)
-        assert read_resistance(lrs, 0.1, 300.0, PARAMS) == pytest.approx(1.0e8, rel=1e-12)
+        assert 0.1 / current(0.1, PARAMS.g_lrs, 300.0, PARAMS.conduction) == pytest.approx(
+            1.0e8, rel=1e-12)
 
     def test_hrs_at_100mv(self):
-        hrs = DeviceState.fresh(PARAMS, w=0.0)
-        assert read_resistance(hrs, 0.1, 300.0, PARAMS) == pytest.approx(7.0e8, rel=1e-12)
+        assert 0.1 / current(0.1, PARAMS.g_hrs, 300.0, PARAMS.conduction) == pytest.approx(
+            7.0e8, rel=1e-12)
 
     def test_field_lowering_at_300mv(self):
         # oracle: resistance drops by h(0.3) = 4.7358 relative to the Ohmic value
-        lrs = DeviceState.fresh(PARAMS, w=1.0)
         h = math.exp(0.4 * (math.sqrt(0.3) - math.sqrt(0.2)) / (K_B_EV * 300.0))
-        assert read_resistance(lrs, 0.3, 300.0, PARAMS) == pytest.approx(1.0e8 / h, rel=1e-12)
-
-    def test_zero_bias_rejected(self):
-        with pytest.raises(ValueError):
-            read_resistance(DeviceState.fresh(PARAMS), 0.0, 300.0, PARAMS)
+        assert 0.3 / current(0.3, PARAMS.g_lrs, 300.0, PARAMS.conduction) == pytest.approx(
+            1.0e8 / h, rel=1e-12)
 
 
 class TestWriteEnergy:
     def test_depression_below_picojoule(self):
         # oracle: (1e-8/7) * 2.4^2 * 5e-5 = 4.1142857e-13 J
-        hrs = DeviceState.fresh(PARAMS, w=0.0)
-        e = write_energy(hrs, PulseSpec(2.4, 50e-6))
+        e = write_energy(PARAMS.g_hrs, 2.4, 50e-6)
         assert e == pytest.approx((1e-8 / 7) * 2.4**2 * 50e-6, rel=1e-12)
         assert e < 1e-12
 
     def test_potentiation_energy(self):
         # oracle: 1e-8 * 1.6^2 * 5e-5 = 1.28e-12 J
-        lrs = DeviceState.fresh(PARAMS, w=1.0)
-        assert write_energy(lrs, PulseSpec(-1.6, 50e-6)) == pytest.approx(1.28e-12, rel=1e-12)
+        assert write_energy(PARAMS.g_lrs, -1.6, 50e-6) == pytest.approx(1.28e-12, rel=1e-12)
 
     def test_vanishing_width(self):
-        lrs = DeviceState.fresh(PARAMS, w=1.0)
-        assert write_energy(lrs, PulseSpec(-1.6, 1e-300)) == pytest.approx(0.0, abs=1e-300)
+        assert write_energy(PARAMS.g_lrs, -1.6, 1e-300) == pytest.approx(0.0, abs=1e-300)
 
 
 class TestScaleArea:
     def test_submicron_current_below_picoamp(self):
         # oracle: 1e-9 A * (1 um^2 / 14400 um^2) = 6.944e-14 A
         small = replace(PARAMS, area=1.0)
-        lrs = DeviceState.fresh(small, w=1.0)
-        i = current(0.1, lrs.conductance, 300.0, small.conduction)
+        i = current(0.1, small.g_lrs, 300.0, small.conduction)
         assert i == pytest.approx(1e-9 / 14400, rel=1e-12)
         assert i < 1e-12
 
@@ -570,8 +536,8 @@ class TestScaleArea:
         for w in (0.0, 0.3, 1.0):
             for v in (0.05, 0.25, 0.5):
                 for t in (300.0, 340.0):
-                    i1 = current(v, DeviceState.fresh(PARAMS, w=w).conductance, t, PARAMS.conduction)
-                    i2 = current(v, DeviceState.fresh(doubled, w=w).conductance, t, doubled.conduction)
+                    i1 = current(v, conductance(w), t, PARAMS.conduction)
+                    i2 = current(v, conductance(w, doubled), t, doubled.conduction)
                     assert i2 == pytest.approx(2 * i1, rel=1e-12)
 
     def test_voltages_unchanged(self):
@@ -608,12 +574,6 @@ class TestParamsValidation:
     def test_thickness_must_give_a_finite_coercive_field(self, thickness):
         with pytest.raises(ValueError, match="no finite coercive field"):
             DeviceParams(hzo_thickness_nm=thickness)
-
-    def test_state_bounds(self):
-        with pytest.raises(ValueError):
-            DeviceState(w=1.2, g_hrs_dev=1e-9, g_lrs_dev=1e-8)
-        with pytest.raises(ValueError):
-            DeviceState(w=0.5, g_hrs_dev=1e-8, g_lrs_dev=1e-9)
 
     @pytest.mark.parametrize("scheme", ["width_ramp", "amplitude_ramp", None])
     def test_scheme_must_be_an_update_scheme(self, scheme):
