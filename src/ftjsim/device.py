@@ -12,6 +12,7 @@ of the DC write law; traces and loops are read in one conduction call each.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import lru_cache
@@ -207,8 +208,11 @@ def pulse_response(w, amplitude: float, params: DeviceParams, eps=None):
     exact.  Otherwise negative amplitudes potentiate and positive ones
     depress by one staircase level.  ``eps`` is the relative cycle-to-cycle
     jitter, one per element of w: the increment is scaled by 1 + eps and the
-    result clamped to [0, 1].  None is the noiseless step.
+    result clamped to [0, 1].  None is the noiseless step.  A non-finite
+    amplitude is refused: it has no direction.
     """
+    if not math.isfinite(amplitude):
+        raise ValueError(f"pulse amplitude must be finite, got {amplitude}")
     if abs(amplitude) < params.v_pulse_threshold:
         return w
     direction = Direction.POTENTIATE if amplitude < 0 else Direction.DEPRESS

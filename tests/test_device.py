@@ -157,6 +157,13 @@ class TestPulseResponse:
                                  replace(PARAMS, scheme=UpdateScheme.WIDTH_RAMP))
         assert widthed == pytest.approx(update_curve(1 / 50, 4.3, POT), rel=1e-12)
 
+    @pytest.mark.parametrize("amp", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_nonfinite(self, amp):
+        # Unchecked, nan and +inf would depress one level and -inf potentiate.
+        for w in (0.5, np.full(3, 0.5)):
+            with pytest.raises(ValueError, match="finite"):
+                pulse_response(w, amp, PARAMS)
+
     def test_w_stays_in_unit_interval(self):
         rng = np.random.default_rng(11)
         w = 0.5
