@@ -44,8 +44,9 @@ def make_xbar(rows, cols, vp=QUIET, params=PARAMS, seed=7):
 
 
 def conductance_at(xbar, r, c):
-    """Small-signal conductance of one cell of an array, as a float."""
-    return float(xbar.conductances()[r, c])
+    """Small-signal conductance of one cell, computed apart from Crossbar.conductances."""
+    g_hrs, g_lrs = float(xbar.g_hrs[r, c]), float(xbar.g_lrs[r, c])
+    return g_hrs + float(xbar.w[r, c]) * (g_lrs - g_hrs)
 
 
 def per_device_spawn_sampler(n, params, vp, rng):

@@ -483,7 +483,7 @@ class TestArrayKernelEquivalence:
         assert np.array_equal(loop.v_down, loop.v_up[::-1])
 
     @pytest.mark.parametrize("sigma_c2c", [0.0, 0.1])
-    @pytest.mark.parametrize("n_pot, n_dep", [(50, 50), (12, 0), (0, 9), (0, 0)])
+    @pytest.mark.parametrize("n_pot, n_dep", [(50, 50), (12, 0), (12, 9), (0, 9), (0, 0)])
     @pytest.mark.parametrize("scheme", [UpdateScheme.AMPLITUDE_RAMP, UpdateScheme.WIDTH_RAMP])
     def test_run_sequence_equals_pulse_by_pulse(self, sigma_c2c, n_pot, n_dep, scheme):
         params = replace(PARAMS, scheme=scheme)
