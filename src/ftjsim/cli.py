@@ -345,6 +345,9 @@ def _resolve(args: argparse.Namespace, config: SimConfig):
     Every refusal that needs no work done comes from here, before the output
     directory is made.
     """
+    if args.temps is not None and args.command != "iv":
+        raise ConfigError(f"--temps is read by iv only, not by {args.command} "
+                          f"(got {args.temps!r})")
     if args.command == "iv":
         temps = _parse_temps(args.temps, config.device.conduction)
         return lambda out: cmd_iv(config, out, temps)

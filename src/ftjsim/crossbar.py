@@ -42,7 +42,6 @@ class WriteVerifyReport:
     mean_iterations: float
     max_iterations: int
     clipped_cells: int
-    warnings: tuple = ()
 
 
 class Crossbar:
@@ -61,6 +60,8 @@ class Crossbar:
             raise ValueError("state arrays must share one 2-D shape")
         if min(w.shape) < 1:
             raise ValueError("array dimensions must be >= 1")
+        if not ((0 < g_hrs) & (g_hrs < g_lrs) & (g_lrs < np.inf)).all():
+            raise ValueError("every cell needs finite endpoints with 0 < g_hrs < g_lrs")
         self.w = w
         self.g_hrs = g_hrs
         self.g_lrs = g_lrs
@@ -286,9 +287,8 @@ def program_write_verify_stack(xbars: list[Crossbar], targets: list, tol: float 
     """program_write_verify on arrays sharing one device model, in one pass over all their cells.
 
     Jitter is drawn as in ``program_open_loop_stack``: one call per run of
-    arrays that share a stream.  Each array keeps its own stall detection
-    and its own report, so arrays with their own streams equal programming
-    one array at a time.
+    arrays that share a stream.  Each array keeps its own report, so arrays
+    with their own streams equal programming one array at a time.
     """
     if tol <= 0:
         raise ValueError(f"tol must be > 0, got {tol}")
@@ -296,62 +296,34 @@ def program_write_verify_stack(xbars: list[Crossbar], targets: list, tol: float 
         raise ValueError(f"max_iters must be >= 0, got {max_iters}")
     p, sigma, bounds, runs = _stack(xbars)
     normalized = [x._normalized_targets(t) for x, t in zip(xbars, targets, strict=True)]
-    warnings = [[f"{c} target(s) outside the device span were clipped"] if c else []
-                for _, c in normalized]
     # Measured conductance at the read bias is the state conductance times a
-    # state-independent factor, so verification compares in state space.
-    # Only unfinished cells are carried, as ascending flat indices with their
-    # states: a cell within tol is never pulsed again, so it stays finished,
-    # and an array stops once a pulse moves none of its cells.  A cell's state
-    # and pulse count are written back when it leaves.
+    # state-independent factor, so verification compares in state space.  A
+    # cell within tol is never pulsed again, so it stays finished: only the
+    # unfinished cells are carried, as an ascending flat index.
     g_hrs = np.concatenate([x.g_hrs.ravel() for x in xbars])
     span = np.concatenate([(x.g_lrs - x.g_hrs).ravel() for x in xbars])
     target_g = g_hrs + np.concatenate([t.ravel() for t, _ in normalized]) * span
     w = np.concatenate([x.w.ravel() for x in xbars])
     iters = np.full(w.size, max_iters)
-    idx, w_a, g_a, span_a, tg = np.arange(w.size), w, g_hrs, span, target_g
-
-    def leave(gone: np.ndarray, pulses: int) -> None:
-        w[idx[gone]], iters[idx[gone]] = w_a[gone], pulses
-
+    idx = np.arange(w.size)
     for it in range(max_iters):
-        g = g_a + w_a * span_a
+        g, tg = g_hrs[idx] + w[idx] * span[idx], target_g[idx]
         keep = np.abs(g - tg) / tg > tol
-        if not keep.all():
-            leave(~keep, it)
-            idx, w_a, g, g_a, span_a, tg = (a[keep] for a in (idx, w_a, g, g_a, span_a, tg))
-            if not idx.size:
-                break
-        after = w_a.copy()
-        up = g < tg
-        for amplitude, mask in ((p.v_set_full, up), (p.v_reset_full, ~up)):
-            if mask.any():
-                after[mask] = pulse_response(w_a[mask], amplitude, p,
-                                             _jitter(runs, sigma, idx[mask]))
-        starts = np.searchsorted(idx, bounds)
-        live = np.flatnonzero(starts[1:] > starts[:-1])
-        stalled = live[~np.logical_or.reduceat(w_a != after, starts[live])]
-        if stalled.size:
-            stuck = np.zeros(idx.size, dtype=bool)
-            for i in stalled:
-                warnings[i].append("programming stalled at a saturated level before convergence")
-                stuck[starts[i]:starts[i + 1]] = True
-            leave(stuck, it + 1)
-            idx, after, g_a, span_a, tg = (a[~stuck] for a in (idx, after, g_a, span_a, tg))
-            if not idx.size:
-                break
-        w_a = after
-    else:
-        w[idx] = w_a
+        iters[idx[~keep]] = it
+        idx, up = idx[keep], g[keep] < tg[keep]
+        if not idx.size:
+            break
+        for amplitude, cells in ((p.v_set_full, idx[up]), (p.v_reset_full, idx[~up])):
+            if cells.size:
+                w[cells] = pulse_response(w[cells], amplitude, p, _jitter(runs, sigma, cells))
 
     converged = np.abs(g_hrs + w * span - target_g) / target_g <= tol
     for x, lo, hi in zip(xbars, bounds, bounds[1:]):
         x.w[:] = w[lo:hi].reshape(x.w.shape)
     return [WriteVerifyReport(converged_fraction=float(converged[lo:hi].mean()),
                               mean_iterations=float(iters[lo:hi].mean()),
-                              max_iterations=int(iters[lo:hi].max()), clipped_cells=clipped,
-                              warnings=tuple(warn))
-            for (_, clipped), warn, lo, hi in zip(normalized, warnings, bounds, bounds[1:])]
+                              max_iterations=int(iters[lo:hi].max()), clipped_cells=clipped)
+            for (_, clipped), lo, hi in zip(normalized, bounds, bounds[1:])]
 
 
 def read_vmm(xbar: Crossbar, x: np.ndarray, t: float | None = None,

@@ -226,7 +226,7 @@ def pulse_response(w, amplitude: float, params: DeviceParams, eps=None):
 class TracePoint(NamedTuple):
     count: int
     direction: str
-    conductance: float  # S, measured at the pulse read voltage
+    conductance: float  # S, 1 / resistance at the pulse read voltage
     resistance: float   # ohm
 
 
@@ -261,7 +261,7 @@ def run_sequence(
             w = pulse_response(w, amplitude, params, eps)
             ws.append(w)
     r = _read_trace(np.array(ws), PULSE_READ_VOLTAGE, params).tolist()
-    return [TracePoint(i, d, PULSE_READ_VOLTAGE / ri, ri) for (i, d), ri in zip(labels, r)]
+    return [TracePoint(i, d, 1.0 / ri, ri) for (i, d), ri in zip(labels, r)]
 
 
 def write_trace_csv(path: str | Path, points: Sequence[TracePoint]) -> None:

@@ -219,6 +219,8 @@ class TestCliContracts:
                                          ("pulse", "--pot", "999"), ("pulse", "--dep", "-1"),
                                          ("iv", "--temps", "nan"), ("iv", "--temps", "inf"),
                                          ("iv", "--temps", "1"), ("iv", "--temps", "abc"),
+                                         ("pulse", "--temps", "abc"), ("bench", "--temps", "300"),
+                                         ("--temps", "300", "xbar"),
                                          ("infer", "--hidden", "abc"),
                                          ("infer", "--dataset", "no_such_dataset.csv"),
                                          ("infer", "--hidden", "8,0"),
@@ -226,8 +228,8 @@ class TestCliContracts:
     def test_out_of_range_count_exits_2(self, tmp_path, capsys, monkeypatch, command):
         # Every bad command-line value.  Plain counts fail in argparse; the
         # rest (pulse counts bounded by the config's n_levels, temperatures,
-        # layer widths, the dataset path) are reported by main before it
-        # makes the output directory.
+        # --temps on a command other than iv, layer widths, the dataset path)
+        # are reported by main before it makes the output directory.
         monkeypatch.chdir(tmp_path)  # so the relative dataset path is missing
         out = tmp_path / "out"
         if command[1] not in ("--writes", "--seeds"):

@@ -32,7 +32,7 @@ from ftjsim.device import (
 )
 from ftjsim.errors import ConvergenceError
 from ftjsim.inference import map_weights
-from ftjsim.variability import VariabilityParams
+from ftjsim.variability import SIGMA_D2D_MAX, VariabilityParams
 
 PARAMS = DeviceParams()
 QUIET = VariabilityParams(sigma_c2c=0.0, sigma_d2d_hrs=0.0, sigma_d2d_lrs=0.0)
@@ -86,7 +86,6 @@ def full_mask_write_verify(xbar, target, tol=0.05, max_iters=200):
     """Reference copy of the earlier write-verify loop, which re-read the full array per iteration."""
     t_norm, clipped = xbar._normalized_targets(target)
     target_g = xbar.g_hrs + t_norm * (xbar.g_lrs - xbar.g_hrs)
-    warnings = [f"{clipped} target(s) outside the device span were clipped"] if clipped else []
     p = xbar.params
     iters = np.zeros(xbar.w.shape, dtype=int)
     for _ in range(max_iters):
@@ -95,18 +94,14 @@ def full_mask_write_verify(xbar, target, tol=0.05, max_iters=200):
         if not active.any():
             break
         iters[active] += 1
-        before = xbar.w.copy()
         for amplitude, mask in ((p.v_set_full, active & (g < target_g)),
                                 (p.v_reset_full, active & (g >= target_g))):
             if mask.any():
                 xbar.w[mask] = pulse_response(xbar.w[mask], amplitude, p, jitter(xbar, mask))
-        if np.array_equal(before, xbar.w):
-            warnings.append("programming stalled at a saturated level before convergence")
-            break
     converged = np.abs(xbar.conductances() - target_g) / target_g <= tol
     return crossbar.WriteVerifyReport(
         converged_fraction=float(converged.mean()), mean_iterations=float(iters.mean()),
-        max_iterations=int(iters.max()), clipped_cells=clipped, warnings=tuple(warnings))
+        max_iterations=int(iters.max()), clipped_cells=clipped)
 
 
 def weight_like_targets(rows, cols, seed):
@@ -173,6 +168,33 @@ def sneak_oracle(xbar, r, c, v_read, t):
             path = (float(g[r, c2]), float(g[r2, c2]), float(g[r2, c]))
             worst = max(worst, series_oracle(path, v_read, t, p))
     return i_sel / worst
+
+
+# --- construction -------------------------------------------------------------
+
+
+class TestConstruction:
+    G_HRS, G_LRS = PARAMS.g_hrs, PARAMS.g_lrs
+
+    @pytest.mark.parametrize("g_hrs, g_lrs", [
+        (G_LRS, G_HRS),        # swapped
+        (G_HRS, G_HRS),        # equal
+        (0.0, G_LRS),          # zero
+        (math.nan, G_LRS),
+        (G_HRS, math.nan),
+        (G_HRS, math.inf),
+        (-math.inf, G_LRS),
+    ])
+    def test_bad_endpoints_refused(self, g_hrs, g_lrs):
+        hrs, lrs = np.full((3, 4), self.G_HRS), np.full((3, 4), self.G_LRS)
+        hrs[1, 2], lrs[1, 2] = g_hrs, g_lrs
+        with pytest.raises(ValueError, match="0 < g_hrs < g_lrs"):
+            Crossbar(np.zeros((3, 4)), hrs, lrs, PARAMS, QUIET, np.random.default_rng(0))
+
+    def test_widest_population_builds(self):
+        widest = VariabilityParams(sigma_d2d_hrs=SIGMA_D2D_MAX, sigma_d2d_lrs=SIGMA_D2D_MAX)
+        xbars = create_arrays([(64, 64), (8, 8)], PARAMS, widest, 3)
+        assert [x.w.shape for x in xbars] == [(64, 64), (8, 8)]
 
 
 # --- write_cell ---------------------------------------------------------------
@@ -376,7 +398,6 @@ class TestProgramWriteVerify:
                            [PARAMS.g_lrs, PARAMS.g_hrs]])
         report = program_write_verify(xbar, target, tol=0.05)
         assert report.clipped_cells == 2
-        assert any("clipped" in w for w in report.warnings)
         # Programming converges to the clipped (endpoint) targets within tol.
         g = xbar.conductances()
         assert g[0, 0] == pytest.approx(PARAMS.g_lrs, rel=0.05)
@@ -464,20 +485,17 @@ class TestStackedProgramming:
 
     @staticmethod
     def members(sigma):
-        """Arrays of three shapes (the last with every target at its HRS) and one that stalls.
+        """Arrays of four shapes: the third with every target at its HRS, the last above its LRS.
 
-        The stalling array has swapped endpoints, so each depressing pulse
-        from w = 0.01 moves it away from its target until it sits at w = 0,
-        where a further pulse changes nothing.
+        The last array's targets are all clipped to its LRS, so write-verify
+        drives its cells to the w = 1 endpoint.
         """
         vp = VariabilityParams(sigma_c2c=sigma)
         xbars = [make_xbar(rows, cols, vp=vp, seed=seed)
-                 for (rows, cols), seed in zip(((16, 64), (64, 64), (64, 4)), (11, 12, 13))]
-        g = np.full((8, 8), PARAMS.g_hrs)
-        xbars.append(Crossbar(np.full((8, 8), 0.01), 2 * g, g, PARAMS, vp,
-                              np.random.default_rng(14)))
+                 for (rows, cols), seed in zip(((16, 64), (64, 64), (64, 4), (8, 8)),
+                                               (11, 12, 13, 14))]
         targets = [weight_like_targets(16, 64, seed=5)[0], weight_like_targets(64, 64, seed=6)[1],
-                   xbars[2].g_hrs.copy(), 1.5 * g]
+                   xbars[2].g_hrs.copy(), 1.5 * xbars[3].g_lrs]
         return xbars, targets
 
     @pytest.mark.parametrize("sigma", [0.0, 0.1])
@@ -500,10 +518,7 @@ class TestStackedProgramming:
         for a, b in zip(xbars, ref):
             TestActiveSetProgramming.assert_same(a, b)
         assert got[2].max_iterations == 0
-        if max_iters == 200:
-            assert [any("stalled" in w for w in r.warnings) for r in got] == [
-                False, False, False, True]
-            assert 2 < got[3].max_iterations < got[1].max_iterations
+        assert got[3].clipped_cells == 64
 
     SHARED_SHAPES = ((64, 64), (64, 4), (8, 8))
 

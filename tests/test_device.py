@@ -184,6 +184,12 @@ class TestRunSequence:
         g = np.array([pt.conductance for pt in trace])
         assert g.max() / g.min() == pytest.approx(PARAMS.conduction.on_off, rel=1e-12)
 
+    def test_conductance_is_inverse_resistance(self):
+        trace = run_sequence(PARAMS.n_levels, PARAMS.n_levels, PARAMS)
+        assert trace[0].conductance == pytest.approx(PARAMS.g_hrs, rel=1e-12)
+        for pt in trace:
+            assert pt.conductance * pt.resistance == pytest.approx(1.0, rel=1e-15, abs=0)
+
     def test_round_trip_nu_recovery(self):
         trace = run_sequence(PARAMS.n_levels, PARAMS.n_levels, PARAMS)
         pot = [pt for pt in trace if pt.direction == "potentiation"]
@@ -434,7 +440,7 @@ def reference_run_sequence(n_pot, n_dep, params, sigma_c2c=0.0, rng=None):
 
     def read(count, direction):
         r = reference_read(w, PULSE_READ_VOLTAGE, params)
-        return TracePoint(count, direction, PULSE_READ_VOLTAGE / r, r)
+        return TracePoint(count, direction, 1.0 / r, r)
 
     def jitter():
         return truncated_normal(rng, sigma_c2c, 1)[0] if sigma_c2c else None
