@@ -488,7 +488,7 @@ class TestStackedProgramming:
         """Arrays of four shapes: the third with every target at its HRS, the last above its LRS.
 
         The last array's targets are all clipped to its LRS, so write-verify
-        drives its cells to the w = 1 endpoint.
+        potentiates its cells toward the w = 1 endpoint.
         """
         vp = VariabilityParams(sigma_c2c=sigma)
         xbars = [make_xbar(rows, cols, vp=vp, seed=seed)
