@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -42,7 +43,7 @@ def _fmt(x: float) -> str:
 
 def _parse_temps(raw: str | None, p: cnd.ConductionParams) -> list[float]:
     try:
-        temps = [float(s) for s in raw.split(",") if s.strip()] if raw else [p.t_ref]
+        temps = [float(s) for s in raw.split(",") if s.strip()] if raw is not None else [p.t_ref]
         for t in temps:
             cnd.activation_factor(t, p)  # the conduction law's one temperature check
     except ValueError as exc:
@@ -305,7 +306,9 @@ def _help_formatter(prog: str) -> argparse.HelpFormatter:
     return argparse.HelpFormatter(prog, width=80)
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process; parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="ftjsim",
         description="Ferroelectric analog-memory simulator: device, array and inference studies.",

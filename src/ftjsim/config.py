@@ -76,17 +76,19 @@ class SimConfig:
         }
 
 
-def _check_int(value, name: str) -> None:
+def _check_int(value, name: str) -> int:
     """JSON integers only: true/false and numbers such as 2.5 or 64.0 are rejected."""
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
 
 
-def _check_float(value, name: str) -> None:
-    """Finite JSON numbers only: true/false, NaN, +-Infinity and 1e400 are rejected."""
+def _check_float(value, name: str) -> float:
+    """Finite JSON numbers only, as a float: true/false, NaN, +-Infinity and 1e400 are rejected."""
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
             or not abs(value) <= sys.float_info.max):  # False for NaN, exact for huge ints
         raise ConfigError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _build(cls, section: dict, name: str, **extra):
@@ -101,12 +103,13 @@ def _build(cls, section: dict, name: str, **extra):
     unknown = sorted(set(section) - set(fields))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in section '{name}'")
+    values = dict(section)
     for key, value in section.items():
         check = {"int": _check_int, "float": _check_float}.get(fields[key].type)
         if check:
-            check(value, f"{name}.{key}")
+            values[key] = check(value, f"{name}.{key}")
     try:
-        return cls(**section, **extra)
+        return cls(**values, **extra)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{name}: {exc}") from exc
 

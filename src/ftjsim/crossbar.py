@@ -10,9 +10,11 @@ half-bias single-cell writes, drawn by the caller as three arrays, in a few
 array passes: each write takes one jitter draw for its selected cell, in
 write order, and a write whose half amplitude stays below the pulse
 threshold changes only its own cell, so such writes commute across cells.  Wires are ideal (no line resistance) and
-unselected lines are grounded during reads.  The sneak metric solves all
-three-junction paths in one vectorised Newton iteration, to a bias residual
-of 1e-14 relative.
+unselected lines are grounded during reads.  The sneak metric solves the
+three-junction path with the largest Ohmic series current first, to a bias
+residual of 1e-14 relative, and then, in one vectorised Newton iteration,
+only the paths whose junction biases at that current sum to below the read
+voltage: no other path can carry more.
 """
 
 from __future__ import annotations
@@ -361,6 +363,9 @@ def read_vmm(xbar: Crossbar, x: np.ndarray, t: float | None = None,
 # bisection alone needs 53 + log2(3 h_clamp) halvings (67 at the defaults).
 _SNEAK_RTOL = 1e-14
 _SNEAK_MAX_ITERS = 200
+# Relative slack of the bias-sum test in sneak_ratio: a path within it of the
+# read voltage at the strongest Ohmic path's current is solved, not skipped.
+_SNEAK_TIE_RTOL = 1e-12
 
 
 def _solve_series_paths(g, v_total: float, t: float, p) -> tuple[np.ndarray, int, float]:
@@ -398,9 +403,13 @@ def sneak_ratio(xbar: Crossbar, r: int, c: int, v_read: float, t: float | None =
     """Selected-cell current over the worst three-cell series sneak current.
 
     Every alternative route through one unselected row and column is three
-    junctions in series across the read voltage.  All of them are solved at
-    once, to a bias residual of 1e-14 relative, and the ratio uses the
-    strongest.  A single row or column has no path (+inf).
+    junctions in series across the read voltage.  The path with the largest
+    Ohmic series current is solved first, to a bias residual of 1e-14
+    relative, giving i*.  A path's bias sum at current I rises with I, so
+    only a path whose junction biases at i* sum to below v_read (within
+    1e-12 relative, so that ties are solved) can carry more; those are
+    solved too and the ratio uses the strongest.  A single row or column has
+    no path (+inf).
     """
     if not (0 <= r < xbar.rows and 0 <= c < xbar.cols):
         raise IndexError(f"cell ({r}, {c}) out of bounds")
@@ -413,8 +422,23 @@ def sneak_ratio(xbar: Crossbar, r: int, c: int, v_read: float, t: float | None =
     g = xbar.conductances()
     i_selected = current(v_read, float(g[r, c]), t, p)
     rows, cols = np.arange(xbar.rows) != r, np.arange(xbar.cols) != c
-    # Path (r2, c2) runs through cells (r, c2), (r2, c2) and (r2, c).
-    legs = np.broadcast_arrays(g[r, cols][None, :], g[np.ix_(rows, cols)], g[rows, c][:, None])
+    # Path (r2, c2) runs through cells (r, c2), (r2, c2) and (r2, c): a row
+    # leg, the inner block and a column leg, broadcast to (rows - 1, cols - 1).
+    legs = g[r, cols][None, :], g[np.ix_(rows, cols)], g[rows, c][:, None]
     with np.errstate(over="ignore"):  # a path that overflows stays unconverged and is reported
-        i_paths, _, _ = _solve_series_paths(np.stack(legs).reshape(3, -1), v_read, t, p)
-    return i_selected / float(i_paths.max())
+        # The least series resistance carries the largest Ohmic current.
+        k = int(np.argmin(1.0 / legs[0] + 1.0 / legs[1] + 1.0 / legs[2]))
+        i_worst = float(_solve_series_paths(_path_legs(legs, [k]), v_read, t, p)[0][0])
+        bias = sum(voltage_at_current(i_worst, leg, t, p) for leg in legs)
+        more = np.flatnonzero(bias < v_read * (1.0 + _SNEAK_TIE_RTOL))
+        more = more[more != k]
+        if more.size:
+            i_paths, _, _ = _solve_series_paths(_path_legs(legs, more), v_read, t, p)
+            i_worst = max(i_worst, float(i_paths.max()))
+    return i_selected / i_worst
+
+
+def _path_legs(legs: tuple, paths) -> np.ndarray:
+    """The (3, n) conductances of the given flat path indices, leg by leg."""
+    r2, c2 = np.divmod(np.asarray(paths, dtype=np.intp), legs[1].shape[1])
+    return np.stack((legs[0][0, c2], legs[1][r2, c2], legs[2][r2, 0]))

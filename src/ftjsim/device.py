@@ -160,10 +160,10 @@ def update_curve_inverse(g_norm, nu: float, direction: Direction):
     g_arr = np.asarray(g_norm, dtype=float)
     rise = g_arr if direction is Direction.POTENTIATE else 1.0 - g_arr
     # Past nu of about 37, expm1(-nu) rounds to -1, so the far endpoint gives
-    # log1p(-1) = -inf; the clip maps -inf / -nu to its exact count 1.
+    # log1p(-1) = -inf; the clamp maps -inf / -nu to its exact count 1.
     with np.errstate(divide="ignore"):
         x = np.log1p(rise * np.expm1(-nu)) / (-nu)
-    out = np.clip(x, 0.0, 1.0)
+    out = np.minimum(np.maximum(0.0, x), 1.0)
     return float(out) if g_arr.ndim == 0 else out
 
 
@@ -183,7 +183,7 @@ def step_weight(w, nu: float, direction: Direction, n_levels: int):
     in ``level_table``; it saturates at the endpoint.  Scalars and arrays.
     """
     x = update_curve_inverse(w, nu, direction)
-    k = np.minimum(np.round(np.asarray(x) * n_levels) + 1, n_levels).astype(np.intp)
+    k = np.minimum(np.rint(np.multiply(x, n_levels)) + 1, n_levels).astype(np.intp)
     out = level_table(nu, direction, n_levels)[k]
     return float(out) if np.ndim(w) == 0 else out
 
@@ -219,7 +219,7 @@ def pulse_response(w, amplitude: float, params: DeviceParams, eps=None):
     stepped = step_weight(w, params.nu_for(direction), direction, params.n_levels)
     if eps is None:
         return stepped
-    out = np.clip(w + (stepped - w) * (1.0 + eps), 0.0, 1.0)
+    out = np.minimum(np.maximum(0.0, w + (stepped - w) * (1.0 + eps)), 1.0)
     return float(out) if np.ndim(w) == 0 else out
 
 

@@ -169,6 +169,20 @@ class TestCliContracts:
         assert run_cli("--config", cfg, "--out", tmp_path, "pulse") == 0
         assert capsys.readouterr().err == ""
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("command", [("pulse",), ("bench",), ("xbar", "--writes", "50"),
+                                         ("infer", "--seeds", "1", "--hidden", "4")],
+                             ids=["pulse", "bench", "xbar", "infer"])
+    def test_integer_in_float_field_runs_as_float(self, tmp_path, capsys, command):
+        # A JSON integer in a float field is handed over as a float: 2**70
+        # held as a Python int made np.expm1 raise TypeError.
+        cfg = tmp_path / "int_nu.json"
+        cfg.write_text(json.dumps({"device": {"nu_p": 2**70}, "crossbar": {"rows": 8, "cols": 8}}))
+        nu_p = load_config(cfg).device.nu_p
+        assert type(nu_p) is float and nu_p == 2.0**70
+        assert run_cli("--config", cfg, "--out", tmp_path / "out", *command) == 0
+        assert capsys.readouterr().err == ""
+
     def test_fit_reads_each_file_once(self, tmp_path, monkeypatch):
         assert run_cli("--out", tmp_path, "pulse") == 0
         trace, sweep = tmp_path / "pulse_trace.csv", tmp_path / "sweep.csv"
@@ -224,7 +238,8 @@ class TestCliContracts:
                                          ("infer", "--hidden", "abc"),
                                          ("infer", "--dataset", "no_such_dataset.csv"),
                                          ("infer", "--hidden", "8,0"),
-                                         ("infer", "--hidden", "0")])
+                                         ("infer", "--hidden", "0"),
+                                         ("iv", "--temps", "")])
     def test_out_of_range_count_exits_2(self, tmp_path, capsys, monkeypatch, command):
         # Every bad command-line value.  Plain counts fail in argparse; the
         # rest (pulse counts bounded by the config's n_levels, temperatures,
@@ -333,17 +348,22 @@ class TestCliContracts:
         assert not out.exists()
 
     @pytest.mark.parametrize("case, unconverged", [
-        ("tiny_area", "9 of 9 paths unconverged after 200 iterations"),
-        ("one_iteration", "3 of 9 paths unconverged after 1 iterations"),
-    ], ids=["tiny_area", "one_iteration"])
+        ("tiny_area", "1 of 1 paths unconverged after 200 iterations"),
+        ("one_iteration", "1 of 1 paths unconverged after 1 iterations"),
+        ("one_iteration_candidates", "2 of 2 paths unconverged after 1 iterations"),
+    ], ids=["tiny_area", "one_iteration", "one_iteration_candidates"])
     def test_unconverged_solver_exits_4(self, tmp_path, capsys, monkeypatch, recwarn, case,
                                         unconverged):
-        # Conductances near 1e-300 S overflow the sneak solver's series sums;
-        # a cap of one iteration stops it with paths still unconverged.
-        raw = {"crossbar": {"rows": 4, "cols": 4}}
+        # Conductances near 1e-300 S overflow the sneak solver's series sums,
+        # and the strongest Ohmic path, solved first, never converges.  A cap
+        # of one iteration stops it at seed 3, where that path needs three.
+        # At seed 4 the strongest Ohmic path converges in one iteration, but
+        # two paths whose bias sums show that they may carry more need four.
+        raw = {"crossbar": {"rows": 8, "cols": 8}}
         if case == "tiny_area":
             raw["device"] = {"area": 1e-300}
         else:
+            raw["seed"] = 3 if case == "one_iteration" else 4
             monkeypatch.setattr(xb, "_SNEAK_MAX_ITERS", 1)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(raw))

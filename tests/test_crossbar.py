@@ -735,12 +735,75 @@ class TestSneakRatio:
             assert residual <= 1e-14
 
     def test_unconverged_paths_raise(self, monkeypatch):
+        # The strongest Ohmic path is solved first and alone, so it is the
+        # one reported when the cap stops it.
         monkeypatch.setattr(crossbar, "_SNEAK_MAX_ITERS", 1)
         xbar = make_xbar(4, 4, vp=NOISY)
         xbar.w[:] = np.random.default_rng(10).uniform(0, 1, xbar.w.shape)
-        expected = r"9 of 9 paths unconverged after 1 iterations, worst relative residual"
+        expected = r"1 of 1 paths unconverged after 1 iterations, worst relative residual"
         with pytest.raises(ConvergenceError, match=expected):
             sneak_ratio(xbar, 2, 2, 2.0)
+
+    @staticmethod
+    def all_paths_ratio(xbar, r, c, v_read):
+        """Reference: every path solved in one batch, the strongest one kept."""
+        g = xbar.conductances()
+        rows, cols = np.arange(xbar.rows) != r, np.arange(xbar.cols) != c
+        legs = np.broadcast_arrays(g[r, cols][None, :], g[np.ix_(rows, cols)],
+                                   g[rows, c][:, None])
+        i_paths, _, _ = crossbar._solve_series_paths(np.stack(legs).reshape(3, -1), v_read,
+                                                     300.0, PARAMS.conduction)
+        return current(v_read, float(g[r, c]), 300.0, PARAMS.conduction) / float(i_paths.max())
+
+    @staticmethod
+    def spy_solves(monkeypatch):
+        """Path counts of every _solve_series_paths call, in call order."""
+        counts = []
+        solve = crossbar._solve_series_paths
+        monkeypatch.setattr(crossbar, "_solve_series_paths",
+                            lambda g, *args: counts.append(g.shape[1]) or solve(g, *args))
+        return counts
+
+    @pytest.mark.parametrize("shape, seed", [((2, 2), 1), ((3, 7), 2), ((8, 8), 3),
+                                             ((16, 5), 4), ((32, 32), 5)])
+    @pytest.mark.parametrize("v_read", [0.05, 0.5, 2.0, 4.0])
+    def test_equals_all_paths_maximum_on_noisy_arrays(self, shape, seed, v_read):
+        xbar = make_xbar(*shape, vp=NOISY, seed=seed)
+        xbar.w[:] = np.random.default_rng(seed).uniform(0, 1, shape)
+        r, c = shape[0] // 2, shape[1] - 1
+        assert sneak_ratio(xbar, r, c, v_read) == self.all_paths_ratio(xbar, r, c, v_read)
+
+    @pytest.mark.parametrize("v_read", [0.05, 0.5, 4.0])
+    def test_equals_all_paths_maximum_on_tied_paths(self, monkeypatch, v_read):
+        # Every path is the same three conductances: each ties the strongest.
+        xbar = make_xbar(6, 5)
+        xbar.w[:] = 0.5
+        counts = self.spy_solves(monkeypatch)
+        ratio = sneak_ratio(xbar, 2, 1, v_read)
+        assert counts == [1, 19]
+        assert ratio == self.all_paths_ratio(xbar, 2, 1, v_read)
+
+    def test_non_ohmic_path_beating_the_strongest_ohmic_one_is_solved(self, monkeypatch):
+        # Paths (big, small, big) and (mid, mid, big) on a 2 x 3 array, the
+        # second 1 % stronger in Ohmic series.  At 0.5 V the small cell of the
+        # first takes nearly all the bias, and its field factor makes that
+        # path carry the more current.
+        g0 = 1e-9
+        big, small = 100 * g0, 0.1 * g0
+        mid = 2 / ((2 / big + 1 / small) / 1.01 - 1 / big)
+        g = np.array([[g0, big, mid], [big, small, mid]])
+        xbar = Crossbar(np.zeros((2, 3)), g.copy(), 2 * g, PARAMS, QUIET,
+                        np.random.default_rng(0))
+        p = PARAMS.conduction
+        ohmic = [1 / (2 / big + 1 / small), 1 / (2 / mid + 1 / big)]
+        solved = [series_oracle(path, 0.5, 300.0, p) for path in
+                  ((big, small, big), (mid, mid, big))]
+        assert np.argmax(ohmic) == 1 and np.argmax(solved) == 0
+        counts = self.spy_solves(monkeypatch)
+        ratio = sneak_ratio(xbar, 0, 0, 0.5)
+        assert counts == [1, 1]
+        assert ratio == self.all_paths_ratio(xbar, 0, 0, 0.5)
+        assert ratio == pytest.approx(current(0.5, g0, 300.0, p) / max(solved), rel=1e-12)
 
     def test_default_cli_value_is_pinned(self, tmp_path, monkeypatch):
         # Golden value of xbar_disturb.csv at the default config, whose master
