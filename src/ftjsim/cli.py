@@ -21,6 +21,7 @@ from . import device as dev
 from . import inference as inf
 from . import variability as var
 from .config import (
+    MAX_ARRAY_DIM,
     STREAM_EVAL_BASE,
     STREAM_TRAINING,
     STREAM_VARIABILITY,
@@ -58,8 +59,9 @@ def _parse_hidden(raw: str) -> list[int]:
         hidden = [int(h) for h in raw.split(",") if h.strip()]
     except ValueError as exc:
         raise ConfigError(f"invalid --hidden value {raw!r}: {exc}") from exc
-    if any(h < 1 for h in hidden):
-        raise ConfigError(f"--hidden widths must be >= 1, got {raw!r}")
+    # Each width becomes a crossbar dimension, bounded as the configured ones are.
+    if not all(1 <= h <= MAX_ARRAY_DIM for h in hidden):
+        raise ConfigError(f"--hidden widths must lie in [1, {MAX_ARRAY_DIM}], got {raw!r}")
     return hidden
 
 

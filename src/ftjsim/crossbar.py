@@ -28,9 +28,11 @@ from .conduction import (V_READ_SWEEP_MAX, activation_factor, current, different
                          shape_factor, voltage_at_current)
 from .device import DeviceParams, Direction, level_table, pulse_response, truncated_normal
 from .errors import ConvergenceError
+from .table import E12_WIDTH, format_e12
 from .variability import VariabilityParams, sample_endpoint_arrays
 
 SNAPSHOT_CSV_HEADER = ("row", "col", "w", "g_S")
+_SNAPSHOT_BLOCK_CELLS = 1 << 10  # cells per block of rows that snapshot_csv writes at once
 
 
 @dataclass
@@ -90,13 +92,31 @@ class Crossbar:
         return self.g_hrs + self.w * (self.g_lrs - self.g_hrs)
 
     def snapshot_csv(self, path: str | Path) -> None:
-        """One CSV line per cell, row-major, with CRLF endings as csv.writer writes them."""
-        cells = np.stack((self.w, self.conductances()), -1)
-        line = "".join(f"@,{c},%.12e,%.12e\r\n" for c in range(self.cols))  # @: the row
-        with open(path, "w", newline="") as fh:
-            fh.write(",".join(SNAPSHOT_CSV_HEADER) + "\r\n")
-            for r, row in enumerate(cells):
-                fh.write(line.replace("@", str(r)) % tuple(row.ravel().tolist()))
+        """One CSV line per cell, row-major, with CRLF endings as csv.writer writes them.
+
+        A block of rows is laid out as a NUL-padded (rows, cols, width) byte
+        array: the 'r,' and 'c,' prefixes, the two ``format_e12`` records with
+        a comma between them and CRLF; its non-NUL bytes are the block's lines.
+        """
+        g = self.conductances()
+        prefixes = [np.array([b"%d," % i for i in range(n)]) for n in self.w.shape]
+        row_ids, col_ids = (p.view(np.uint8).reshape(p.size, -1) for p in prefixes)
+        a, b = row_ids.shape[1], col_ids.shape[1]
+        block_rows = min(self.rows, max(1, _SNAPSHOT_BLOCK_CELLS // self.cols))
+        lines = np.zeros((block_rows, self.cols, a + b + 2 * E12_WIDTH + 3), np.uint8)
+        lines[..., a:a + b] = col_ids
+        lines[..., a + b + E12_WIDTH] = ord(",")
+        lines[..., -2:] = tuple(b"\r\n")
+        with open(path, "wb") as fh:
+            fh.write(",".join(SNAPSHOT_CSV_HEADER).encode() + b"\r\n")
+            for r0 in range(0, self.rows, block_rows):
+                r1 = min(r0 + block_rows, self.rows)
+                block = lines[:r1 - r0]
+                records = format_e12(np.stack((self.w[r0:r1], g[r0:r1]), -1)).view(np.uint8)
+                block[..., :a] = row_ids[r0:r1, None]
+                block[..., a + b:a + b + E12_WIDTH] = records[..., :E12_WIDTH]
+                block[..., -E12_WIDTH - 2:-2] = records[..., E12_WIDTH:]
+                fh.write(block[block != 0])
 
     def _normalized_targets(self, target: np.ndarray) -> tuple[np.ndarray, int]:
         """Targets mapped to w-space, clipped to the per-device span."""
@@ -344,14 +364,14 @@ def read_vmm(xbar: Crossbar, x: np.ndarray, t: float | None = None,
         raise ValueError(f"input length {x.shape[-1]} != rows {xbar.rows}")
     if neg is not None and neg.w.shape != xbar.w.shape:
         raise ValueError(f"pair shapes differ: {xbar.w.shape} and {neg.w.shape}")
-    v_abs = np.abs(x)
-    v_max = v_abs.max(initial=0.0)
+    v_max = max(x.max(initial=0.0), -x.min(initial=0.0))  # nan if any x is nan
     if not v_max <= V_READ_SWEEP_MAX:
         raise ValueError(f"read voltages must be finite with |v| <= {V_READ_SWEEP_MAX} V")
     p = xbar.params.conduction
-    eff = x * activation_factor(t, p)
+    a = activation_factor(t, p)
+    eff = x if a == 1.0 else x * a  # a is exactly 1 at t_ref
     if v_max > p.v_pf_min:  # the field factor is exactly 1 up to its onset
-        eff *= shape_factor(v_abs, t, p)
+        eff = eff * shape_factor(np.abs(x), t, p)
     g = xbar.conductances()
     if neg is not None:
         g -= neg.conductances()
@@ -366,6 +386,9 @@ _SNEAK_MAX_ITERS = 200
 # Relative slack of the bias-sum test in sneak_ratio: a path within it of the
 # read voltage at the strongest Ohmic path's current is solved, not skipped.
 _SNEAK_TIE_RTOL = 1e-12
+# Relative slack of the screen before that test: far looser than the test and
+# than the rounding of the biases it sums, so the screen drops no path it passes.
+_SNEAK_SCREEN_RTOL = 1e-9
 
 
 def _solve_series_paths(g, v_total: float, t: float, p) -> tuple[np.ndarray, int, float]:
@@ -429,13 +452,31 @@ def sneak_ratio(xbar: Crossbar, r: int, c: int, v_read: float, t: float | None =
         # The least series resistance carries the largest Ohmic current.
         k = int(np.argmin(1.0 / legs[0] + 1.0 / legs[1] + 1.0 / legs[2]))
         i_worst = float(_solve_series_paths(_path_legs(legs, [k]), v_read, t, p)[0][0])
-        bias = sum(voltage_at_current(i_worst, leg, t, p) for leg in legs)
-        more = np.flatnonzero(bias < v_read * (1.0 + _SNEAK_TIE_RTOL))
+        more = _paths_below_read_bias(legs, i_worst, v_read, t, p)
         more = more[more != k]
         if more.size:
             i_paths, _, _ = _solve_series_paths(_path_legs(legs, more), v_read, t, p)
             i_worst = max(i_worst, float(i_paths.max()))
     return i_selected / i_worst
+
+
+def _paths_below_read_bias(legs: tuple, i: float, v_read: float, t: float, p) -> np.ndarray:
+    """Ascending flat indices of the paths whose junction biases at current i sum to below
+    v_read (1 + 1e-12).
+
+    The row- and column-leg biases are solved exactly; an inner cell is then
+    screened by the current it carries at the bias left to it, which must
+    reach i at a looser slack, so the screen keeps every path the sum test
+    passes.  The sum test runs on the kept paths alone, adding the biases in
+    the same order, so its result is the test's over every path.
+    """
+    v_row, v_col = voltage_at_current(i, legs[0], t, p), voltage_at_current(i, legs[2], t, p)
+    # A leg bias that overflows to inf leaves no bias to the inner cell.
+    left = np.maximum(v_read * (1.0 + _SNEAK_SCREEN_RTOL) - v_row - v_col, 0.0)
+    kept = np.flatnonzero(current(left, legs[1], t, p) >= i)
+    r2, c2 = np.divmod(kept, legs[1].shape[1])
+    bias = v_row[0, c2] + voltage_at_current(i, legs[1][r2, c2], t, p) + v_col[r2, 0]
+    return kept[bias < v_read * (1.0 + _SNEAK_TIE_RTOL)]
 
 
 def _path_legs(legs: tuple, paths) -> np.ndarray:

@@ -86,9 +86,10 @@ class DeviceParams:
         for name in ("nu_p", "nu_d", "area", "t_width_ref", "hzo_thickness_nm"):
             if not (getattr(self, name) > 0):
                 raise ValueError(f"{name} must be > 0, got {getattr(self, name)}")
-        if not (self.g_hrs > 0 and self.g_lrs < np.inf):
-            raise ValueError(f"endpoint conductances must be finite and > 0, got "
-                             f"g_hrs {self.g_hrs} and g_lrs {self.g_lrs}")
+        # A g_hrs below 1 / (the largest float) passes > 0 but has no finite resistance.
+        if not (0 < self.g_hrs and self.g_lrs < np.inf and 1.0 / self.g_hrs < np.inf):
+            raise ValueError(f"endpoint conductances must be finite with finite resistances, "
+                             f"got g_hrs {self.g_hrs} and g_lrs {self.g_lrs}")
         # A pulse-class threshold below a coercive voltage or below half of a
         # full write amplitude would break the half-select no-op contract.
         if not (self.v_pulse_threshold > max(abs(self.v_c_set), self.v_c_reset)):

@@ -9,7 +9,8 @@ import pytest
 
 from ftjsim import crossbar
 from ftjsim.cli import main
-from ftjsim.conduction import ConductionParams, current, nonlinearity_ratio
+from ftjsim.conduction import (ConductionParams, current, nonlinearity_ratio,
+                               voltage_at_current)
 from ftjsim.crossbar import (
     Crossbar,
     create_arrays,
@@ -805,6 +806,28 @@ class TestSneakRatio:
         assert ratio == self.all_paths_ratio(xbar, 0, 0, 0.5)
         assert ratio == pytest.approx(current(0.5, g0, 300.0, p) / max(solved), rel=1e-12)
 
+    @pytest.mark.parametrize("state", ["random", "all_lrs", "tied"])
+    @pytest.mark.parametrize("v_read", [0.05, 0.5, 4.0])
+    @pytest.mark.parametrize("scale", [0.5, 0.9, 1.0])
+    def test_screen_keeps_exactly_the_bias_sum_test(self, state, v_read, scale):
+        # The screened test gives the paths the sum test gives over every path,
+        # at the strongest Ohmic path's current i* and below it, where more pass.
+        xbar = make_xbar(9, 7, vp=QUIET if state == "tied" else NOISY, seed=5)
+        xbar.w[:] = {"random": np.random.default_rng(5).uniform(0, 1, (9, 7)),
+                     "all_lrs": 1.0, "tied": 0.5}[state]
+        g, p, r, c = xbar.conductances(), PARAMS.conduction, 4, 2
+        rows, cols = np.arange(9) != r, np.arange(7) != c
+        legs = g[r, cols][None, :], g[np.ix_(rows, cols)], g[rows, c][:, None]
+        k = int(np.argmin(1.0 / legs[0] + 1.0 / legs[1] + 1.0 / legs[2]))
+        i = scale * crossbar._solve_series_paths(crossbar._path_legs(legs, [k]), v_read,
+                                                 300.0, p)[0][0]
+        bias = sum(voltage_at_current(i, leg, 300.0, p) for leg in legs)
+        expected = np.flatnonzero(bias < v_read * (1.0 + crossbar._SNEAK_TIE_RTOL))
+        got = crossbar._paths_below_read_bias(legs, i, v_read, 300.0, p)
+        np.testing.assert_array_equal(got, expected)
+        if state == "tied":
+            assert got.size == 48
+
     def test_default_cli_value_is_pinned(self, tmp_path, monkeypatch):
         # Golden value of xbar_disturb.csv at the default config, whose master
         # seed 12345 drives every stream, the variability stream included, on
@@ -848,10 +871,14 @@ def reference_snapshot_csv(xbar, path):
 
 
 class TestSnapshot:
-    @pytest.mark.parametrize("rows, cols", [(64, 64), (1, 1), (3, 5)])
-    def test_bytes_match_csv_writer(self, tmp_path, rows, cols):
+    # fill None is a uniform-random state; 0 and 1 are the all-HRS and all-LRS arrays.
+    @pytest.mark.parametrize("rows, cols, fill", [
+        (64, 64, None), (1, 1, None), (3, 5, None), (1, 1024, None), (1024, 1, None),
+        (64, 64, 0.0), (64, 64, 1.0)],
+        ids=["64-64", "1-1", "3-5", "1-1024", "1024-1", "64-64-zeros", "64-64-ones"])
+    def test_bytes_match_csv_writer(self, tmp_path, rows, cols, fill):
         xbar = make_xbar(rows, cols, vp=NOISY)
-        xbar.w[:] = np.random.default_rng(rows).random((rows, cols))
+        xbar.w[:] = np.random.default_rng(rows).random((rows, cols)) if fill is None else fill
         xbar.snapshot_csv(tmp_path / "snap.csv")
         reference_snapshot_csv(xbar, tmp_path / "ref.csv")
         assert (tmp_path / "snap.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
