@@ -305,6 +305,7 @@ class TestCliContracts:
         ("variability", {"sigma_c2c": 1e300}),
         ("conduction", {"on_off": 1e308}),
         ("device", {"area": 1e-300}),
+        ("conduction", {"area_ref": 1e308}),
     ], ids=["on_off", "nan_sigma_c2c", "nan_area", "subthreshold_v_set_full", "bias_kind",
             "nan_e_a", "nan_beta", "float_n_levels", "bool_seed", "bool_variability_seed",
             "float_rows", "bool_cols", "inf_g_lrs_ref", "huge_int_t_ref", "nan_v_write_pot",
@@ -315,7 +316,7 @@ class TestCliContracts:
             "subnormal_hzo_thickness", "small_subnormal_hzo_thickness", "minus_inf_v_set_full",
             "swapped_write_rails", "huge_sigma_d2d_hrs", "huge_sigma_d2d_lrs", "huge_rows",
             "cols_over_bound", "huge_n_levels", "n_levels_over_bound", "sigma_c2c_over_bound",
-            "subnormal_g_hrs", "subnormal_g_hrs_from_area"])
+            "subnormal_g_hrs", "subnormal_g_hrs_from_area", "subnormal_g_lrs"])
     def test_bad_config_value_exits_2(self, tmp_path, capsys, section, values):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({section: values}))

@@ -871,11 +871,12 @@ def reference_snapshot_csv(xbar, path):
 
 
 class TestSnapshot:
-    # fill None is a uniform-random state; 0 and 1 are the all-HRS and all-LRS arrays.
+    # fill None is a uniform-random state; 0 and 1 are the all-HRS and all-LRS
+    # arrays.  37 x 100 ends on a partial block of rows.
     @pytest.mark.parametrize("rows, cols, fill", [
         (64, 64, None), (1, 1, None), (3, 5, None), (1, 1024, None), (1024, 1, None),
-        (64, 64, 0.0), (64, 64, 1.0)],
-        ids=["64-64", "1-1", "3-5", "1-1024", "1024-1", "64-64-zeros", "64-64-ones"])
+        (37, 100, None), (64, 64, 0.0), (64, 64, 1.0)],
+        ids=["64-64", "1-1", "3-5", "1-1024", "1024-1", "37-100", "64-64-zeros", "64-64-ones"])
     def test_bytes_match_csv_writer(self, tmp_path, rows, cols, fill):
         xbar = make_xbar(rows, cols, vp=NOISY)
         xbar.w[:] = np.random.default_rng(rows).random((rows, cols)) if fill is None else fill
