@@ -36,6 +36,9 @@ IV_CSV_HEADER = ("voltage_V", "temperature_K", "state", "current_A", "resistance
 # Monte-Carlo replicas that infer programs in one stacked pass.  Rows do not
 # depend on it; larger groups gained no time and cost peak memory.
 REPLICAS_PER_PASS = 3
+# Largest xbar --writes and infer --seeds; the README gives what each costs.
+MAX_WRITES = 10**6
+MAX_SEEDS = 1000
 
 
 def _fmt(x: float) -> str:
@@ -362,8 +365,12 @@ def _resolve(args: argparse.Namespace, config: SimConfig):
     if args.command == "fit":
         return lambda out: cmd_fit(config, out, args.files)
     if args.command == "xbar":
+        if args.writes > MAX_WRITES:
+            raise ConfigError(f"--writes must be <= {MAX_WRITES}, got {args.writes}")
         return lambda out: cmd_xbar(config, out, args.writes)
     if args.command == "infer":
+        if args.seeds > MAX_SEEDS:
+            raise ConfigError(f"--seeds must be <= {MAX_SEEDS}, got {args.seeds}")
         hidden = _parse_hidden(args.hidden)
         try:
             x, y = inf.load_dataset_csv(args.dataset) if args.dataset else inf.make_blobs_dataset()

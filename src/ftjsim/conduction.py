@@ -297,13 +297,19 @@ def _log_conductance_samples(data: SweepRecord) -> tuple[np.ndarray, np.ndarray,
         raise FitError("cannot fit ln(J/V) with zero-voltage samples")
     if np.any(j <= 0):
         raise FitError("current densities must be > 0 for log-space fitting")
-    # Average duplicates so repeated sweep points carry unit weight.
-    keys = np.stack([t, v], axis=1)
-    uniq, inverse = np.unique(keys, axis=0, return_inverse=True)
-    inverse = inverse.ravel()  # numpy 2.0 returns a column for axis-wise unique
-    j_avg = np.zeros(len(uniq))
-    counts = np.bincount(inverse, minlength=len(uniq))
-    t_u, v_u = uniq[:, 0], uniq[:, 1]
+    # Average duplicates so repeated sweep points carry unit weight.  The unique
+    # (T, V) rows in sorted order and each sample's row, as np.unique(axis=0) gives them.
+    order = np.lexsort((v, t))
+    t_s, v_s = t[order], v[order]
+    new = np.empty(order.size, dtype=bool)
+    new[:1] = True
+    np.not_equal(t_s[1:], t_s[:-1], out=new[1:])
+    new[1:] |= v_s[1:] != v_s[:-1]
+    inverse = np.empty(order.size, dtype=np.intp)
+    inverse[order] = np.cumsum(new) - 1
+    t_u, v_u = t_s[new], v_s[new]
+    j_avg = np.zeros(t_u.size)
+    counts = np.bincount(inverse, minlength=t_u.size)
     with np.errstate(over="ignore", divide="ignore"):  # a non-finite ln(J/V) is raised below
         np.add.at(j_avg, inverse, j)
         j_avg /= counts

@@ -176,17 +176,22 @@ def level_table(nu: float, direction: Direction, n_levels: int) -> np.ndarray:
     return table
 
 
+@lru_cache(maxsize=None)
+def _scalar_law(nu: float, direction: Direction, n_levels: int) -> tuple[list, float]:
+    """``level_table`` as Python floats, and expm1(-nu): what one float step reads."""
+    return level_table(nu, direction, n_levels).tolist(), float(np.expm1(-nu))
+
+
 def step_weight(w, nu: float, direction: Direction, n_levels: int):
-    """Advance w by one discrete staircase level in the given direction.
+    """Advance every state in the array w by one discrete staircase level in the given direction.
 
     The level counter is recovered from w (nearest level, so a noisy state
     neither stalls nor double-steps on average), incremented, and looked up
-    in ``level_table``; it saturates at the endpoint.  Scalars and arrays.
+    in ``level_table``; it saturates at the endpoint.
     """
     x = update_curve_inverse(w, nu, direction)
     k = np.minimum(np.rint(np.multiply(x, n_levels)) + 1, n_levels).astype(np.intp)
-    out = level_table(nu, direction, n_levels)[k]
-    return float(out) if np.ndim(w) == 0 else out
+    return level_table(nu, direction, n_levels)[k]
 
 
 def truncated_normal(rng: np.random.Generator, sigma: float, size: int) -> np.ndarray:
@@ -217,11 +222,26 @@ def pulse_response(w, amplitude: float, params: DeviceParams, eps=None):
     if abs(amplitude) < params.v_pulse_threshold:
         return w
     direction = Direction.POTENTIATE if amplitude < 0 else Direction.DEPRESS
-    stepped = step_weight(w, params.nu_for(direction), direction, params.n_levels)
+    nu, n = params.nu_for(direction), params.n_levels
+    if isinstance(w, np.ndarray) and w.ndim:
+        stepped = step_weight(w, nu, direction, n)
+        if eps is None:
+            return stepped
+        return np.minimum(np.maximum(0.0, w + (stepped - w) * (1.0 + eps)), 1.0)
+    # One state: step_weight's operations in Python floats, bit for bit, without
+    # the cost of 0-d arrays.  Past nu of about 37 expm1(-nu) is -1, and the far
+    # endpoint's log1p(-1) = -inf clamps to the count 1; it is taken directly.
+    w = float(w)
+    levels, em = _scalar_law(nu, direction, n)
+    a = (w if direction is Direction.POTENTIATE else 1.0 - w) * em
+    x = 1.0 if a == -1.0 else float(np.log1p(a)) / -nu
+    x = 0.0 if x < 0.0 else 1.0 if x > 1.0 else x
+    stepped = levels[min(int(np.rint(x * n)) + 1, n)]
     if eps is None:
         return stepped
-    out = np.minimum(np.maximum(0.0, w + (stepped - w) * (1.0 + eps)), 1.0)
-    return float(out) if np.ndim(w) == 0 else out
+    out = w + (stepped - w) * (1.0 + eps)
+    # np.minimum(np.maximum(0.0, out), 1.0) as comparisons: -0.0 and nan pass unchanged.
+    return 0.0 if out < 0.0 else 1.0 if out > 1.0 else float(out)
 
 
 class TracePoint(NamedTuple):
@@ -245,21 +265,29 @@ def run_sequence(
     """Potentiation then depression staircase from the HRS, read at +0.2 V after each pulse.
 
     Both branches include their count-0 (pre-pulse) read.  Every pulse goes
-    through pulse_response, in order, with its own jitter drawn from ``rng``
-    when ``sigma_c2c`` is not 0; the whole trace is then read at once.
+    through pulse_response, in order, with its own jitter when ``sigma_c2c``
+    is not 0: the values and the generator state are those of one
+    ``truncated_normal(rng, sigma_c2c, 1)`` per pulse.  The whole trace is then
+    read at once.
     """
     if not (0 <= n_pot <= params.n_levels and 0 <= n_dep <= params.n_levels):
         raise ValueError(f"pulse counts must lie in [0, {params.n_levels}]")
     if sigma_c2c and rng is None:
         raise ValueError("cycle-to-cycle noise needs a random generator")
+    # Pulse i's jitter is the i-th in-bounds normal of the stream, as from one
+    # truncated_normal(rng, sigma_c2c, 1) call per pulse: each draw asks for the
+    # count still missing, so the stream ends where the last accepted value lies.
+    eps: list = [None] * (n_pot + n_dep) if not sigma_c2c else []
+    while len(eps) < n_pot + n_dep:
+        draw = rng.normal(0.0, sigma_c2c, n_pot + n_dep - len(eps))
+        eps += draw[np.abs(draw) <= TRUNCATION_SIGMAS * sigma_c2c].tolist()
     labels, ws, w = [], [], 0.0
-    for direction, amplitude, n in (("potentiation", params.v_set_full, n_pot),
-                                    ("depression", params.v_reset_full, n_dep)):
-        labels += [(i, direction) for i in range(n + 1)]
+    for direction, amplitude, branch in (("potentiation", params.v_set_full, eps[:n_pot]),
+                                         ("depression", params.v_reset_full, eps[n_pot:])):
+        labels += [(i, direction) for i in range(len(branch) + 1)]
         ws.append(w)
-        for _ in range(n):
-            eps = truncated_normal(rng, sigma_c2c, 1)[0] if sigma_c2c else None
-            w = pulse_response(w, amplitude, params, eps)
+        for e in branch:
+            w = pulse_response(w, amplitude, params, e)
             ws.append(w)
     r = _read_trace(np.array(ws), PULSE_READ_VOLTAGE, params).tolist()
     return [TracePoint(i, d, 1.0 / ri, ri) for (i, d), ri in zip(labels, r)]

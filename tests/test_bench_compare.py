@@ -1,6 +1,7 @@
 """The summary step of tools/bench_compare.py, on fixed sample lists."""
 
 import importlib.util
+import shutil
 from pathlib import Path
 
 import pytest
@@ -59,3 +60,38 @@ def test_higher_is_better_flips_the_sign():
     assert cmp["gap"] == pytest.approx(1.0)
     assert cmp["verdict"] == "gain"
     assert bench_compare.compare(pairs, "lower")["verdict"] == "loss"
+
+
+def test_interleaved_setup_alternates_one_interpreter_at_a_time():
+    calls = []
+    values = {"parent": iter([0.10, 0.12, 0.11, 0.13]), "change": iter([0.09, 0.11, 0.10, 0.12])}
+
+    def measure(side):
+        calls.append(side)
+        return next(values[side])
+
+    got = bench_compare.interleaved_setup(measure, 4)
+    assert calls == ["parent", "change", "change", "parent"] * 2
+    assert got["parent_change"] == [[0.10, 0.09], [0.12, 0.11], [0.11, 0.10], [0.13, 0.12]]
+    assert (got["pairs"], got["won"]) == (4, 4)
+    assert got["parent"]["median"] == pytest.approx(0.115)
+    assert got["change"]["median"] == pytest.approx(0.105)
+    assert got["ratio_of_medians"] == pytest.approx(0.105 / 0.115)
+    assert got["pairwise_ratio"]["n"] == 4
+    assert got["verdict"] == bench_compare.compare(
+        [tuple(p) for p in got["parent_change"]], "lower")["verdict"]
+
+
+def test_setup_sample_times_a_fresh_interpreter_without_bytecode(tmp_path):
+    root = TOOL.parents[1]
+    side = tmp_path / "side"
+    shutil.copytree(root / "src" / "ftjsim", side / "src" / "ftjsim",
+                    ignore=shutil.ignore_patterns("__pycache__"))
+    (side / "benchmarks").mkdir()
+    shutil.copy(root / "benchmarks" / "run.py", side / "benchmarks" / "run.py")
+    (side / "src" / "ftjsim" / "__pycache__").mkdir()  # removed before the sample
+    code, blas = bench_compare.setup_child(side)
+    assert "import ftjsim.cli" in code and set(blas.values()) == {"1"}
+    seconds = bench_compare.setup_sample(side, [side], (code, blas))
+    assert 0 < seconds < 60
+    assert not list(side.rglob("__pycache__"))

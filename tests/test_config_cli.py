@@ -240,15 +240,20 @@ class TestCliContracts:
                                          ("infer", "--hidden", "8,0"),
                                          ("infer", "--hidden", "0"),
                                          ("infer", "--hidden", f"{MAX_ARRAY_DIM + 1}"),
-                                         ("iv", "--temps", "")])
+                                         ("iv", "--temps", ""),
+                                         ("xbar", "--writes", f"{cli.MAX_WRITES + 1}"),
+                                         ("infer", "--seeds", f"{cli.MAX_SEEDS + 1}")])
     def test_out_of_range_count_exits_2(self, tmp_path, capsys, monkeypatch, command):
-        # Every bad command-line value.  Plain counts fail in argparse; the
-        # rest (pulse counts bounded by the config's n_levels, temperatures,
-        # --temps on a command other than iv, layer widths, the dataset path)
-        # are reported by main before it makes the output directory.
+        # Every bad command-line value.  Counts below their least value fail in
+        # argparse; the rest (the --writes and --seeds upper bounds, pulse
+        # counts bounded by the config's n_levels, temperatures, --temps on a
+        # command other than iv, layer widths, the dataset path) are reported
+        # by main before it makes the output directory or runs any command.
         monkeypatch.chdir(tmp_path)  # so the relative dataset path is missing
+        for name in ("cmd_iv", "cmd_pulse", "cmd_fit", "cmd_xbar", "cmd_infer", "cmd_bench"):
+            monkeypatch.setattr(cli, name, lambda *args: pytest.fail("the command ran"))
         out = tmp_path / "out"
-        if command[1] not in ("--writes", "--seeds"):
+        if command not in (("xbar", "--writes", "-5"), ("infer", "--seeds", "0")):
             assert run_cli("--out", out, *command) == 2
             err = capsys.readouterr().err
             assert err.startswith("ftjsim: config-error:") and command[1] in err

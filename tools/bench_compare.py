@@ -22,11 +22,19 @@ the medians against the parent's interquartile range, and a verdict: "gain"
 when the change won at least 90 % of the pairs and its median is better by
 more than the parent's IQR, "loss" when its median is worse by more than
 that IQR, "neither" otherwise.
+
+``setup_s`` is also measured interleaved, after the benchmark runs: 50 pairs
+of fresh interpreters, alternating the two sides one interpreter at a time,
+each running its side's ``SETUP_CODE`` from ``benchmarks/run.py`` under the
+same no-bytecode setting.  Slow host phases last longer than one sample, so
+they reach both sides of a pair alike; the result is recorded beside the
+per-run medians, with the same verdict rule.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import json
 import os
 import shutil
@@ -39,6 +47,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
 GAIN_PAIR_SHARE = 0.9  # share of pairs a change must win to count as a gain
+SETUP_PAIRS = 50       # interleaved pairs of fresh interpreters for setup_s
 
 
 def quartiles(samples: list[float]) -> dict:
@@ -82,13 +91,19 @@ def git(*args: str) -> str:
                           check=True).stdout.strip()
 
 
-def run_side(side: Path, checkouts: list[Path], workload: str, seed: int, seconds: int) -> dict:
-    """One benchmark run in ``side``, with no checkout holding bytecode; its result."""
+def _no_bytecode(checkouts: list[Path]) -> dict:
+    """Remove every checkout's ``__pycache__``; the environment that writes none."""
     for tree in checkouts:
         for cache in list(tree.rglob("__pycache__")):
             shutil.rmtree(cache)
     env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     env["PYTHONDONTWRITEBYTECODE"] = "1"
+    return env
+
+
+def run_side(side: Path, checkouts: list[Path], workload: str, seed: int, seconds: int) -> dict:
+    """One benchmark run in ``side``, with no checkout holding bytecode; its result."""
+    env = _no_bytecode(checkouts)
     proc = subprocess.run([sys.executable, "benchmarks/run.py", "--workload", workload,
                            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"],
                           cwd=side, env=env, capture_output=True, text=True)
@@ -99,6 +114,46 @@ def run_side(side: Path, checkouts: list[Path], workload: str, seed: int, second
     return {"metrics": {k: m["value"] for k, m in result["metrics"].items()},
             "failed": result["failed"],
             "environment": json.loads(results_file.read_text())["environment"]}
+
+
+def setup_child(side: Path) -> tuple[str, dict]:
+    """``SETUP_CODE`` of the side's own ``benchmarks/run.py`` and the BLAS thread
+    settings that its ``measure_setup`` children inherit."""
+    spec = importlib.util.spec_from_file_location("side_run", side / "benchmarks" / "run.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.SETUP_CODE, {var: str(module.BLAS_THREADS) for var in module.BLAS_ENV}
+
+
+def setup_sample(side: Path, checkouts: list[Path], child: tuple[str, dict]) -> float:
+    """``setup_s`` of one fresh interpreter in ``side``: import plus load_config, no bytecode."""
+    code, blas = child
+    env = {**_no_bytecode(checkouts), **blas}
+    proc = subprocess.run([sys.executable, "-s", "-c", code, str(side / "src")], cwd=side,
+                          env=env, capture_output=True, text=True, timeout=60, check=True)
+    times = json.loads(proc.stdout)
+    return times["import_s"] + times["load_config_s"]
+
+
+def interleaved_setup(measure, pairs: int) -> dict:
+    """``pairs`` (parent, change) samples of ``measure(side)``, taken one side at a time.
+
+    The parent goes first in even-numbered pairs and the change in odd ones.
+    The summary holds each side's quartiles, the pairwise change/parent ratio's
+    quartiles, the ratio of the medians, ``compare``'s verdict and the samples.
+    """
+    samples = []
+    for i in range(pairs):
+        order = SIDES if i % 2 == 0 else SIDES[::-1]
+        got = {side: measure(side) for side in order}
+        samples.append((got["parent"], got["change"]))
+    parent = quartiles([p for p, _ in samples])
+    change = quartiles([c for _, c in samples])
+    return {"parent": parent, "change": change,
+            "ratio_of_medians": change["median"] / parent["median"],
+            "pairwise_ratio": quartiles([c / p for p, c in samples]),
+            **compare(samples, "lower"),
+            "parent_change": [list(v) for v in samples]}
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -138,6 +193,9 @@ def main(argv: list[str] | None = None) -> int:
                         print(f"{workload} seed {seed} pair {i}: " + ", ".join(
                             f"{side} wall_s {pair[side]['metrics']['wall_s']:.4f}"
                             for side in SIDES), flush=True)
+            children = {side: setup_child(trees[side]) for side in SIDES}
+            setup = interleaved_setup(lambda side: setup_sample(
+                trees[side], list(trees.values()), children[side]), SETUP_PAIRS)
         finally:
             for side in SIDES:
                 if trees[side].exists():
@@ -155,9 +213,16 @@ def main(argv: list[str] | None = None) -> int:
             f"removed and PYTHONDONTWRITEBYTECODE=1 was set. Each entry summarises one "
             f"per-run metric over the runs: median, quartiles (linear interpolation) and run "
             f"count; `failed` is summed over the runs. `pairs` gives, per metric, the pairs "
-            f"the change won (ties count for neither) and every (parent, change) value."),
+            f"the change won (ties count for neither) and every (parent, change) value. "
+            f"`setup_s_interleaved` is {SETUP_PAIRS} pairs of fresh interpreters taken after "
+            f"the runs, alternating the sides one interpreter at a time (parent first in "
+            f"even-numbered pairs), each running its side's `SETUP_CODE` from "
+            f"`benchmarks/run.py` with its BLAS thread settings, no __pycache__ and "
+            f"PYTHONDONTWRITEBYTECODE=1; "
+            f"`setup_s` is its import_s + load_config_s."),
         "host": {k: host[k] for k in ("python", "numpy", "nproc", "cpu_model", "blas_threads")},
         "end_to_end": {f"seconds_{seconds}": {}},
+        "setup_s_interleaved": setup,
     }
     table = report["end_to_end"][f"seconds_{seconds}"]
     for workload, by_seed in runs.items():
@@ -178,6 +243,11 @@ def main(argv: list[str] | None = None) -> int:
                                    entry["parent"][name]["median"],
                                    entry["change"][name]["median"]))
             table.setdefault(workload, {})[str(seed)] = entry
+    print(f"setup_s interleaved: change won {setup['won']} of {setup['pairs']} pairs; median "
+          f"{setup['parent']['median']:.6g} -> {setup['change']['median']:.6g} s; ratio of "
+          f"medians {setup['ratio_of_medians']:.4f}, pairwise ratio quartiles "
+          f"{setup['pairwise_ratio']['q1']:.4f} / {setup['pairwise_ratio']['median']:.4f} / "
+          f"{setup['pairwise_ratio']['q3']:.4f}: {setup['verdict']}")
     Path(args.out).write_text(json.dumps(report, indent=1) + "\n")
     print(f"wrote {args.out}")
     return 0
