@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ftjsim import conduction as cnd
 from ftjsim.conduction import (
     K_B_EV,
     ConductionParams,
@@ -367,6 +368,53 @@ class TestFitPooleFrenkel:
         data = synthetic_pf_sweep([0.22, 0.28], TEMPS4, phi_b=0.15, beta=0.4)
         with pytest.raises(FitError):
             fit_poole_frenkel(data)
+
+
+def reference_log_conductance_samples(data):
+    """(|V|, ln(J/V), T) over the unique (T, V) rows that np.unique(axis=0) sorts and
+    groups, with each row's J averaged in sample order."""
+    v, j, t = np.abs(data.voltage), np.abs(data.current_density), data.temperature
+    uniq, inverse = np.unique(np.stack([t, v], axis=1), axis=0, return_inverse=True)
+    inverse = inverse.ravel()
+    j_avg = np.zeros(len(uniq))
+    np.add.at(j_avg, inverse, j)
+    j_avg /= np.bincount(inverse, minlength=len(uniq))
+    return uniq[:, 1], np.log(j_avg / uniq[:, 1]), uniq[:, 0]
+
+
+def shuffled_sweep_with_repeats(voltages, phi_b, beta, seed):
+    """A noisy sweep, its +-V mirror, repeats of a third of its samples at fresh noise,
+    and the temperatures interleaved, all in one random order."""
+    rng = np.random.default_rng(seed)
+    base = synthetic_pf_sweep(voltages, TEMPS4, phi_b=phi_b, beta=beta, noise=0.01, rng=rng)
+    again = rng.choice(len(base), len(base) // 3)
+    v = np.concatenate([base.voltage, -base.voltage, base.voltage[again]])
+    j = np.concatenate([base.current_density,
+                        -base.current_density * (1.0 + 0.01 * rng.standard_normal(len(base))),
+                        base.current_density[again] * (1.0 + 0.01 * rng.standard_normal(again.size))])
+    t = np.concatenate([base.temperature, base.temperature, base.temperature[again]])
+    order = rng.permutation(v.size)
+    return SweepRecord(v[order], j[order], t[order])
+
+
+class TestDuplicateGrouping:
+    """Repeated and mirrored (V, T) samples are averaged exactly as np.unique groups them."""
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("fit, voltages, beta", [(fit_ohmic, OHMIC_V, 0.0),
+                                                      (fit_poole_frenkel, PF_V, 0.4)],
+                             ids=["ohmic", "poole_frenkel"])
+    def test_fits_equal_the_unique_rows_reference(self, monkeypatch, fit, voltages, beta, seed):
+        data = shuffled_sweep_with_repeats(voltages, 0.15, beta, seed)
+        got_samples = cnd._log_conductance_samples(data)
+        want_samples = reference_log_conductance_samples(data)
+        assert got_samples[0].size == voltages.size * len(TEMPS4) < len(data)
+        for got, want in zip(got_samples, want_samples):
+            assert got.tobytes() == want.tobytes()
+        got = fit(data)
+        monkeypatch.setattr(cnd, "_log_conductance_samples", reference_log_conductance_samples)
+        want = fit(data)
+        assert repr(got) == repr(want)
 
 
 class TestSweepRecord:

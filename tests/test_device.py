@@ -13,6 +13,7 @@ from scipy.optimize import curve_fit
 from ftjsim.conduction import K_B_EV, current
 from ftjsim.device import (
     DC_READ_VOLTAGE,
+    MAX_LEVELS,
     NU_BOUNDS,
     PULSE_READ_VOLTAGE,
     DeviceParams,
@@ -171,6 +172,46 @@ class TestPulseResponse:
             amp = PARAMS.v_set_full if rng.random() < 0.5 else PARAMS.v_reset_full
             w = pulse_response(w, amp, PARAMS)
             assert 0.0 <= w <= 1.0
+
+
+def kernel_states(params):
+    """Every level value of both directions' tables, with its 1-ulp neighbours inside
+    [0, 1], plus -0.0, 0, 1 and uniform random states."""
+    levels = np.concatenate([level_table(params.nu_for(d), d, params.n_levels) for d in (POT, DEP)])
+    states = np.concatenate([levels, np.nextafter(levels, -1.0), np.nextafter(levels, 2.0),
+                             [-0.0, 0.0, 1.0], np.random.default_rng(5).uniform(0.0, 1.0, 200)])
+    return states[(states >= 0.0) & (states <= 1.0)]
+
+
+def kernel_jitters(n):
+    """None, +-3 sigma and truncated-normal jitter at sigma 0.1, 1/3 and 10, each n long."""
+    rng = np.random.default_rng(6)
+    yield "none", None
+    for sigma in (0.1, 1 / 3, 10.0):
+        yield f"+3sigma_{sigma:.3g}", np.full(n, 3.0 * sigma)
+        yield f"-3sigma_{sigma:.3g}", np.full(n, -3.0 * sigma)
+        yield f"random_{sigma:.3g}", truncated_normal(rng, sigma, n)
+
+
+class TestScalarKernel:
+    """pulse_response on one float equals the array call, element by element and bit for bit."""
+
+    @pytest.mark.filterwarnings("error")  # nu > 37 takes log1p(-1) in the array call
+    @pytest.mark.parametrize("nu_p, nu_d", [(1.9, 4.3), (40.0, 700.0)], ids=["nominal", "steep"])
+    @pytest.mark.parametrize("scheme", [UpdateScheme.AMPLITUDE_RAMP, UpdateScheme.WIDTH_RAMP])
+    @pytest.mark.parametrize("direction", [POT, DEP])
+    def test_scalar_equals_array(self, direction, scheme, nu_p, nu_d):
+        params = replace(PARAMS, scheme=scheme, nu_p=nu_p, nu_d=nu_d)
+        amp = params.v_set_full if direction is POT else params.v_reset_full
+        w = kernel_states(params)
+        for label, eps in kernel_jitters(w.size):
+            want = pulse_response(w, amp, params, eps)
+            got = [pulse_response(float(x), amp, params, None if eps is None else eps[i])
+                   for i, x in enumerate(w)]
+            assert all(type(g) is float for g in got), label
+            assert np.array(got).view(np.uint64).tolist() == want.view(np.uint64).tolist(), label
+        if nu_p > 37:
+            assert np.expm1(-params.nu_for(direction)) == -1.0
 
 
 class TestRunSequence:
@@ -488,16 +529,32 @@ class TestArrayKernelEquivalence:
         assert np.array_equal(loop.r_down, r_down)
         assert np.array_equal(loop.v_down, loop.v_up[::-1])
 
-    @pytest.mark.parametrize("sigma_c2c", [0.0, 0.1])
-    @pytest.mark.parametrize("n_pot, n_dep", [(50, 50), (12, 0), (12, 9), (0, 9), (0, 0)])
+    @pytest.mark.parametrize("sigma_c2c", [0.0, 0.1, 1 / 3])
+    @pytest.mark.parametrize("n_pot, n_dep", [(50, 50), (12, 0), (12, 9), (0, 9), (0, 0),
+                                              (1024, 1024), (1000, 37)])
     @pytest.mark.parametrize("scheme", [UpdateScheme.AMPLITUDE_RAMP, UpdateScheme.WIDTH_RAMP])
     def test_run_sequence_equals_pulse_by_pulse(self, sigma_c2c, n_pot, n_dep, scheme):
-        params = replace(PARAMS, scheme=scheme)
-        got_rng, want_rng = np.random.default_rng(8), np.random.default_rng(8)
+        # Counts above the nominal 50 levels run on a 1024-level device.
+        n_levels = MAX_LEVELS if max(n_pot, n_dep) > PARAMS.n_levels else PARAMS.n_levels
+        params = replace(PARAMS, scheme=scheme, n_levels=n_levels)
+        got_rng, want_rng = np.random.default_rng(8), CountingGenerator(8)
         got = run_sequence(n_pot, n_dep, params, sigma_c2c, got_rng)
         want = reference_run_sequence(n_pot, n_dep, params, sigma_c2c, want_rng)
         assert got == want
-        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+        assert got_rng.bit_generator.state == want_rng.rng.bit_generator.state
+        if sigma_c2c == 1 / 3 and n_levels == MAX_LEVELS:  # the per-pulse draws resampled
+            assert want_rng.drawn > n_pot + n_dep
+
+
+class CountingGenerator:
+    """A seeded Generator's ``normal`` that counts the values it draws."""
+
+    def __init__(self, seed):
+        self.rng, self.drawn = np.random.default_rng(seed), 0
+
+    def normal(self, loc, scale, size):
+        self.drawn += size
+        return self.rng.normal(loc, scale, size)
 
 
 class TestRead:
