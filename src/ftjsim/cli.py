@@ -30,7 +30,7 @@ from .config import (
     load_config,
 )
 from .errors import ConfigError, ConvergenceError, FitError
-from .table import read_table, write_table
+from .table import read_table, write_columns, write_table
 
 IV_CSV_HEADER = ("voltage_V", "temperature_K", "state", "current_A", "resistance_ohm")
 # Monte-Carlo replicas that infer programs in one stacked pass.  Rows do not
@@ -80,15 +80,16 @@ def _pulse_counts(n_pot: int | None, n_dep: int | None, params: dev.DeviceParams
 def cmd_iv(config: SimConfig, out: Path, temps: list[float]) -> None:
     """Voltage/current/resistance grid for both endpoint states."""
     params = config.device
-    grid = [v for v in np.linspace(-cnd.V_READ_SWEEP_MAX, cnd.V_READ_SWEEP_MAX, 61) if v != 0]
-    rows = []
-    for t in temps:
-        for name, g in (("lrs", params.g_lrs), ("hrs", params.g_hrs)):
-            i = cnd.current(grid, g, t, params.conduction)
-            rows += [[_fmt(v), _fmt(t), name, _fmt(c), _fmt(v / c)]
-                     for v, c in zip(grid, i.tolist())]
-    write_table(out / "iv_sweep.csv", IV_CSV_HEADER, rows)
-    print(f"wrote {out / 'iv_sweep.csv'} ({len(rows)} rows)")
+    grid = np.linspace(-cnd.V_READ_SWEEP_MAX, cnd.V_READ_SWEEP_MAX, 61)
+    grid = grid[grid != 0]
+    states = (("lrs", params.g_lrs), ("hrs", params.g_hrs))
+    i = np.concatenate([cnd.current(grid, g, t, params.conduction)
+                        for t in temps for _, g in states])
+    v = np.tile(grid, len(temps) * len(states))
+    write_columns(out / "iv_sweep.csv", IV_CSV_HEADER, [
+        v, np.repeat(temps, len(states) * grid.size),
+        np.tile(np.repeat([name for name, _ in states], grid.size), len(temps)), i, v / i])
+    print(f"wrote {out / 'iv_sweep.csv'} ({v.size} rows)")
 
 
 def cmd_pulse(config: SimConfig, out: Path, n_pot: int, n_dep: int) -> None:
@@ -103,6 +104,12 @@ def _fit_rows(path: Path, model: str, values: dict, warnings: tuple) -> list:
     """One report row per fitted value, then one per warning."""
     return ([[path.name, model, name, _fmt(v)] for name, v in values.items()]
             + [[path.name, model, "warning", w] for w in warnings])
+
+
+def _sweep_from_table(header: tuple, body: np.ndarray) -> cnd.SweepRecord:
+    if not len(body):
+        raise ValueError("no samples")
+    return cnd.SweepRecord(*body.T)
 
 
 def _fit_sweep_file(config: SimConfig, path: Path, data: cnd.SweepRecord, rows: list) -> None:
@@ -140,13 +147,13 @@ def cmd_fit(config: SimConfig, out: Path, files: list[str]) -> None:
     """Extract model parameters from sweep and trace CSV files."""
     if not files:
         raise ConfigError("fit requires at least one input file")
-    loaders = {cnd.SweepRecord.CSV_HEADER: (cnd.SweepRecord.from_table, _fit_sweep_file),
+    loaders = {cnd.SweepRecord.CSV_HEADER: (_sweep_from_table, _fit_sweep_file),
                dev.TRACE_CSV_HEADER: (dev.trace_from_table, _fit_trace_file)}
     rows: list = []
     for name in files:
         path = Path(name)
         try:
-            header, body = read_table(path)
+            header, body = read_table(path, numeric=(cnd.SweepRecord.CSV_HEADER,))
             if header not in loaders:
                 raise FitError(f"{path}: unrecognized header {header!r}")
             load, fit = loaders[header]

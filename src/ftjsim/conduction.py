@@ -91,15 +91,6 @@ class SweepRecord:
         mask = (np.abs(self.voltage) >= v_min) & (np.abs(self.voltage) <= v_max)
         return SweepRecord(self.voltage[mask], self.current_density[mask], self.temperature[mask])
 
-    @classmethod
-    def from_table(cls, header: tuple, rows: list) -> "SweepRecord":
-        """The sweep in a table ``read_table`` returned."""
-        if header != cls.CSV_HEADER:
-            raise ValueError(f"unexpected sweep header {header!r}, want {cls.CSV_HEADER!r}")
-        if not rows:
-            raise ValueError("no samples")
-        return cls(*np.array(rows, dtype=float).T)
-
 
 def _finite(name: str, x) -> None:
     if not np.isfinite(x).all():

@@ -28,11 +28,10 @@ from .conduction import (V_READ_SWEEP_MAX, activation_factor, current, different
                          shape_factor, voltage_at_current)
 from .device import DeviceParams, Direction, level_table, pulse_response, truncated_normal
 from .errors import ConvergenceError
-from .table import E12_WIDTH, format_e12
+from .table import write_columns
 from .variability import VariabilityParams, sample_endpoint_arrays
 
 SNAPSHOT_CSV_HEADER = ("row", "col", "w", "g_S")
-_SNAPSHOT_BLOCK_CELLS = 1 << 10  # cells per block of rows that snapshot_csv writes at once
 
 
 @dataclass
@@ -92,31 +91,10 @@ class Crossbar:
         return self.g_hrs + self.w * (self.g_lrs - self.g_hrs)
 
     def snapshot_csv(self, path: str | Path) -> None:
-        """One CSV line per cell, row-major, with CRLF endings as csv.writer writes them.
-
-        A block of rows is laid out as a NUL-padded (rows, cols, width) byte
-        array: the 'r,' and 'c,' prefixes, the two ``format_e12`` records with
-        a comma between them and CRLF; its non-NUL bytes are the block's lines.
-        """
-        g = self.conductances()
-        prefixes = [np.array([b"%d," % i for i in range(n)]) for n in self.w.shape]
-        row_ids, col_ids = (p.view(np.uint8).reshape(p.size, -1) for p in prefixes)
-        a, b = row_ids.shape[1], col_ids.shape[1]
-        block_rows = min(self.rows, max(1, _SNAPSHOT_BLOCK_CELLS // self.cols))
-        lines = np.zeros((block_rows, self.cols, a + b + 2 * E12_WIDTH + 3), np.uint8)
-        lines[..., a:a + b] = col_ids
-        lines[..., a + b + E12_WIDTH] = ord(",")
-        lines[..., -2:] = tuple(b"\r\n")
-        with open(path, "wb") as fh:
-            fh.write(",".join(SNAPSHOT_CSV_HEADER).encode() + b"\r\n")
-            for r0 in range(0, self.rows, block_rows):
-                r1 = min(r0 + block_rows, self.rows)
-                block = lines[:r1 - r0]
-                records = format_e12(np.stack((self.w[r0:r1], g[r0:r1]), -1)).view(np.uint8)
-                block[..., :a] = row_ids[r0:r1, None]
-                block[..., a + b:a + b + E12_WIDTH] = records[..., :E12_WIDTH]
-                block[..., -E12_WIDTH - 2:-2] = records[..., E12_WIDTH:]
-                fh.write(block[block != 0])
+        """One CSV line per cell, row-major, with CRLF endings as csv.writer writes them."""
+        rows, cols = np.indices(self.w.shape).reshape(2, -1)
+        write_columns(path, SNAPSHOT_CSV_HEADER,
+                      [rows, cols, self.w.ravel(), self.conductances().ravel()])
 
     def _normalized_targets(self, target: np.ndarray) -> tuple[np.ndarray, int]:
         """Targets mapped to w-space, clipped to the per-device span."""

@@ -23,7 +23,7 @@ import numpy as np
 
 from .conduction import ConductionParams, current
 from .errors import FitError
-from .table import write_table
+from .table import write_columns
 
 PULSE_READ_VOLTAGE = 0.2  # V, read bias after programming pulses
 DC_READ_VOLTAGE = 0.3     # V, read bias along the DC write loop
@@ -294,7 +294,10 @@ def run_sequence(
 
 
 def write_trace_csv(path: str | Path, points: Sequence[TracePoint]) -> None:
-    write_table(path, TRACE_CSV_HEADER, ([c, d, f"{g:.12e}", f"{r:.12e}"] for c, d, g, r in points))
+    counts, directions, g, r = zip(*points) if points else ((),) * 4
+    write_columns(path, TRACE_CSV_HEADER, [np.array(counts, dtype=np.int64),
+                                           np.array(directions, dtype=str),
+                                           np.array(g, dtype=float), np.array(r, dtype=float)])
 
 
 def trace_from_table(header: tuple, rows: list) -> list[TracePoint]:

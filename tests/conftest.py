@@ -54,7 +54,7 @@ def sweep_to_csv(record: SweepRecord, path) -> None:
 
 
 def sweep_from_csv(path) -> SweepRecord:
-    return SweepRecord.from_table(*read_table(path))
+    return SweepRecord(*read_table(path, numeric=(SweepRecord.CSV_HEADER,))[1].T)
 
 
 def read_trace_csv(path) -> list:

@@ -1,5 +1,6 @@
 """Configuration validation and command-line contract tests."""
 
+import csv
 import dataclasses
 import json
 import math
@@ -16,7 +17,7 @@ from ftjsim import cli, table
 from ftjsim import crossbar as xb
 from ftjsim import inference as inf
 from ftjsim.cli import main
-from ftjsim.conduction import K_B_EV, ConductionParams
+from ftjsim.conduction import K_B_EV, ConductionParams, current
 from ftjsim.config import (MAX_ARRAY_DIM, STREAM_WORKLOAD, CrossbarConfig, SimConfig,
                            config_from_dict, load_config)
 from ftjsim.device import MAX_LEVELS, TRACE_CSV_HEADER, DeviceParams, UpdateScheme
@@ -25,6 +26,9 @@ from ftjsim.inference import make_blobs_dataset
 from ftjsim.variability import VariabilityParams, derive_seed
 
 from conftest import default_config_text, sweep_to_csv, synthetic_pf_sweep
+
+
+PAST_TABLE_BOUND = "one row past the table bound"
 
 
 def run_cli(*args):
@@ -190,8 +194,8 @@ class TestCliContracts:
                                         beta=0.4), sweep)
         reads = []
         for module in (table, cli, inf):  # every module holding read_table
-            monkeypatch.setattr(module, "read_table",
-                                lambda path, read=module.read_table: reads.append(path) or read(path))
+            monkeypatch.setattr(module, "read_table", lambda path, *args, read=module.read_table,
+                                **kwargs: reads.append(path) or read(path, *args, **kwargs))
         assert run_cli("--out", tmp_path, "fit", trace, sweep) == 0
         assert sorted(reads) == [trace, sweep]
 
@@ -424,17 +428,25 @@ class TestCliContracts:
         ("sweep", "0.05,1e-9,nan"), ("trace", "1,potentiation,nan,1e9"),
         ("trace", "1,potentiation,1e-9,inf"), ("trace", "1,sideways,1e-9,1e9"),
         ("sweep", "0.05," + "1" * 140_000 + ",300.0"),
+        ("sweep", "0.05," + "0." + "0" * 140_000 + "1,300.0"), ("sweep", "1_000,1e-9,300.0"),
+        ("sweep", PAST_TABLE_BOUND), ("trace", PAST_TABLE_BOUND),
     ], ids=["sweep_non_numeric", "sweep_short_row", "trace_non_numeric", "trace_short_row",
             "sweep_long_row", "trace_long_row", "sweep_nan_current", "sweep_inf_current",
             "sweep_inf_temperature", "sweep_nan_temperature", "trace_nan_conductance",
-            "trace_inf_resistance", "trace_sideways_direction", "sweep_over_long_cell"])
-    def test_malformed_fit_file_exits_3(self, tmp_path, capsys, kind, row):
+            "trace_inf_resistance", "trace_sideways_direction", "sweep_over_long_cell",
+            "sweep_over_long_finite_cell", "sweep_underscore", "sweep_past_table_bound",
+            "trace_past_table_bound"])
+    def test_malformed_fit_file_exits_3(self, tmp_path, capsys, monkeypatch, kind, row):
         path = tmp_path / f"{kind}.csv"
         if kind == "sweep":
             sweep_to_csv(synthetic_pf_sweep(np.linspace(0.01, 0.1, 5), [300.0, 320.0], phi_b=0.15,
                                             beta=0.0), path)
         else:
             path.write_text(",".join(TRACE_CSV_HEADER) + "\n0,potentiation,1e-9,1e9\n")
+        if row == PAST_TABLE_BOUND:  # the file holds the bound; one well-formed row more
+            header, *body = path.read_text().splitlines()
+            monkeypatch.setattr(table, "MAX_TABLE_CELLS", len(header.split(",")) * len(body))
+            row = body[-1]
         with open(path, "a") as fh:
             fh.write(row + "\n")
         assert run_cli("--out", tmp_path, "fit", path) == 3
@@ -461,10 +473,15 @@ class TestCliContracts:
         ("blank_lines_only", "no header row"), ("not_utf8", "not a well-formed UTF-8 CSV file"),
         ("label_2_63", "label 4 in 0..9223372036854775808 has no sample"),
         ("label_2_64", "label 4 in 0..18446744073709551616 has no sample"),
+        ("past_table_bound", "more than 1071 cells: at most 63 rows of 17 columns"),
     ], ids=["no_rows", "nan_feature", "negative_label", "huge_features", "long_rows", "label_gap",
-            "huge_label", "blank_lines_only", "not_utf8", "label_2_63", "label_2_64"])
-    def test_bad_dataset_exits_2(self, tmp_path, capsys, save_dataset_csv, case, message):
+            "huge_label", "blank_lines_only", "not_utf8", "label_2_63", "label_2_64",
+            "past_table_bound"])
+    def test_bad_dataset_exits_2(self, tmp_path, capsys, monkeypatch, save_dataset_csv, case,
+                                 message):
         x, y = make_blobs_dataset(n_samples=64)
+        if case == "past_table_bound":  # 64 rows of 16 features and a label, one row past it
+            monkeypatch.setattr(table, "MAX_TABLE_CELLS", 17 * 63)
         if case == "no_rows":
             x, y = x[:0], y[:0]
         elif case == "nan_feature":
@@ -500,6 +517,19 @@ class TestCliContracts:
             assert not any(out.iterdir())
         else:
             assert not out.exists()
+
+    def test_iv_bytes_match_csv_writer(self, tmp_path):
+        assert run_cli("--out", tmp_path, "--temps", "250,300.5", "iv") == 0
+        params = SimConfig().device
+        grid = [v for v in np.linspace(-0.3, 0.3, 61) if v != 0]
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(cli.IV_CSV_HEADER)
+            for t in (250.0, 300.5):
+                for state, g in (("lrs", params.g_lrs), ("hrs", params.g_hrs)):
+                    writer.writerows([f"{v:.12e}", f"{t:.12e}", state, f"{i:.12e}", f"{v / i:.12e}"]
+                                     for v, i in zip(grid, current(grid, g, t, params.conduction)))
+        assert (tmp_path / "iv_sweep.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
     def test_iv_default_grid_and_activation(self, tmp_path):
         assert run_cli("--out", tmp_path, "--temps", "300,330", "iv") == 0

@@ -1,5 +1,6 @@
 """Device law tests: update staircase, DC loop, read, energy, area."""
 
+import csv
 import math
 import time
 from dataclasses import replace
@@ -16,6 +17,7 @@ from ftjsim.device import (
     MAX_LEVELS,
     NU_BOUNDS,
     PULSE_READ_VOLTAGE,
+    TRACE_CSV_HEADER,
     DeviceParams,
     Direction,
     UpdateScheme,
@@ -277,6 +279,15 @@ class TestRunSequence:
         assert len(back) == len(trace)
         assert back[3].count == trace[3].count
         assert back[3].conductance == pytest.approx(trace[3].conductance, rel=1e-11)
+
+    def test_trace_csv_bytes_match_csv_writer(self, tmp_path):
+        trace = run_sequence(12, 7, PARAMS, 0.1, np.random.default_rng(3))
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        with open(tmp_path / "ref.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TRACE_CSV_HEADER)
+            writer.writerows([c, d, f"{g:.12e}", f"{r:.12e}"] for c, d, g, r in trace)
+        assert (tmp_path / "trace.csv").read_bytes() == (tmp_path / "ref.csv").read_bytes()
 
 
 class TestFitUpdateCurve:

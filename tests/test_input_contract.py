@@ -99,6 +99,9 @@ def _sweep(row: str) -> bytes:
 @example(case=(INFER, _dataset(f"{OVER_LONG_CELL}\n")))
 @example(case=(["fit"], _sweep("0.05,\xff,300")))
 @example(case=(["fit"], _sweep(f"0.05,{OVER_LONG_CELL},300")))
+@example(case=(["fit"], _sweep("")))
+@example(case=(["fit"], _sweep("0.05,1e-9,300,7\n0.1,2e-9,300,7")))
+@example(case=(["fit"], _sweep("0.05,0." + "0" * 140_000 + "1,300")))
 @settings(max_examples=100, deadline=None, derandomize=True, database=None)
 def test_any_input_file_exits_cleanly(case):
     args, data = case
